@@ -15,7 +15,6 @@ same fidelity formula applies.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import DegenerateFitError, FitFailedError, InvalidArgumentError
+from .serialize import read_csv_table, write_csv_table
 
 SCHEMES = ("rb", "xeb")
 
@@ -164,22 +164,12 @@ def xeb_fidelity(gate: DecayFit, reference: DecayFit, dimension: int = 4) -> Fid
 
 
 def write_decay_csv(path, lengths, fidelities) -> None:
-    n = np.asarray(lengths)
-    f = np.asarray(fidelities)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "fidelity"])
-        for ni, fi in zip(n, f):
-            writer.writerow([f"{int(ni)}", f"{float(fi):.17g}"])
+    n = np.asarray(lengths).astype(int)
+    write_csv_table(path, ("n", "fidelity"), (n, np.asarray(fidelities, dtype=float)))
 
 
 def read_decay_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["n", "fidelity"]:
-            raise InvalidArgumentError(f"{path}: expected header 'n,fidelity'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if not rows:
+    n, f = read_csv_table(path, ("n", "fidelity"))
+    if not n:
         raise InvalidArgumentError(f"{path}: no data rows")
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    return np.array(n), np.array(f)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -38,7 +37,7 @@ from .fitting import (
 )
 from .models import CombinedResponse, model_from_dict, model_to_dict
 from .predistort import apply_channel, full_pipeline
-from .serialize import dump_json
+from .serialize import load_json, write_json
 from .signal import heaviside_step, read_waveform_csv, write_waveform_csv
 from .simulator import (
     CouplerMap,
@@ -82,11 +81,6 @@ def _provenance(inputs: dict, settings: dict) -> dict:
     }
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        dump_json(payload, fh)
-
-
 def _resolve_seed(flag_value: int) -> int:
     raw = os.environ.get("FLUXCAL_SEED")
     if raw is None:
@@ -95,17 +89,6 @@ def _resolve_seed(flag_value: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"FLUXCAL_SEED must be an integer, got {raw!r}") from None
-
-
-def _load_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return data
 
 
 def _parse_grid(spec, name: str) -> np.ndarray:
@@ -172,11 +155,6 @@ def _offsets_from_scenario(scenario: dict, v_step: float, name: str = "offsets")
     return _parse_grid(scenario[f"{name}_rel"], f"{name}_rel") * v_step
 
 
-def _model_summary(resp: CombinedResponse) -> dict:
-    # Same shape as the model files, minus the meta block.
-    return model_to_dict(resp)
-
-
 def cmd_fit(args) -> int:
     run = read_calibration_csv(args.input, v_step=args.v_step, regime=args.regime)
     seed = _resolve_seed(args.seed)
@@ -212,14 +190,14 @@ def cmd_fit(args) -> int:
             },
         ),
     }
-    _write_json(args.output, payload)
+    write_json(args.output, payload)
     print(f"wrote {args.output} (residual rms {diag.residual_rms:.3g})")
     return 0
 
 
 def cmd_predistort(args) -> int:
     target = read_waveform_csv(args.input)
-    resp = model_from_dict(_load_json(args.model))
+    resp = model_from_dict(load_json(args.model))
     out = full_pipeline(target, resp, regularization=args.regularization)
     write_waveform_csv(args.output, out)
 
@@ -229,7 +207,7 @@ def cmd_predistort(args) -> int:
     settle = 2
     max_residual = float(np.max(dev[settle:])) if dev.size > settle else float(np.max(dev))
     sidecar = {
-        "model": _model_summary(resp),
+        "model": model_to_dict(resp),
         "forward_check": {
             "max_residual_fraction_after_2dt": max_residual,
             "dt_ns": target.dt_ns,
@@ -240,7 +218,7 @@ def cmd_predistort(args) -> int:
             {"regularization": args.regularization},
         ),
     }
-    _write_json(Path(args.output).with_suffix(".json"), sidecar)
+    write_json(Path(args.output).with_suffix(".json"), sidecar)
     print(f"wrote {args.output} (forward-check residual {max_residual:.3g} of v_step)")
     return 0
 
@@ -256,7 +234,7 @@ def _channel_from_scenario(scenario: dict, v_step: float | None = None) -> Combi
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_json(args.scenario)
+    scenario = load_json(args.scenario)
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = _channel_from_scenario(scenario)
     schedule = _schedule_from_spec(scenario.get("drive", {}))
@@ -306,7 +284,7 @@ def cmd_simulate(args) -> int:
         },
         "provenance": _provenance(inputs, {"threads": args.threads}),
     }
-    _write_json(outdir / "report.json", payload)
+    write_json(outdir / "report.json", payload)
     print(f"wrote {outdir}/run.csv and {outdir}/report.json")
     return 0
 
@@ -355,7 +333,7 @@ def cmd_analyze(args) -> int:
     }
     if len(component_fits) == 2:
         payload["reference_components"] = [fit_block(f) for f in component_fits]
-    _write_json(args.output, payload)
+    write_json(args.output, payload)
     print(f"{estimate.scheme} fidelity {estimate.fidelity:.6f} +- {estimate.sigma:.2g}")
     return 0
 
@@ -373,7 +351,7 @@ def _stage_grids(scenario: dict, stage: str, defaults: dict, v_step: float):
 
 
 def cmd_roundtrip(args) -> int:
-    scenario = _load_json(args.scenario)
+    scenario = load_json(args.scenario)
     params = _system_from_spec(scenario.get("system", "planar"))
     repulsion_ghz = float(scenario.get("repulsion_mhz", 50.0)) / 1000.0
     z_work = find_working_point(params, repulsion_ghz)
@@ -411,7 +389,7 @@ def cmd_roundtrip(args) -> int:
         )
         write_calibration_csv(outdir / "long_run.csv", run_long)
         long_model = fit_long_time(run_long)
-        _write_json(
+        write_json(
             outdir / "long_model.json",
             model_to_dict(CombinedResponse(short=None, long=long_model, v_step=z_work)),
         )
@@ -445,7 +423,7 @@ def cmd_roundtrip(args) -> int:
     write_calibration_csv(outdir / "short_run.csv", run_short)
     short_model = fit_short_time(run_short, n_terms=n_exp, seed=seed)
     fitted = CombinedResponse(short=short_model, long=long_model, v_step=z_work)
-    _write_json(outdir / "model.json", model_to_dict(fitted))
+    write_json(outdir / "model.json", model_to_dict(fitted))
 
     # Stage 3: predistort with the fitted model and check the channel
     # output is flat at the working point everywhere in the sweep.
@@ -500,7 +478,7 @@ def cmd_roundtrip(args) -> int:
             },
         ),
     }
-    _write_json(outdir / "report.json", payload)
+    write_json(outdir / "report.json", payload)
     status = "PASS" if passed else "FAIL"
     print(f"{status}: max residual {max_residual:.3g} of v_step (threshold {threshold})")
     return 0 if passed else NUMERICAL_EXIT
@@ -568,8 +546,11 @@ def main(argv=None) -> int:
     except FluxcalError as exc:
         print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except KeyError as exc:
+        print(f"fluxcal {args.command}: missing required key {exc}", file=sys.stderr)
         return USAGE_EXIT
 
 

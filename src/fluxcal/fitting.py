@@ -14,7 +14,6 @@ the excited-state population at each delay.  The underlying distortion is
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +27,8 @@ from .errors import (
     InvalidArgumentError,
 )
 from .models import LONG_LEVEL_BAND, LongTimeModel, ShortTimeModel
+from .serialize import read_csv_table, write_csv_table
+from .signal import _as_readonly
 
 REGIMES = ("short", "long")
 
@@ -47,16 +48,12 @@ class CalibrationRun:
     regime: str
 
     def __post_init__(self):
-        d = np.asarray(self.delays_ns, dtype=float).copy()
-        c = np.asarray(self.compensation, dtype=float).copy()
-        d.setflags(write=False)
-        c.setflags(write=False)
+        d = _as_readonly(self.delays_ns, "delays_ns")
+        c = _as_readonly(self.compensation, "compensation")
         object.__setattr__(self, "delays_ns", d)
         object.__setattr__(self, "compensation", c)
-        if d.ndim != 1 or d.size < 2 or c.shape != d.shape:
+        if d.size < 2 or c.shape != d.shape:
             raise InvalidArgumentError("need matching 1-D delay and compensation arrays, >= 2 points")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(c))):
-            raise InvalidArgumentError("delays and compensation must be finite")
         if d[0] < 0 or np.any(np.diff(d) <= 0):
             raise InvalidArgumentError("delays must be >= 0 and strictly increasing")
         if self.v_step == 0 or not np.isfinite(self.v_step):
@@ -82,17 +79,13 @@ class AnticrossingData:
     branch: tuple[str, ...]
 
     def __post_init__(self):
-        z = np.asarray(self.zpa, dtype=float).copy()
-        f = np.asarray(self.freq_ghz, dtype=float).copy()
-        z.setflags(write=False)
-        f.setflags(write=False)
+        z = _as_readonly(self.zpa, "zpa")
+        f = _as_readonly(self.freq_ghz, "freq_ghz")
         object.__setattr__(self, "zpa", z)
         object.__setattr__(self, "freq_ghz", f)
         object.__setattr__(self, "branch", tuple(self.branch))
-        if z.ndim != 1 or f.shape != z.shape or len(self.branch) != z.size:
+        if f.shape != z.shape or len(self.branch) != z.size:
             raise InvalidArgumentError("zpa, freq_ghz and branch must have matching lengths")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(f))):
-            raise InvalidArgumentError("zpa and freq_ghz must be finite")
         for name in self.branch:
             if name not in ("lower", "upper"):
                 raise InvalidArgumentError(f"branch labels must be 'lower'/'upper', got {name!r}")
@@ -214,7 +207,7 @@ def fit_short_time(
         upper = np.concatenate([np.full(n_terms, 0.5), np.full(n_terms, tau_hi)])
         try:
             sol = least_squares(residuals, theta0, bounds=(lower, upper), method="trf")
-        except Exception:
+        except ValueError:
             continue
         cost = float(np.sqrt(np.mean(sol.fun**2)))
         if best is None or cost < best[0]:
@@ -449,47 +442,24 @@ def synthesize_calibration_run(
 
 
 def write_calibration_csv(path, run: CalibrationRun) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "v_oft"])
-        for t, v in zip(run.delays_ns, run.compensation):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+    write_csv_table(path, ("t_ns", "v_oft"), (run.delays_ns, run.compensation))
 
 
 def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t_ns", "v_oft"]:
-            raise InvalidArgumentError(f"{path}: expected header 't_ns,v_oft'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if len(rows) < 2:
+    delays, compensation = read_csv_table(path, ("t_ns", "v_oft"))
+    if len(delays) < 2:
         raise InvalidArgumentError(f"{path}: need at least two rows")
     return CalibrationRun(
-        delays_ns=np.array([r[0] for r in rows]),
-        compensation=np.array([r[1] for r in rows]),
-        v_step=v_step,
-        regime=regime,
+        delays_ns=delays, compensation=compensation, v_step=v_step, regime=regime
     )
 
 
 def write_anticrossing_csv(path, data: AnticrossingData) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["zpa_c", "f_ghz", "branch"])
-        for z, f, b in zip(data.zpa, data.freq_ghz, data.branch):
-            writer.writerow([f"{z:.17g}", f"{f:.17g}", b])
+    write_csv_table(path, ("zpa_c", "f_ghz", "branch"), (data.zpa, data.freq_ghz, data.branch))
 
 
 def read_anticrossing_csv(path) -> AnticrossingData:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["zpa_c", "f_ghz", "branch"]:
-            raise InvalidArgumentError(f"{path}: expected header 'zpa_c,f_ghz,branch'")
-        rows = [(float(r[0]), float(r[1]), r[2].strip()) for r in reader if r]
-    return AnticrossingData(
-        zpa=np.array([r[0] for r in rows]),
-        freq_ghz=np.array([r[1] for r in rows]),
-        branch=tuple(r[2] for r in rows),
+    zpa, freq, branch = read_csv_table(
+        path, ("zpa_c", "f_ghz", "branch"), converters=(float, float, str.strip)
     )
+    return AnticrossingData(zpa=zpa, freq_ghz=freq, branch=branch)

@@ -19,13 +19,13 @@ and the physical response is ``v_step * s(t)``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .serialize import load_json, write_json
 from .signal import Waveform
 
 MAX_SHORT_TERMS = 6
@@ -197,12 +197,8 @@ def model_from_dict(data: dict) -> CombinedResponse:
 
 
 def write_model_json(path, resp: CombinedResponse) -> None:
-    from .serialize import dump_json
-
-    with open(path, "w") as fh:
-        dump_json(model_to_dict(resp), fh)
+    write_json(path, model_to_dict(resp))
 
 
 def read_model_json(path) -> CombinedResponse:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(load_json(path))

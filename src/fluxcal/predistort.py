@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .errors import ChannelApproximationWarning, IllConditionedChannelError, InvalidArgumentError
-from .models import CombinedResponse, eval_long, eval_short, step_response_grid
+from .models import CombinedResponse, LongTimeModel, ShortTimeModel, step_response_grid
 from .signal import ImpulseResponse, Waveform, convolve, require_same_grid, step_to_impulse
 
 # Above this kernel deviation the truncated series is outside its regime.
@@ -105,18 +105,13 @@ def spectral_predistort(
     return Waveform(dt_ns=target.dt_ns, samples=out)
 
 
-def _long_time_kernel(resp: CombinedResponse, duration_ns: float, dt_ns: float) -> ImpulseResponse:
-    n = int(round(duration_ns / dt_ns))
-    t_us = np.arange(n) * dt_ns / 1000.0
-    step = Waveform(dt_ns=dt_ns, samples=eval_long(resp.long, t_us))
-    return step_to_impulse(step)
-
-
-def _short_time_kernel(resp: CombinedResponse, duration_ns: float, dt_ns: float) -> ImpulseResponse:
-    n = int(round(duration_ns / dt_ns))
-    t = np.arange(n) * dt_ns
-    step = Waveform(dt_ns=dt_ns, samples=1.0 + eval_short(resp.short, t))
-    return step_to_impulse(step)
+def _channel_kernel(
+    short: ShortTimeModel | None, long: LongTimeModel | None, like: Waveform
+) -> ImpulseResponse:
+    """Kernel of the unit-step channel made of ``short`` and ``long``, on
+    the grid and over the duration of ``like``."""
+    unit = CombinedResponse(short=short, long=long)
+    return step_to_impulse(step_response_grid(unit, like.duration_ns, like.dt_ns))
 
 
 def full_pipeline(
@@ -134,11 +129,9 @@ def full_pipeline(
     """
     out = target
     if resp.long is not None:
-        out = reversed_convolution_o2(out, _long_time_kernel(resp, target.duration_ns, target.dt_ns))
+        out = reversed_convolution_o2(out, _channel_kernel(None, resp.long, target))
     if resp.short is not None:
-        out = spectral_predistort(
-            out, _short_time_kernel(resp, target.duration_ns, target.dt_ns), regularization
-        )
+        out = spectral_predistort(out, _channel_kernel(resp.short, None, target), regularization)
     return out
 
 
@@ -148,6 +141,4 @@ def apply_channel(waveform: Waveform, resp: CombinedResponse) -> Waveform:
     The waveform is convolved with the kernel of the combined normalized
     step response; v_step plays no role here because the channel is linear.
     """
-    unit = CombinedResponse(short=resp.short, long=resp.long, v_step=1.0)
-    step = step_response_grid(unit, waveform.duration_ns, waveform.dt_ns)
-    return convolve(waveform, step_to_impulse(step))
+    return convolve(waveform, _channel_kernel(resp.short, resp.long, waveform))

@@ -12,21 +12,27 @@ step response reproduces that step exactly when applied to a unit step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as _scipy_signal
 
 from .errors import IncompatibleSamplingError, InvalidArgumentError
+from .serialize import read_csv_table, write_csv_table
 
 # Uniform-grid tolerance for CSV readers, in ns.
 _GRID_TOL_NS = 1e-9
 
 
-def _as_readonly(values) -> np.ndarray:
+def _as_readonly(values, name: str) -> np.ndarray:
+    """Read-only float64 copy of ``values``, which must be a non-empty,
+    finite 1-D array."""
     arr = np.asarray(values, dtype=float).copy()
     arr.setflags(write=False)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidArgumentError(f"{name} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{name} must be finite")
     return arr
 
 
@@ -45,11 +51,7 @@ class Waveform:
     def __post_init__(self):
         if not np.isfinite(self.dt_ns) or self.dt_ns <= 0:
             raise InvalidArgumentError(f"dt_ns must be finite and > 0, got {self.dt_ns}")
-        object.__setattr__(self, "samples", _as_readonly(self.samples))
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise InvalidArgumentError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise InvalidArgumentError("samples must be finite")
+        object.__setattr__(self, "samples", _as_readonly(self.samples, "samples"))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -78,11 +80,7 @@ class ImpulseResponse:
     def __post_init__(self):
         if not np.isfinite(self.dt_ns) or self.dt_ns <= 0:
             raise InvalidArgumentError(f"dt_ns must be finite and > 0, got {self.dt_ns}")
-        object.__setattr__(self, "kernel", _as_readonly(self.kernel))
-        if self.kernel.ndim != 1 or self.kernel.size == 0:
-            raise InvalidArgumentError("kernel must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.kernel)):
-            raise InvalidArgumentError("kernel must be finite")
+        object.__setattr__(self, "kernel", _as_readonly(self.kernel, "kernel"))
         object.__setattr__(self, "dc_gain", float(np.sum(self.kernel) * self.dt_ns))
 
     def __len__(self) -> int:
@@ -169,27 +167,15 @@ def negate_compensation(waveform: Waveform, v_step: float) -> Waveform:
 
 def write_waveform_csv(path, waveform: Waveform) -> None:
     """Write ``t_ns,amplitude`` rows with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "amplitude"])
-        for t, a in zip(waveform.times_ns, waveform.samples):
-            writer.writerow([f"{t:.17g}", f"{a:.17g}"])
+    write_csv_table(path, ("t_ns", "amplitude"), (waveform.times_ns, waveform.samples))
 
 
 def read_waveform_csv(path) -> Waveform:
     """Read a ``t_ns,amplitude`` file, validating grid uniformity."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t_ns", "amplitude"]:
-            raise InvalidArgumentError(f"{path}: expected header 't_ns,amplitude'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if not rows:
-        raise InvalidArgumentError(f"{path}: no samples")
-    t = np.array([r[0] for r in rows])
-    a = np.array([r[1] for r in rows])
-    if len(t) == 1:
-        raise InvalidArgumentError(f"{path}: cannot infer dt from a single sample")
+    t, a = read_csv_table(path, ("t_ns", "amplitude"))
+    if len(t) < 2:
+        raise InvalidArgumentError(f"{path}: need at least two samples to infer dt")
+    t = np.array(t)
     dt = t[1] - t[0]
     if dt <= 0:
         raise InvalidArgumentError(f"{path}: time column must increase")

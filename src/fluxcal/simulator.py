@@ -260,6 +260,13 @@ class DriveParams:
         half = ENVELOPE_TRUNC_SIGMAS * self.sigma_ns
         return (self.t_center_ns - half, self.t_center_ns + half)
 
+    def step_midpoints(self, dt_ns: float) -> np.ndarray:
+        """Midpoints of the integration steps of length ``dt_ns`` that cover
+        the window, starting at its lower edge."""
+        lo, hi = self.window_ns
+        steps = max(int(math.ceil((hi - lo) / dt_ns)), 1)
+        return lo + (np.arange(steps) + 0.5) * dt_ns
+
     def envelope(self, t_ns) -> np.ndarray:
         t = np.asarray(t_ns, dtype=float)
         lo, hi = self.window_ns
@@ -356,8 +363,7 @@ def evolve_excitation(
             f"trace [0, {coupler_zpa_trace.duration_ns}] ns does not cover the "
             f"drive window [{lo}, {hi}] ns"
         )
-    steps = max(int(math.ceil((hi - lo) / dt)), 1)
-    t_mid = lo + (np.arange(steps) + 0.5) * dt
+    t_mid = drive.step_midpoints(dt)
     zpa_mid = np.interp(t_mid, coupler_zpa_trace.times_ns, coupler_zpa_trace.samples)
     return float(_propagate(params, drive, zpa_mid[None, :], t_mid, dt)[0])
 
@@ -502,9 +508,7 @@ def simulate_calibration(
             t_center_ns=t_delay,
             sigma_fraction=schedule.sigma_fraction,
         )
-        lo, hi = drive.window_ns
-        steps = max(int(math.ceil((hi - lo) / dt_integration_ns)), 1)
-        t_mid = lo + (np.arange(steps) + 0.5) * dt_integration_ns
+        t_mid = drive.step_midpoints(dt_integration_ns)
         base = base_zpa(t_mid)
         traces = base[None, :] + offs[:, None]
         p1 = _propagate(params, drive, traces, t_mid, dt_integration_ns)

@@ -28,7 +28,7 @@ from fluxcal.predistort import (
     full_pipeline,
     reversed_convolution_o2,
 )
-from fluxcal.serialize import dump_json
+from fluxcal.serialize import write_json
 from fluxcal.signal import Waveform, convolve, heaviside_step, step_to_impulse
 from fluxcal.simulator import (
     DriveParams,
@@ -335,8 +335,7 @@ def test_criterion_7_roundtrip_determinism(tmp_path, capsys):
         },
     }
     scen_path = tmp_path / "scenario.json"
-    with open(scen_path, "w") as fh:
-        dump_json(scenario, fh)
+    write_json(scen_path, scenario)
 
     digests = []
     for run_dir in ("first", "second"):

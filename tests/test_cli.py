@@ -9,13 +9,8 @@ from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import main
 from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
-from fluxcal.serialize import dump_json
+from fluxcal.serialize import write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
-
-
-def write_json(path, payload):
-    with open(path, "w") as fh:
-        dump_json(payload, fh)
 
 
 @pytest.fixture()
@@ -116,6 +111,19 @@ def test_predistort_missing_model_is_usage_error(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["1", "1,abc"], ids=["short_row", "non_numeric"])
+def test_predistort_malformed_row_is_one_line_usage_error(tmp_path, capsys, bad_row):
+    target = tmp_path / "step.csv"
+    target.write_text(f"t_ns,amplitude\n0,0.3\n{bad_row}\n2,0.3\n")
+    model = tmp_path / "identity.json"
+    write_json(model, {"v_step": 0.3})
+    code = main(["predistort", str(target), "--model", str(model), "-o", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{target}, line 3" in err
+
+
 def test_simulate_scenario_ideal_channel(tmp_path):
     scenario = tmp_path / "scenario.json"
     write_json(scenario, {
@@ -142,6 +150,14 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     code = main(["simulate", str(scenario), "-o", str(tmp_path / "sim")])
     assert code == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_simulate_names_missing_scenario_key(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    write_json(scenario, {"system": "flipchip", "channel": {"v_step": 0.42}})
+    code = main(["simulate", str(scenario), "-o", str(tmp_path / "sim")])
+    assert code == 1
+    assert "missing required key 'delays_ns'" in capsys.readouterr().err
 
 
 def test_analyze_rb_report(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxcal import fitting
 from fluxcal.errors import (
     DegenerateFitWarning,
     FitFailedError,
@@ -187,6 +188,25 @@ def test_long_fit_rejects_wrong_regime():
     )
     with pytest.raises(InvalidArgumentError):
         fit_long_time(run)
+
+
+def test_fit_short_time_skips_only_optimizer_value_errors(monkeypatch):
+    run = synthesize_calibration_run(
+        short_channel(FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS), np.geomspace(2.0, 4000.0, 60), "short"
+    )
+
+    def raise_(exc):
+        def fake(*args, **kwargs):
+            raise exc
+
+        return fake
+
+    monkeypatch.setattr(fitting, "least_squares", raise_(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        fit_short_time(run, n_terms=2)
+    monkeypatch.setattr(fitting, "least_squares", raise_(ValueError("x0 is infeasible")))
+    with pytest.raises(FitFailedError, match="no optimizer start converged"):
+        fit_short_time(run, n_terms=2)
 
 
 def make_anticrossing(g_ghz, k_eff, b_eff, k_c, b_c, n=15):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxcal.errors import ChannelApproximationWarning, IllConditionedChannelError
-from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel
+from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel, step_response_grid
 from fluxcal.predistort import (
     apply_channel,
     full_pipeline,
@@ -146,3 +148,33 @@ def test_predistorted_step_overshoots_then_settles():
     pre = full_pipeline(target, FLIPCHIP)
     assert pre.samples[0] > 1.0
     assert pre.samples[-1] == pytest.approx(1.0, abs=0.01)
+
+
+short_models = st.lists(
+    st.tuples(st.floats(-0.1, 0.1), st.floats(1.0, 500.0)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda term: term[1],
+).map(lambda terms: ShortTimeModel.from_arrays(*zip(*terms)))
+long_models = st.builds(
+    LongTimeModel,
+    settled=st.floats(0.9, 1.1),
+    initial=st.floats(0.9, 1.1),
+    tau_us=st.floats(0.1, 50.0),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    short=st.none() | short_models,
+    long=st.none() | long_models,
+    v_step=st.floats(0.1, 2.0),
+    dt_ns=st.sampled_from([0.5, 1.0]),
+    n=st.integers(1, 3000),
+)
+def test_apply_channel_to_unit_step_reproduces_step_response(short, long, v_step, dt_ns, n):
+    resp = CombinedResponse(short=short, long=long, v_step=v_step)
+    out = apply_channel(heaviside_step(1.0, n * dt_ns, dt_ns), resp)
+    unit = CombinedResponse(short=short, long=long)
+    expected = step_response_grid(unit, n * dt_ns, dt_ns)
+    np.testing.assert_allclose(out.samples, expected.samples, rtol=0.0, atol=1e-10)
