@@ -10,7 +10,11 @@ single-excitation manifold plus the ground state, basis
 All frequencies are in GHz (ordinary frequency, not angular), times in ns;
 phases are 2*pi*f*t.  Propagation happens in the frame rotating at the
 drive frequency, where the Hamiltonian is real symmetric and slowly
-varying, with an exact matrix exponential per sample step.
+varying.  Each integration step applies the exact matrix exponential of
+the Hamiltonian at the step midpoint.  The exponentials are evaluated in
+closed form (no eigensolver call) for all offsets and steps of a block at
+once, and each block is multiplied into one matrix before it acts on the
+state; populations agree with a per-step eigendecomposition to round-off.
 
 The calibration protocol mirrors the hardware sequence: pick the working
 point on the lower dressed branch, calibrate the pi-pulse amplitude there,
@@ -42,6 +46,12 @@ from .signal import Waveform
 ENVELOPE_TRUNC_SIGMAS = 2.0
 
 NORM_DRIFT_LIMIT = 1e-8
+
+# Integration steps per block in _propagate.  A block holds 3 x 3 x batch x
+# _BLOCK_STEPS complex unitaries (0.8 MB for 41 offsets).  For a 2000-step,
+# 41-offset delay, 256 steps ran 6% faster than 128 at 1.7x the peak
+# allocation (7.3 vs 4.3 MB per thread), and 512 ran slower.
+_BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -311,38 +321,105 @@ def long_time_schedule(t_pi_ns: float = 200.0) -> DriveSchedule:
     )
 
 
+def _step_unitaries(a, b, c, g: float, theta: float) -> np.ndarray:
+    """exp(-i theta H) for H = [[0, c, 0], [c, a, g], [0, g, b]], elementwise.
+
+    ``a``, ``b`` and ``c`` broadcast together and ``g`` > 0 is a scalar;
+    the result has shape (3, 3) + the broadcast shape.  The eigenvalues
+    l1 <= l2 <= l3 of H come from the trigonometric (Cardano) formula, and
+    U is the quadratic in H that interpolates f(x) = exp(-i theta x) at
+    them, in Newton form with M = H - l1 I:
+
+        U = f[l1] I + f[l1, l2] M + f[l1, l2, l3] M (M - (l2 - l1) I)
+
+    The first divided differences are exp(-i theta mean) * (-i theta) *
+    sinc(theta gap / 2), exact for coinciding eigenvalues, so no
+    eigenvector is formed and degenerate spectra (c = 0 on resonance) need
+    no special case.  The last division is by l3 - l1 >= 2 g > 0.
+    """
+    q = (a + b) / 3.0
+    d0, d1, d2 = -q, a - q, b - q
+    c2 = c * c
+    g2 = g * g
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (c2 + g2)) / 6.0)
+    cos3phi = (d0 * (d1 * d2 - g2) - c2 * d2) / (2.0 * p * p * p)
+    phi = np.arccos(np.clip(cos3phi, -1.0, 1.0)) / 3.0
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    sqrt3 = math.sqrt(3.0)
+    # l1 = q + 2p cos(phi + 2pi/3).  The gaps come from phi directly, not
+    # as differences of two computed eigenvalues.
+    l1 = q - p * (cos_phi + sqrt3 * sin_phi)
+    gap12 = 2.0 * sqrt3 * p * sin_phi
+    gap23 = p * (3.0 * cos_phi - sqrt3 * sin_phi)
+    half12 = 0.5 * theta * gap12
+    half23 = 0.5 * theta * gap23
+    sin12, sin23 = np.sin(half12), np.sin(half23)
+    rot12 = np.cos(half12) - 1j * sin12
+    rot23 = np.cos(half23) - 1j * sin23
+    sinc12 = np.divide(sin12, half12, out=np.ones_like(half12), where=half12 != 0)
+    sinc23 = np.divide(sin23, half23, out=np.ones_like(half23), where=half23 != 0)
+    f1 = np.exp(-1j * theta * l1)
+    mid12 = -1j * theta * f1 * rot12  # -i theta exp(-i theta (l1 + l2) / 2)
+    f123 = mid12 * (rot12 * rot23 * sinc23 - sinc12) / (gap12 + gap23)
+    # U = f1 I + coef_m M + f123 M^2
+    coef_m = mid12 * sinc12 - f123 * gap12
+    m0, m1, m2 = -l1, a - l1, b - l1
+    u = np.empty((3, 3) + np.broadcast(a, b, c).shape, dtype=complex)
+    u[0, 0] = f1 + coef_m * m0 + f123 * (m0 * m0 + c2)
+    u[1, 1] = f1 + coef_m * m1 + f123 * (m1 * m1 + c2 + g2)
+    u[2, 2] = f1 + coef_m * m2 + f123 * (m2 * m2 + g2)
+    u[0, 1] = u[1, 0] = (coef_m + f123 * (m0 + m1)) * c
+    u[0, 2] = u[2, 0] = f123 * (c * g)
+    u[1, 2] = u[2, 1] = (coef_m + f123 * (m1 + m2)) * g
+    return u
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[..., n-1] @ ... @ u[..., 0] for (3, 3, batch, n) stacks of 3x3
+    matrices, multiplied pairwise in log2(n) rounds."""
+    while u.shape[-1] > 1:
+        n = u.shape[-1]
+        early, late = u[..., 0 : n - 1 : 2], u[..., 1:n:2]
+        prod = late[:, 0, None] * early[0]
+        prod += late[:, 1, None] * early[1]
+        prod += late[:, 2, None] * early[2]
+        if n % 2:
+            prod = np.concatenate([prod, u[..., n - 1 :]], axis=-1)
+        u = prod
+    return u[..., 0]
+
+
 def _propagate(params: SystemParams, drive: DriveParams, zpa_mid: np.ndarray, t_mid: np.ndarray, dt_ns: float) -> np.ndarray:
     """Propagate |00> through the drive window for a batch of zpa traces.
 
     zpa_mid has shape (batch, steps): coupler zpa at each step midpoint.
     Returns the final qubit excited population per batch element.
+
+    Each step applies the exact exponential exp(-2 pi i dt H(t_mid)) of
+    the midpoint Hamiltonian (``_step_unitaries``).  Steps are taken
+    ``_BLOCK_STEPS`` at a time: the block's unitaries for every batch
+    element are built at once, multiplied into one matrix, and applied to
+    the state.  The scheme is the same as a per-step eigendecomposition;
+    only the rounding differs (P1 within 1e-12, 2.6e-13 seen over 2000
+    steps).  A state whose norm drifts past ``NORM_DRIFT_LIMIT``, or is
+    not finite, raises IntegrationError.
     """
     batch, steps = zpa_mid.shape
     wq = params.qubit_freq_ghz(zpa_mid) - drive.omega_d_ghz
     wc = params.coupler_freq_ghz(zpa_mid) - drive.omega_d_ghz
     coupling = -0.5e-3 * drive.rabi_mhz * drive.envelope(t_mid)
-    g = params.g_qc_ghz
+    theta = 2.0 * np.pi * dt_ns
 
-    psi = np.zeros((batch, 3), dtype=complex)
-    psi[:, 0] = 1.0
-    h = np.zeros((batch, 3, 3))
-    h[:, 1, 2] = g
-    h[:, 2, 1] = g
-    for k in range(steps):
-        h[:, 0, 1] = coupling[k]
-        h[:, 1, 0] = coupling[k]
-        h[:, 1, 1] = wq[:, k]
-        h[:, 2, 2] = wc[:, k]
-        evals, evecs = np.linalg.eigh(h)
-        phases = np.exp(-2j * np.pi * evals * dt_ns)
-        coeffs = np.einsum("bij,bi->bj", evecs, psi)
-        psi = np.einsum("bij,bj->bi", evecs, phases * coeffs)
-    norms = np.abs(np.einsum("bi,bi->b", psi.conj(), psi))
-    if np.max(np.abs(norms - 1.0)) > NORM_DRIFT_LIMIT:
-        raise IntegrationError(
-            f"state norm drifted by {np.max(np.abs(norms - 1.0)):.3g}"
-        )
-    return np.abs(psi[:, 1]) ** 2
+    psi = np.zeros((3, batch), dtype=complex)
+    psi[0] = 1.0
+    for start in range(0, steps, _BLOCK_STEPS):
+        block = slice(start, start + _BLOCK_STEPS)
+        u = _step_unitaries(wq[:, block], wc[:, block], coupling[block], params.g_qc_ghz, theta)
+        psi = np.sum(_ordered_product(u) * psi[None, :, :], axis=1)
+    drift = np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0))
+    if not drift <= NORM_DRIFT_LIMIT:
+        raise IntegrationError(f"state norm drifted by {drift:.3g}")
+    return np.abs(psi[1]) ** 2
 
 
 def evolve_excitation(

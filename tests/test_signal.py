@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxcal.errors import IncompatibleSamplingError, InvalidArgumentError
 from fluxcal.signal import (
@@ -83,6 +85,23 @@ def test_convolve_matches_direct_sum():
             direct[n] += x[n - k] * h[k] * dt
     out = convolve(Waveform(dt, x), ImpulseResponse(dt, h))
     np.testing.assert_allclose(out.samples, direct, rtol=0.0, atol=1e-12)
+
+
+# Zero or at least 1e-9 in magnitude, so the error scale below cannot underflow.
+_SAMPLE = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 1e-9 else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_SAMPLE, min_size=1, max_size=300),
+    st.lists(_SAMPLE, min_size=1, max_size=300),
+    st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_convolve_matches_numpy_convolve(samples, kernel, dt):
+    out = convolve(Waveform(dt, samples), ImpulseResponse(dt, kernel))
+    direct = np.convolve(samples, kernel)[: len(samples)] * dt
+    scale = np.max(np.abs(kernel)) * np.sum(np.abs(samples)) * dt
+    np.testing.assert_allclose(out.samples, direct, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_convolve_is_linear():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from fluxcal import presets
-from fluxcal.errors import InvalidArgumentError, SweepRangeError
+from fluxcal.errors import IntegrationError, InvalidArgumentError, SweepRangeError
 from fluxcal.models import CombinedResponse
 from fluxcal.signal import Waveform
 from fluxcal.simulator import (
+    NORM_DRIFT_LIMIT,
     CouplerMap,
     DriveParams,
     DriveSchedule,
@@ -20,6 +24,9 @@ from fluxcal.simulator import (
     pi_pulse_rabi_mhz,
     simulate_calibration,
     spectroscopy_branches,
+    _BLOCK_STEPS,
+    _propagate,
+    _step_unitaries,
 )
 
 
@@ -280,3 +287,149 @@ def test_simulate_validates_integration_step():
             delays_ns=[100.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
             dt_integration_ns=0.5,
         )
+
+
+def _propagate_eigh(params, drive, zpa_mid, t_mid, dt_ns):
+    """Reference: one LAPACK eigendecomposition per midpoint step, applied
+    to the state step by step."""
+    batch, steps = zpa_mid.shape
+    wq = params.qubit_freq_ghz(zpa_mid) - drive.omega_d_ghz
+    wc = params.coupler_freq_ghz(zpa_mid) - drive.omega_d_ghz
+    coupling = -0.5e-3 * drive.rabi_mhz * drive.envelope(t_mid)
+    g = params.g_qc_ghz
+
+    psi = np.zeros((batch, 3), dtype=complex)
+    psi[:, 0] = 1.0
+    h = np.zeros((batch, 3, 3))
+    h[:, 1, 2] = g
+    h[:, 2, 1] = g
+    for k in range(steps):
+        h[:, 0, 1] = coupling[k]
+        h[:, 1, 0] = coupling[k]
+        h[:, 1, 1] = wq[:, k]
+        h[:, 2, 2] = wc[:, k]
+        evals, evecs = np.linalg.eigh(h)
+        phases = np.exp(-2j * np.pi * evals * dt_ns)
+        coeffs = np.einsum("bij,bi->bj", evecs, psi)
+        psi = np.einsum("bij,bj->bi", evecs, phases * coeffs)
+    norms = np.abs(np.einsum("bi,bi->b", psi.conj(), psi))
+    if np.max(np.abs(norms - 1.0)) > NORM_DRIFT_LIMIT:
+        raise IntegrationError(
+            f"state norm drifted by {np.max(np.abs(norms - 1.0)):.3g}"
+        )
+    return np.abs(psi[:, 1]) ** 2
+
+
+def _probe(make_params, t_pi, dt=0.1, rabi_mhz=None, sigma_fraction=0.25):
+    """Pi-pulse probe at the working point, and 41 zpa traces whose
+    offsets span the resonance peak (the 30 ns peak is about 5x wider than
+    the 200 ns one); the middle trace sits exactly on resonance."""
+    params = make_params()
+    z = find_working_point(params, 0.050)
+    if rabi_mhz is None:
+        rabi_mhz = pi_pulse_rabi_mhz(params, z, t_pi, sigma_fraction)
+    drive = DriveParams(
+        omega_d_ghz=dressed_energies(params, z).omega_minus_ghz,
+        rabi_mhz=rabi_mhz,
+        t_pi_ns=t_pi,
+        t_center_ns=t_pi,
+        sigma_fraction=sigma_fraction,
+    )
+    t_mid = drive.step_midpoints(dt)
+    half_width = 0.02 * 30.0 / t_pi
+    zpa = z * np.outer(1.0 + np.linspace(-half_width, half_width, 41), np.ones_like(t_mid))
+    return params, drive, zpa, t_mid
+
+
+def _assert_matches_eigh(params, drive, zpa, t_mid, dt):
+    got = _propagate(params, drive, zpa, t_mid, dt)
+    ref = _propagate_eigh(params, drive, zpa, t_mid, dt)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    return got
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t_pi", [30.0, 200.0])
+@pytest.mark.parametrize("make_params", [presets.planar_system, presets.flipchip_system])
+def test_propagate_matches_eigh_across_resonance_peak(make_params, t_pi):
+    params, drive, zpa, t_mid = _probe(make_params, t_pi)
+    # a settling transient moves the resonance through the window
+    zpa = zpa - 0.01 * zpa[20] * np.exp(-t_mid / 40.0)
+    p1 = _assert_matches_eigh(params, drive, zpa, t_mid, 0.1)
+    assert 0 < np.argmax(p1) < 40 and p1.max() > 0.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_matches_eigh_past_envelope_edge():
+    # 30 / 0.09 = 333.3 rounds up to 334 steps: the last midpoint lies
+    # beyond the window, where the drive vanishes (c = 0) and, on
+    # resonance, |00> and the lower dressed state are degenerate.
+    params, drive, zpa, t_mid = _probe(presets.flipchip_system, 30.0, dt=0.09)
+    assert t_mid[-1] > drive.window_ns[1] and drive.envelope(t_mid[-1]) == 0.0
+    _assert_matches_eigh(params, drive, zpa, t_mid, 0.09)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_matches_eigh_without_drive():
+    params, drive, zpa, t_mid = _probe(presets.planar_system, 30.0, rabi_mhz=0.0)
+    p1 = _assert_matches_eigh(params, drive, zpa, t_mid, 0.1)
+    assert np.all(p1 == 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_matches_eigh_on_one_step_window():
+    params, drive, zpa, t_mid = _probe(presets.planar_system, 30.0, sigma_fraction=5e-4)
+    assert t_mid.size == 1
+    _assert_matches_eigh(params, drive, zpa, t_mid, 0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("steps", [_BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 44])
+def test_propagate_matches_eigh_on_partial_blocks(steps):
+    params, drive, zpa, t_mid = _probe(presets.flipchip_system, 40.0)
+    _assert_matches_eigh(params, drive, zpa[:, :steps], t_mid[:steps], 0.1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_propagate_rejects_non_finite_state():
+    params, drive, zpa, t_mid = _probe(presets.planar_system, 30.0)
+    zpa[3, 100] = np.nan
+    with pytest.raises(IntegrationError):
+        _propagate(params, drive, zpa, t_mid, 0.1)
+
+
+_ENTRY = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def _tridiagonal(draw):
+    """(a, b, c, g) of H = [[0, c, 0], [c, a, g], [0, g, b]] in GHz, with
+    forced degenerate draws."""
+    g = draw(st.sampled_from([presets.planar_system().g_qc_ghz, presets.flipchip_system().g_qc_ghz]))
+    a, b, c = draw(_ENTRY), draw(_ENTRY), draw(_ENTRY)
+    case = draw(st.sampled_from(["free", "c=0", "a=b", "a=b=0", "tiny c", "double eigenvalue"]))
+    if case == "c=0":
+        c = 0.0
+    elif case == "a=b":
+        b = a
+    elif case == "a=b=0":
+        a = b = 0.0
+    elif case == "tiny c":
+        c = 1e-9
+    elif case == "double eigenvalue":
+        # c = 0 and a b = g^2: the eigenvalue 0 of |00> is also one of the
+        # |10>, |01> block's (a resonant drive at the window edge)
+        a = draw(st.floats(2.0 * g * g, 0.5)) * draw(st.sampled_from([-1.0, 1.0]))
+        b = g * g / a
+        c = draw(st.sampled_from([0.0, 1e-9]))
+    return a, b, c, g
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tridiagonal(), st.floats(1e-3, 0.1))
+def test_step_unitaries_match_expm(entries, dt):
+    a, b, c, g = entries
+    u = _step_unitaries(np.array(a), np.array(b), np.array(c), g, 2.0 * np.pi * dt)
+    h = np.array([[0.0, c, 0.0], [c, a, g], [0.0, g, b]])
+    np.testing.assert_allclose(u, expm(-2j * np.pi * dt * h), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(3), rtol=0.0, atol=1e-13)
