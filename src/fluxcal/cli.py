@@ -40,6 +40,7 @@ from .predistort import apply_channel, full_pipeline
 from .serialize import load_json, write_json
 from .signal import heaviside_step, read_waveform_csv, write_waveform_csv
 from .simulator import (
+    MAX_STEP_NS,
     CouplerMap,
     DriveSchedule,
     SystemParams,
@@ -240,7 +241,7 @@ def cmd_simulate(args) -> int:
     schedule = _schedule_from_spec(scenario.get("drive", {}))
     delays = _parse_grid(scenario["delays_ns"], "delays_ns")
     offsets = _offsets_from_scenario(scenario, channel.v_step)
-    dt_int = float(scenario.get("dt_integration_ns", 0.1))
+    dt_int = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
 
     input_waveform = None
     inputs = {"scenario": args.scenario}
@@ -359,7 +360,7 @@ def cmd_roundtrip(args) -> int:
     n_exp = int(scenario.get("n_exp", 3))
     regularization = float(scenario.get("regularization", 1e-6))
     threshold = float(scenario.get("threshold", 0.01))
-    dt_int = float(scenario.get("dt_integration_ns", 0.1))
+    dt_int = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
     seed = _resolve_seed(args.seed)
     fit_long = bool(scenario.get("fit_long", channel.long is not None))
 
@@ -367,13 +368,15 @@ def cmd_roundtrip(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     # Stage 1: delays past the fast transients isolate the slow settling.
+    # The span must exceed 3 tau for fit_long_time; 70 us covers the
+    # planar preset's 18.7 us.
     long_model = None
     if fit_long:
         delays, offsets = _stage_grids(
             scenario,
             "long_stage",
             {
-                "delays_ns": {"start": 4000.0, "stop": 40000.0, "count": 25},
+                "delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 25},
                 "offsets_rel": np.linspace(-0.022, 0.022, 41),
             },
             z_work,

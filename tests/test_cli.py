@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ def test_simulate_names_missing_scenario_key(tmp_path, capsys):
     code = main(["simulate", str(scenario), "-o", str(tmp_path / "sim")])
     assert code == 1
     assert "missing required key 'delays_ns'" in capsys.readouterr().err
+
+
+def test_roundtrip_planar_defaults_raise_no_warning(tmp_path):
+    # The default long stage (4-70 us) spans more than 3 x the planar
+    # preset's 18.7 us settling constant, so fit_long_time does not warn.
+    scenario = tmp_path / "scenario.json"
+    write_json(scenario, {"system": "planar", "channel": model_to_dict(presets.planar_channel())})
+    outdir = tmp_path / "rt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert main(["roundtrip", str(scenario), "-o", str(outdir)]) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["passed"] and report["provenance"]["settings"]["dt_integration_ns"] == 0.5
 
 
 def test_analyze_rb_report(tmp_path):
