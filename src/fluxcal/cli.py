@@ -199,12 +199,16 @@ def cmd_fit(args) -> int:
 def cmd_predistort(args) -> int:
     target = read_waveform_csv(args.input)
     resp = model_from_dict(load_json(args.model))
-    out = full_pipeline(target, resp, regularization=args.regularization)
-    write_waveform_csv(args.output, out)
+    # Arithmetic that leaves the double range (a target scaled near 1e308, or
+    # sampled at 1e-300 ns) fails here in one line, not with a numpy warning
+    # followed by a non-finite-samples error.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = full_pipeline(target, resp, regularization=args.regularization)
+        write_waveform_csv(args.output, out)
 
-    # Forward check: run the result through the model channel and compare.
-    check = apply_channel(out, resp)
-    dev = np.abs(check.samples - target.samples) / abs(resp.v_step)
+        # Forward check: run the result through the model channel and compare.
+        check = apply_channel(out, resp)
+        dev = np.abs(check.samples - target.samples) / abs(resp.v_step)
     settle = 2
     max_residual = float(np.max(dev[settle:])) if dev.size > settle else float(np.max(dev))
     sidecar = {
@@ -548,6 +552,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FluxcalError as exc:
         print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    except FloatingPointError as exc:
+        print(f"fluxcal {args.command}: floating-point {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except (OSError, ValueError) as exc:
         print(f"fluxcal {args.command}: {exc}", file=sys.stderr)

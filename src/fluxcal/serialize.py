@@ -6,7 +6,11 @@ interpreter's repr heuristics.
 
 CSV tables use the ``csv`` module's default dialect (CRLF rows).  Readers
 check the leading header names, ignore extra trailing columns and blank rows,
-and reject a row with fewer fields than the header.
+and reject a row with fewer fields than the header.  The codec handles a
+table whole, not row by row: the writer formats it with one ``%`` operation
+and the reader splits it with ``str`` methods, producing the bytes and values
+of ``csv.writer`` and ``csv.reader``; the reader leaves to ``csv.reader`` the
+bodies only it parses correctly.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def format_float(x: float) -> str:
@@ -95,33 +103,95 @@ def load_json(path) -> dict:
 
 def write_csv_table(path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header``: floats with 17
-    significant digits, integers and text with ``str``."""
+    significant digits, integers and text with ``str``.
+
+    The bytes are those of ``csv.writer`` in its default dialect; the table
+    is formatted by one ``%`` operation over a per-column row template.
+    """
     arrays = [np.asarray(values) for values in columns]
-    cells = [map("{:.17g}".format if a.dtype.kind == "f" else str, a.tolist()) for a in arrays]
+    alone = len(arrays) == 1
+    formats, cells = [], []
+    for a in arrays:
+        formats.append("%.17g" if a.dtype.kind == "f" else "%s")
+        # str() of a bool or an integer never needs quoting
+        cells.append(a.tolist() if a.dtype.kind in "fbiu" else _text_cells(a.tolist(), alone))
+    row = ",".join(formats) + "\r\n"
+    rows = min(map(len, cells), default=0)
+    body = (row * rows) % tuple(chain.from_iterable(zip(*cells)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(_text_cells(header, len(header) == 1)) + "\r\n" + body)
+
+
+def _text_cells(values, alone: bool) -> list[str]:
+    """``str`` of each value, quoted as ``csv.writer`` quotes it: in double
+    quotes, with quotes doubled, when it holds a comma, a quote or a line
+    break, and as ``""`` when it is empty and the only field of its row."""
+    empty = '""' if alone else ""
+    return [
+        ('"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text) or empty
+        for text in map(str, values)
+    ]
 
 
 def read_csv_table(path, header, converters=None) -> list[list]:
     """Read the columns named by ``header``, one list per column, each field
     parsed by its column's converter (``float`` by default).
 
-    A bad header raises InvalidArgumentError; a short or unparseable row
-    raises ValueError naming the file and line.
+    A bad header raises InvalidArgumentError; a short or unparseable row, or
+    one ``csv.reader`` rejects, raises ValueError naming the file and line.
     """
     converters = converters or (float,) * len(header)
+    names, columns = _split_table(path, len(converters)) or _csv_table(path, len(converters))
+    if names is None or [h.strip() for h in names[: len(header)]] != list(header):
+        raise InvalidArgumentError(f"{path}: expected header '{','.join(header)}'")
+    if columns is not None:
+        try:
+            return [list(map(convert, column)) for convert, column in zip(converters, columns)]
+        except ValueError:
+            pass
+    raise _bad_row_error(path, converters)
+
+
+def _split_table(path, width: int):
+    """The header fields and the first ``width`` columns of ``path``, split
+    with ``str`` methods; None where only ``csv.reader`` parses the file
+    correctly: a quote, a NUL, a lone CR line end, a line longer than the
+    field size limit, or text the locale encoding cannot decode.  Blank rows
+    are skipped; the columns are None when a row has fewer than ``width``
+    fields."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    names, rows = lines[0].split(","), list(filter(None, lines[1:]))
+    commas = list(map(str.count, rows, repeat(",")))
+    if min(commas, default=width) < width - 1:
+        return names, None
+    if max(commas, default=0) >= width:
+        rows = [",".join(row.split(",")[:width]) for row in rows]
+    fields = ",".join(rows).split(",") if rows else []
+    return names, [fields[i::width] for i in range(width)]
+
+
+def _csv_table(path, width: int):
+    """``_split_table`` through ``csv.reader``, for any file; a row the
+    reader rejects raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None or [h.strip() for h in names[: len(header)]] != list(header):
-            raise InvalidArgumentError(f"{path}: expected header '{','.join(header)}'")
-        rows = [row for row in reader if row]
-    try:
-        return [[convert(row[i]) for row in rows] for i, convert in enumerate(converters)]
-    except (IndexError, ValueError):
-        raise _bad_row_error(path, converters) from None
+        try:
+            names = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if min(map(len, rows), default=width) < width:
+        return names, None
+    return names, [[row[i] for row in rows] for i in range(width)]
 
 
 def _bad_row_error(path, converters) -> ValueError:

@@ -580,8 +580,8 @@ def simulate_calibration(
     """
     delays = np.asarray(delays_ns, dtype=float)
     offs = np.asarray(offsets, dtype=float)
-    if delays.ndim != 1 or delays.size == 0 or np.any(np.diff(delays) <= 0):
-        raise InvalidArgumentError("delays must be a non-empty increasing 1-D array")
+    if delays.ndim != 1 or delays.size < 2 or np.any(np.diff(delays) <= 0):
+        raise InvalidArgumentError("delays must be an increasing 1-D array with >= 2 points")
     if offs.ndim != 1 or offs.size < 3 or np.any(np.diff(offs) <= 0):
         raise InvalidArgumentError("offsets must be an increasing 1-D array with >= 3 points")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:

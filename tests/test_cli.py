@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxcal import presets
 from fluxcal.analysis import write_decay_csv
@@ -123,6 +129,56 @@ def test_predistort_malformed_row_is_one_line_usage_error(tmp_path, capsys, bad_
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"{target}, line 3" in err
+
+
+@st.composite
+def fuzzed_targets(draw):
+    """A ``t_ns,amplitude`` waveform file: a short uniform grid, then a few
+    edits that a hand-written or truncated file could carry."""
+    n = draw(st.integers(0, 12))
+    dt = draw(st.sampled_from(["1", "0.5", "0", "-1", "1e-300", "1e300"]))
+    amplitude = st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format)
+    lines = ["t_ns,amplitude"] + [
+        f"{k * float(dt):.17g},{draw(amplitude)}" for k in range(n)
+    ]
+    oddities = st.sampled_from(
+        ["", " ", "1", "1,", ",1", "1,2,3", "x,1", "1,x", "nan,1", "1,inf", "1_0,1", "\u0661,1",
+         '"1",1', '"1,1', "# note", "\x00", "t_ns,amplitude", "t_ns;amplitude"]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            lines.insert(k, draw(oddities))
+        elif k < len(lines):
+            lines[k] = draw(oddities)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(fuzzed_targets(), st.sampled_from(["identity", "planar"]))
+def test_predistort_fuzzed_target_exits_cleanly(text, model_name):
+    model = {"v_step": 0.3}
+    if model_name == "planar":
+        model = model_to_dict(presets.planar_channel(v_step=0.3))
+    with tempfile.TemporaryDirectory() as tmp:
+        target, model_path = Path(tmp) / "target.csv", Path(tmp) / "model.json"
+        with open(target, "w", newline="") as fh:
+            fh.write(text)
+        write_json(model_path, model)
+        err = io.StringIO()
+        # An uncaught exception ends the test here, as a traceback ends the
+        # tool; a warning would reach the user's stderr as two more lines.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "predistort", str(target), "--model", str(model_path), "-o", str(Path(tmp) / "out.csv"),
+            ])
+    assert code in (0, 1, 2)
+    if code:
+        assert [str(w.message) for w in caught] == []
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("fluxcal predistort: ")
 
 
 def test_simulate_scenario_ideal_channel(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxcal.analysis import read_decay_csv
-from fluxcal.errors import FluxcalError
+from fluxcal.errors import FluxcalError, InvalidArgumentError
 from fluxcal.fitting import read_anticrossing_csv, read_calibration_csv
 from fluxcal.serialize import read_csv_table, write_csv_table
 from fluxcal.signal import read_waveform_csv
@@ -73,3 +74,193 @@ def test_csv_table_roundtrip_is_exact_and_byte_stable(columns):
         assert back[3] == columns[3]
         write_csv_table(second, header, back)
         assert first.read_bytes() == second.read_bytes()
+
+
+# -- reference codec: csv.writer / csv.reader, one row at a time ----------------
+
+
+def reference_write(path, header, columns):
+    arrays = [np.asarray(values) for values in columns]
+    cells = [map("{:.17g}".format if a.dtype.kind == "f" else str, a.tolist()) for a in arrays]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def reference_read(path, header, converters):
+    # A row csv.reader rejects (say, a field over its size limit) becomes a
+    # one-line ValueError, as in the codec.
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if names is None or [h.strip() for h in names[: len(header)]] != list(header):
+        raise InvalidArgumentError(f"{path}: expected header '{','.join(header)}'")
+    for line, row in rows:
+        where = f"{path}, line {line}"
+        if len(row) < len(converters):
+            raise ValueError(f"{where}: expected {len(converters)} fields, got {len(row)}")
+        for convert, field in zip(converters, row):
+            try:
+                convert(field)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return [[convert(row[i]) for _, row in rows] for i, convert in enumerate(converters)]
+
+
+def outcome(read, *args):
+    """What a reader returns, with floats by repr so that -0.0 and NaN
+    compare exactly, or the type and message of what it raises."""
+    try:
+        return [[repr(value) for value in column] for column in read(*args)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# -- writer: identical bytes ------------------------------------------------------
+
+special_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e-300, 1.7976931348623157e308,
+     0.1, 1 / 3, float("inf"), float("-inf"), float("nan")]
+)
+# No NUL: csv.writer refuses it before Python 3.11, and no writer in the
+# package has text that could hold one.
+texts = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t#é_')), max_size=6)
+
+
+@st.composite
+def mixed_tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "text"]), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            values = st.one_of(special_floats, st.floats())
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float))
+        elif kind == "int":
+            values = st.integers(-(10**18), 10**18)
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            columns.append(draw(st.lists(texts, min_size=n, max_size=n)))
+    header = tuple(draw(st.lists(texts, min_size=len(kinds), max_size=len(kinds))))
+    return header, columns
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_tables())
+def test_writer_bytes_match_csv_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_csv_table(ours, header, columns)
+        reference_write(theirs, header, columns)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_writer_golden_bytes(tmp_path):
+    path = tmp_path / "golden.csv"
+    write_csv_table(
+        path,
+        ("t_ns", "v", "n", "branch"),
+        (
+            np.array([0.0, 0.5, 1e300]),
+            np.array([-0.0, 1 / 3, 5e-324]),
+            np.array([1, -7, 10**18]),
+            ["lower", 'say "hi", twice', "two\nlines"],
+        ),
+    )
+    assert path.read_bytes() == (
+        b"t_ns,v,n,branch\r\n"
+        b"0,-0,1,lower\r\n"
+        b'0.5,0.33333333333333331,-7,"say ""hi"", twice"\r\n'
+        b'1.0000000000000001e+300,4.9406564584124654e-324,1000000000000000000,"two\nlines"\r\n'
+    )
+
+
+# -- reader: same values or same error ----------------------------------------------
+
+HEADERS = {
+    2: (("t_ns", "amplitude"), (float, float)),
+    3: (("zpa_c", "f_ghz", "branch"), (float, float, str.strip)),
+}
+numbers = st.one_of(
+    st.floats(allow_nan=False).map("{:.17g}".format), st.integers(-(10**6), 10**6).map(str)
+)
+oddities = st.sampled_from(
+    ["", " ", " 1 ", "1_0", "_1", "\u0661\u0662", "\uff13", "nan", "-inf", "1e999", "0x1", "#",
+     "# note", "x", "lower", '"1"', '"1,5"', '"2', 'a"b', '""', "\x00", "\t2\x0c"]
+)
+fields = st.one_of(numbers, numbers, numbers, numbers, oddities)
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def fuzzed_files(draw):
+    width = draw(st.sampled_from(sorted(HEADERS)))
+    header, converters = HEADERS[width]
+    names = ",".join(header)
+    names = draw(
+        st.sampled_from(
+            [names] * 4 + [names + ",extra", " , ".join(header), '"' + '","'.join(header) + '"',
+             ",".join(header[:-1]), names.replace(",", ";"), "", "# " + names]
+        )
+    )
+    # Half the files hold only numbers and LF or CRLF line ends, the bodies
+    # the str-method split takes; the rest carry quotes, lone CRs and junk.
+    clean = draw(st.booleans())
+    lines = [names]
+    for _ in range(draw(st.integers(0, 8))):
+        if not clean and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "#", ",", '"', '"a\nb",1'])))
+        else:
+            count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1, width + 2, 1]))
+            cells = st.lists(numbers if clean else fields, min_size=count, max_size=count)
+            lines.append(",".join(draw(cells)))
+    ends = st.sampled_from(["\n", "\r\n"]) if clean else line_ends
+    # one line end for the whole file, or a mix
+    end = draw(st.one_of(ends.map(st.just), st.just(ends)))
+    text = "".join(line + draw(end) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, header, converters
+
+
+@settings(deadline=None, max_examples=500)
+@given(fuzzed_files())
+def test_reader_matches_csv_reader_on_fuzzed_files(case):
+    text, header, converters = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        expected = outcome(reference_read, path, header, converters)
+        assert outcome(read_csv_table, path, header, converters) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "t_ns,amplitude", "t_ns,amplitude\r\n", "\nt_ns,amplitude\n1,2\n",
+        "t_ns,amplitude\r1,2\r\r3,4",
+    ],
+    ids=["empty", "header_only", "header_only_crlf", "blank_first_line", "lone_cr"],
+)
+def test_reader_matches_csv_reader_on_edge_files(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    header, converters = HEADERS[2]
+    expected = outcome(reference_read, path, header, converters)
+    assert outcome(read_csv_table, path, header, converters) == expected
+
+
+def test_reader_rejects_field_over_csv_size_limit_in_one_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("t_ns,amplitude\n0,1\n1," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_csv_table(path, ("t_ns", "amplitude"))
+    assert str(info.value).startswith(f"{path}, line 3: field larger than field limit")
+    assert "\n" not in str(info.value)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fluxcal import presets
+from fluxcal import presets, simulator
 from fluxcal.errors import IntegrationError, InvalidArgumentError, SweepRangeError
 from fluxcal.models import CombinedResponse, eval_step_response
 from fluxcal.signal import Waveform
@@ -264,7 +264,24 @@ def test_simulate_rejects_delay_inside_pulse_window():
     with pytest.raises(SweepRangeError):
         simulate_calibration(
             params, DriveSchedule(regime="short"), channel,
-            delays_ns=[5.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+            delays_ns=[5.0, 10.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+        )
+
+
+@pytest.mark.parametrize("delays", [[], [100.0], [110.0, 100.0], [[100.0, 110.0]]])
+def test_simulate_rejects_delay_grid_before_simulating(monkeypatch, delays):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the sweep ran before the delay grid was checked")
+
+    monkeypatch.setattr(simulator, "_propagate", no_propagation)
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    message = "delays must be an increasing 1-D array with >= 2 points"
+    with pytest.raises(InvalidArgumentError, match=message):
+        simulate_calibration(
+            params, DriveSchedule(regime="short"), channel,
+            delays_ns=delays, offsets=np.linspace(-0.01, 0.01, 11) * z,
         )
 
 
@@ -276,7 +293,7 @@ def test_simulate_rejects_offset_grid_missing_the_peak():
     with pytest.raises(SweepRangeError):
         simulate_calibration(
             params, DriveSchedule(regime="short"), channel,
-            delays_ns=[100.0], offsets=np.linspace(0.01, 0.05, 9) * z,
+            delays_ns=[100.0, 110.0], offsets=np.linspace(0.01, 0.05, 9) * z,
         )
 
 
