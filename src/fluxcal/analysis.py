@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import DegenerateFitError, FitFailedError, InvalidArgumentError
-from .serialize import read_csv_table, write_csv_table
+from .serialize import _finite_columns, read_csv_table, write_csv_table
 
 SCHEMES = ("rb", "xeb")
 
@@ -169,7 +169,8 @@ def write_decay_csv(path, lengths, fidelities) -> None:
 
 
 def read_decay_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    n, f = read_csv_table(path, ("n", "fidelity"))
-    if not n:
+    header = ("n", "fidelity")
+    n, f = _finite_columns(path, header, read_csv_table(path, header))
+    if not n.size:
         raise InvalidArgumentError(f"{path}: no data rows")
-    return np.array(n), np.array(f)
+    return n, f

@@ -6,7 +6,9 @@ digests of the inputs, and the settings used, and all floats are written
 with 17 significant digits so identical inputs and seed reproduce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
+form, including a nan or inf CSV field), 2 numerical failure (a well-formed
+input on which the computation fails, including floating-point overflow).
 The ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
 """
 
@@ -199,16 +201,12 @@ def cmd_fit(args) -> int:
 def cmd_predistort(args) -> int:
     target = read_waveform_csv(args.input)
     resp = model_from_dict(load_json(args.model))
-    # Arithmetic that leaves the double range (a target scaled near 1e308, or
-    # sampled at 1e-300 ns) fails here in one line, not with a numpy warning
-    # followed by a non-finite-samples error.
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        out = full_pipeline(target, resp, regularization=args.regularization)
-        write_waveform_csv(args.output, out)
+    out = full_pipeline(target, resp, regularization=args.regularization)
+    write_waveform_csv(args.output, out)
 
-        # Forward check: run the result through the model channel and compare.
-        check = apply_channel(out, resp)
-        dev = np.abs(check.samples - target.samples) / abs(resp.v_step)
+    # Forward check: run the result through the model channel and compare.
+    check = apply_channel(out, resp)
+    dev = np.abs(check.samples - target.samples) / abs(resp.v_step)
     settle = 2
     max_residual = float(np.max(dev[settle:])) if dev.size > settle else float(np.max(dev))
     sidecar = {
@@ -549,7 +547,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Arithmetic that leaves the double range (inputs scaled near 1e308,
+        # or a 1e-300 ns sample spacing) fails in one line, not with a numpy
+        # warning followed by a later, less specific error.  numpy's error
+        # state is per thread: simulate_calibration's --threads workers run
+        # under the default state.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except FluxcalError as exc:
         print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT

@@ -27,7 +27,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .models import LONG_LEVEL_BAND, LongTimeModel, ShortTimeModel
-from .serialize import read_csv_table, write_csv_table
+from .serialize import _finite_columns, read_csv_table, write_csv_table
 from .signal import _as_readonly
 
 REGIMES = ("short", "long")
@@ -106,7 +106,6 @@ class CrosstalkModel:
     coupler zpa as k_eff * zpa + b_eff, where k_eff = k_q * coeff_zxtalk."""
 
     k_q: float
-    b_q: float
     k_eff: float
     b_eff: float
     coeff_zxtalk: float
@@ -144,6 +143,78 @@ def _exp_design_matrix(t: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.exp(-t[:, None] / taus[None, :])
 
 
+def _residual(t, y, p, taus) -> np.ndarray:
+    return _exp_design_matrix(t, taus) @ p - y
+
+
+def _rms(t, y, p, taus) -> float:
+    return float(np.sqrt(np.mean(_residual(t, y, p, taus) ** 2)))
+
+
+def _projection(t: np.ndarray, y: np.ndarray):
+    """Variable projection of ``y`` onto the exponential design, as
+    ``fun(u)``, ``jac(u)`` and ``amplitudes(u)`` of u = log(tau).
+
+    ``fun`` is y minus its least-squares projection Q Q^T y onto the columns
+    exp(-t / tau_k), where Q holds the left singular vectors of the design
+    above the rank tolerance: a collapsed pair of time constants projects
+    onto one direction, not onto a round-off one.  ``amplitudes`` is the
+    minimum-norm least-squares solution.  ``jac`` is Kaufman's Jacobian
+    -(I - Q Q^T) (dE/du . p), which omits the term proportional to the
+    residual.  All three share one factorization per u.
+    """
+    memo = {}
+
+    def factor(u):
+        key = u.tobytes()
+        if memo.get("key") != key:
+            taus = np.exp(u)
+            design = _exp_design_matrix(t, taus)
+            left, sv, right = np.linalg.svd(design, full_matrices=False)
+            rank = int(np.count_nonzero(sv > sv[0] * t.size * np.finfo(float).eps))
+            q = left[:, :rank]
+            qty = q.T @ y
+            p = right[:rank].T @ (qty / sv[:rank])
+            memo.update(key=key, taus=taus, design=design, q=q, p=p, resid=y - q @ qty)
+        return memo
+
+    def fun(u):
+        return factor(u)["resid"]
+
+    def jac(u):
+        f = factor(u)
+        dp = f["design"] * (t[:, None] * (f["p"] / f["taus"]))
+        return f["q"] @ (f["q"].T @ dp) - dp
+
+    def amplitudes(u):
+        return factor(u)["p"]
+
+    return fun, jac, amplitudes
+
+
+def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float, **tolerances):
+    """Joint bounded least squares of amplitudes in [-0.5, 0.5] and time
+    constants in [tau_lo, tau_hi], from p (clipped into its bounds) and
+    ``taus`` (within theirs), with the analytic Jacobian
+    [E, E . t p / tau^2]; ``tolerances`` go to least_squares."""
+    n = p.size
+
+    def residuals(theta):
+        return _residual(t, y, theta[:n], theta[n:])
+
+    def jac(theta):
+        design = _exp_design_matrix(t, theta[n:])
+        return np.hstack([design, design * (t[:, None] * (theta[:n] / theta[n:] ** 2))])
+
+    theta0 = np.concatenate([np.clip(p, -0.5, 0.5), taus])
+    lower = np.concatenate([np.full(n, -0.5), np.full(n, tau_lo)])
+    upper = np.concatenate([np.full(n, 0.5), np.full(n, tau_hi)])
+    sol = least_squares(
+        residuals, theta0, jac=jac, bounds=(lower, upper), method="trf", **tolerances
+    )
+    return sol.x[:n], sol.x[n:]
+
+
 def fit_short_time(
     run: CalibrationRun,
     n_terms: int,
@@ -154,10 +225,20 @@ def fit_short_time(
 ):
     """Fit a sum of ``n_terms`` decaying exponentials to a short-time run.
 
-    The target curve is -compensation / v_step.  Amplitudes are solved
-    linearly for each candidate set of time constants (log-spaced plus
-    seeded random starts), then all parameters are polished jointly with
-    bounded least squares.  Time constants are reported ascending.
+    The target curve is -compensation / v_step.  It is linear in the
+    amplitudes, so each start (two log-spaced sets of time constants plus
+    ``n_random_starts`` seeded random ones) searches the time constants
+    only: bounded least squares over u = log(tau) of the variable-projection
+    residual, which solves the amplitudes linearly at every step (Golub &
+    Pereyra 1973), with Kaufman's Jacobian (1975).  The best start then gets
+    one joint bounded polish of amplitudes in [-0.5, 0.5] and time constants
+    in [tau_lo, tau_hi], with analytic derivatives.  A start whose search
+    ends with amplitudes outside [-0.5, 0.5] is instead fitted jointly
+    within those bounds from its initial time constants.  Time constants
+    are reported ascending.
+
+    The diagnostics trace holds the best residual RMS after each start; the
+    last entry, like ``residual_rms``, is that of the returned model.
 
     Raises DegenerateFitError if two fitted time constants collapse within
     5% of each other, and FitFailedError if the relative residual RMS
@@ -185,10 +266,6 @@ def fit_short_time(
         diag = FitDiagnostics((0.0,), 0.0, 1)
         return (model, diag) if full_output else model
 
-    def residuals(theta):
-        p, taus = theta[:n_terms], theta[n_terms:]
-        return _exp_design_matrix(t, taus) @ p - y
-
     rng = np.random.default_rng(seed)
     starts = [np.geomspace(max(tau_lo * 2, span * 1e-3), span, n_terms)]
     starts.append(np.geomspace(max(tau_lo * 2, span * 3e-3), span / 3.0, n_terms))
@@ -196,28 +273,43 @@ def fit_short_time(
         lo, hi = np.log(tau_lo * 2), np.log(span)
         starts.append(np.exp(np.sort(rng.uniform(lo, hi, n_terms))))
 
+    fun, jac, amplitudes = _projection(t, y)
+    u_bounds = (np.full(n_terms, np.log(tau_lo)), np.full(n_terms, np.log(tau_hi)))
     best = None
     trace = []
     for taus0 in starts:
-        design = _exp_design_matrix(t, taus0)
-        p0, *_ = np.linalg.lstsq(design, y, rcond=None)
-        p0 = np.clip(p0, -0.499, 0.499)
-        theta0 = np.concatenate([p0, taus0])
-        lower = np.concatenate([np.full(n_terms, -0.5), np.full(n_terms, tau_lo)])
-        upper = np.concatenate([np.full(n_terms, 0.5), np.full(n_terms, tau_hi)])
         try:
-            sol = least_squares(residuals, theta0, bounds=(lower, upper), method="trf")
+            u = least_squares(fun, np.log(taus0), jac=jac, bounds=u_bounds, method="trf").x
+            p, taus = amplitudes(u), np.clip(np.exp(u), tau_lo, tau_hi)
+            if np.max(np.abs(p)) > 0.5:
+                # The projection leaves the amplitudes unbounded: two merging
+                # time constants with large opposite amplitudes mimic a
+                # t exp(-t/tau) term.  Redo this start inside the bounds.
+                p, taus = _joint_fit(t, y, amplitudes(np.log(taus0)), taus0, tau_lo, tau_hi)
         except ValueError:
             continue
-        cost = float(np.sqrt(np.mean(sol.fun**2)))
+        cost = _rms(t, y, p, taus)
         if best is None or cost < best[0]:
-            best = (cost, sol.x)
+            best = (cost, p, taus)
         trace.append(best[0])
     if best is None:
         raise FitFailedError("no optimizer start converged")
 
-    rms, theta = best
-    p, taus = theta[:n_terms], theta[n_terms:]
+    # One joint polish of the best start.  gtol bounds the gradient itself,
+    # not relative to the residual: on data the model fits exactly, a search
+    # can stop 1e-6 short of the optimum with a gradient far below 1e-12.
+    rms, p, taus = best
+    try:
+        polished = _joint_fit(t, y, p, taus, tau_lo, tau_hi, ftol=1e-12, xtol=1e-12, gtol=1e-15)
+    except ValueError:
+        pass
+    else:
+        # The polish moves a start on a bound inside first, so it can end a
+        # round-off above it; keep whichever is lower.
+        polished_rms = _rms(t, y, *polished)
+        if polished_rms < rms:
+            (p, taus), rms = polished, polished_rms
+            trace[-1] = rms
     order = np.argsort(taus)
     p, taus = p[order], taus[order]
     for a, b in zip(taus, taus[1:]):
@@ -385,7 +477,6 @@ def fit_anticrossing(
     kq_eff, bq_eff, kc, bc = (float(v) for v in theta)
     crosstalk = CrosstalkModel(
         k_q=float(k_q),
-        b_q=bq_eff,
         k_eff=kq_eff,
         b_eff=bq_eff,
         coeff_zxtalk=kq_eff / float(k_q),
@@ -446,7 +537,8 @@ def write_calibration_csv(path, run: CalibrationRun) -> None:
 
 
 def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
-    delays, compensation = read_csv_table(path, ("t_ns", "v_oft"))
+    header = ("t_ns", "v_oft")
+    delays, compensation = _finite_columns(path, header, read_csv_table(path, header))
     if len(delays) < 2:
         raise InvalidArgumentError(f"{path}: need at least two rows")
     return CalibrationRun(
@@ -459,7 +551,7 @@ def write_anticrossing_csv(path, data: AnticrossingData) -> None:
 
 
 def read_anticrossing_csv(path) -> AnticrossingData:
-    zpa, freq, branch = read_csv_table(
-        path, ("zpa_c", "f_ghz", "branch"), converters=(float, float, str.strip)
-    )
+    header = ("zpa_c", "f_ghz", "branch")
+    zpa, freq, branch = read_csv_table(path, header, converters=(float, float, str.strip))
+    zpa, freq = _finite_columns(path, header, (zpa, freq))
     return AnticrossingData(zpa=zpa, freq_ghz=freq, branch=branch)

@@ -152,6 +152,30 @@ def read_csv_table(path, header, converters=None) -> list[list]:
     raise _bad_row_error(path, converters)
 
 
+def _finite_columns(path, header, columns) -> list[np.ndarray]:
+    """``columns`` as read by ``read_csv_table``, as float arrays.  A nan or
+    inf field raises ValueError naming the file, the line and the column of
+    the first one; the check runs on the whole arrays."""
+    arrays = [np.asarray(column, dtype=float) for column in columns]
+    finite = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        name, value = next((h, a[row]) for h, a in zip(header, arrays) if not np.isfinite(a[row]))
+        raise ValueError(f"{_data_row_location(path, row)}: {name} must be finite, got {value}")
+    return arrays
+
+
+def _data_row_location(path, row: int) -> str:
+    """``path, line N`` of data row ``row`` (0-based, blank rows skipped)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for k, _ in enumerate(filter(None, reader)):
+            if k == row:
+                break
+        return f"{path}, line {reader.line_num}"
+
+
 def _split_table(path, width: int):
     """The header fields and the first ``width`` columns of ``path``, split
     with ``str`` methods; None where only ``csv.reader`` parses the file

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import IncompatibleSamplingError, InvalidArgumentError
-from .serialize import read_csv_table, write_csv_table
+from .serialize import _finite_columns, read_csv_table, write_csv_table
 
 # Uniform-grid tolerance for CSV readers, in ns.
 _GRID_TOL_NS = 1e-9
@@ -176,10 +176,10 @@ def write_waveform_csv(path, waveform: Waveform) -> None:
 
 def read_waveform_csv(path) -> Waveform:
     """Read a ``t_ns,amplitude`` file, validating grid uniformity."""
-    t, a = read_csv_table(path, ("t_ns", "amplitude"))
+    header = ("t_ns", "amplitude")
+    t, a = _finite_columns(path, header, read_csv_table(path, header))
     if len(t) < 2:
         raise InvalidArgumentError(f"{path}: need at least two samples to infer dt")
-    t = np.array(t)
     dt = t[1] - t[0]
     if dt <= 0:
         raise InvalidArgumentError(f"{path}: time column must increase")

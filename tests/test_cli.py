@@ -73,6 +73,42 @@ def test_fit_empty_csv_is_numerical_failure(tmp_path, capsys):
     assert "fluxcal fit" in capsys.readouterr().err
 
 
+def test_fit_overflow_is_one_line_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("t_ns,v_oft\n" + "".join(
+        f"{10 * k},{1e308 if k % 2 else 1e300}\n" for k in range(1, 9)
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "fit", str(path), "--regime", "short", "--n-exp", "2", "--v-step", "0.3",
+            "-o", str(tmp_path / "x.json"),
+        ])
+    assert code == 2
+    assert capsys.readouterr().err == "fluxcal fit: floating-point overflow encountered in divide\n"
+
+
+@pytest.mark.parametrize("command, header", [
+    ("predistort", "t_ns,amplitude"), ("fit", "t_ns,v_oft"), ("analyze", "n,fidelity"),
+])
+def test_non_finite_field_is_one_line_usage_error(tmp_path, capsys, command, header):
+    data = tmp_path / "data.csv"
+    data.write_text(f"{header}\n0,0.3\n1,inf\n2,0.3\n")
+    model = tmp_path / "identity.json"
+    write_json(model, {"v_step": 0.3})
+    out = str(tmp_path / "out")
+    argv = {
+        "predistort": ["predistort", str(data), "--model", str(model), "-o", out + ".csv"],
+        "fit": ["fit", str(data), "--regime", "short", "--v-step", "0.3", "-o", out + ".json"],
+        "analyze": ["analyze", "--scheme", "rb", "--gate", str(data), "--reference", str(data),
+                    "-o", out + ".json"],
+    }[command]
+    assert main(argv) == 1
+    column = header.split(",")[1]
+    err = capsys.readouterr().err
+    assert err == f"fluxcal {command}: {data}, line 3: {column} must be finite, got inf\n"
+
+
 def test_fit_seed_env_override(tmp_path, flipchip_run_csv, monkeypatch):
     monkeypatch.setenv("FLUXCAL_SEED", "77")
     out = tmp_path / "model.json"

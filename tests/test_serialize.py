@@ -45,6 +45,23 @@ def test_csv_readers_reject_malformed_row(tmp_path, reader, bad_row, message):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("field, shown", [("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf")])
+def test_csv_readers_reject_non_finite_field(tmp_path, reader, end, field, shown):
+    read, header, good_row = READERS[reader]
+    fields = good_row.split(",")
+    fields[1] = field
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(end.join([header, good_row, "", ",".join(fields), good_row, ""]))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert not isinstance(info.value, FluxcalError)
+    column = header.split(",")[1]
+    assert str(info.value) == f"{path}, line 4: {column} must be finite, got {shown}"
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
