@@ -172,5 +172,5 @@ def read_decay_csv(path) -> tuple[np.ndarray, np.ndarray]:
     header = ("n", "fidelity")
     n, f = _finite_columns(path, header, read_csv_table(path, header))
     if not n.size:
-        raise InvalidArgumentError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return n, f

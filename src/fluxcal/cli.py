@@ -137,13 +137,32 @@ def _system_from_spec(spec) -> SystemParams:
 
 
 _SCHEDULE_KEYS = ("t_pi_min_ns", "t_pi_max_ns", "ramp_end_ns", "sigma_fraction")
+_SIMULATE_KEYS = (
+    "system", "channel", "drive", "delays_ns", "offsets", "offsets_rel",
+    "dt_integration_ns", "input_waveform_csv",
+)
+_ROUNDTRIP_KEYS = (
+    "system", "channel", "drive", "repulsion_mhz", "n_exp", "threshold",
+    "dt_integration_ns", "fit_long", "long_stage", "short_stage", "validate",
+)
+
+
+def _reject_unknown_keys(spec: dict, accepted, name: str) -> None:
+    unknown = set(spec) - set(accepted)
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
+
+
+def _integration_step(scenario: dict) -> float:
+    dt = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
+    if not 0.0 < dt <= MAX_STEP_NS:
+        raise ValueError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns, got {dt}")
+    return dt
 
 
 def _schedule_from_spec(spec: dict) -> DriveSchedule:
     regime = spec.get("regime", "short")
-    unknown = set(spec) - {"regime", *_SCHEDULE_KEYS}
-    if unknown:
-        raise ValueError(f"drive: unknown keys {sorted(unknown)}")
+    _reject_unknown_keys(spec, ("regime", *_SCHEDULE_KEYS), "drive")
     kwargs = {k: float(spec[k]) for k in _SCHEDULE_KEYS if k in spec}
     return DriveSchedule(regime=regime, **kwargs)
 
@@ -201,7 +220,7 @@ def cmd_fit(args) -> int:
 def cmd_predistort(args) -> int:
     target = read_waveform_csv(args.input)
     resp = model_from_dict(load_json(args.model))
-    out = full_pipeline(target, resp, regularization=args.regularization)
+    out = full_pipeline(target, resp)
     write_waveform_csv(args.output, out)
 
     # Forward check: run the result through the model channel and compare.
@@ -216,10 +235,7 @@ def cmd_predistort(args) -> int:
             "dt_ns": target.dt_ns,
             "n_samples": len(target),
         },
-        "provenance": _provenance(
-            {"target": args.input, "model": args.model},
-            {"regularization": args.regularization},
-        ),
+        "provenance": _provenance({"target": args.input, "model": args.model}, {}),
     }
     write_json(Path(args.output).with_suffix(".json"), sidecar)
     print(f"wrote {args.output} (forward-check residual {max_residual:.3g} of v_step)")
@@ -238,12 +254,13 @@ def _channel_from_scenario(scenario: dict, v_step: float | None = None) -> Combi
 
 def cmd_simulate(args) -> int:
     scenario = load_json(args.scenario)
+    _reject_unknown_keys(scenario, _SIMULATE_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = _channel_from_scenario(scenario)
     schedule = _schedule_from_spec(scenario.get("drive", {}))
     delays = _parse_grid(scenario["delays_ns"], "delays_ns")
     offsets = _offsets_from_scenario(scenario, channel.v_step)
-    dt_int = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
+    dt_int = _integration_step(scenario)
 
     input_waveform = None
     inputs = {"scenario": args.scenario}
@@ -355,14 +372,14 @@ def _stage_grids(scenario: dict, stage: str, defaults: dict, v_step: float):
 
 def cmd_roundtrip(args) -> int:
     scenario = load_json(args.scenario)
+    _reject_unknown_keys(scenario, _ROUNDTRIP_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
     repulsion_ghz = float(scenario.get("repulsion_mhz", 50.0)) / 1000.0
     z_work = find_working_point(params, repulsion_ghz)
     channel = _channel_from_scenario(scenario, v_step=z_work)
     n_exp = int(scenario.get("n_exp", 3))
-    regularization = float(scenario.get("regularization", 1e-6))
     threshold = float(scenario.get("threshold", 0.01))
-    dt_int = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
+    dt_int = _integration_step(scenario)
     seed = _resolve_seed(args.seed)
     fit_long = bool(scenario.get("fit_long", channel.long is not None))
 
@@ -414,7 +431,7 @@ def cmd_roundtrip(args) -> int:
     probe = heaviside_step(z_work, step_span_ns, 1.0)
     if long_model is not None:
         lt_only = CombinedResponse(short=None, long=long_model, v_step=z_work)
-        probe = full_pipeline(probe, lt_only, regularization=regularization)
+        probe = full_pipeline(probe, lt_only)
     run_short = simulate_calibration(
         params,
         _schedule_from_spec(scenario.get("drive", {"regime": "short"})),
@@ -445,7 +462,7 @@ def cmd_roundtrip(args) -> int:
         }
     delays_val, offsets_val = _stage_grids(scenario, "validate", val_defaults, z_work)
     target = heaviside_step(z_work, float(delays_val[-1]) + 2000.0, 1.0)
-    predistorted = full_pipeline(target, fitted, regularization=regularization)
+    predistorted = full_pipeline(target, fitted)
     write_waveform_csv(outdir / "predistorted.csv", predistorted)
     run_val = simulate_calibration(
         params,
@@ -478,7 +495,6 @@ def cmd_roundtrip(args) -> int:
             {
                 "threads": args.threads,
                 "seed": seed,
-                "regularization": regularization,
                 "dt_integration_ns": dt_int,
             },
         ),
@@ -512,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("predistort", help="predistort a target waveform with a model")
     p_pre.add_argument("input", help="target waveform CSV (t_ns,amplitude)")
     p_pre.add_argument("--model", required=True, help="model JSON from 'fit'")
-    p_pre.add_argument("--regularization", type=float, default=1e-6)
     p_pre.add_argument("--output", "-o", required=True, help="output waveform CSV")
     p_pre.set_defaults(func=cmd_predistort)
 
@@ -550,8 +565,8 @@ def main(argv=None) -> int:
         # Arithmetic that leaves the double range (inputs scaled near 1e308,
         # or a 1e-300 ns sample spacing) fails in one line, not with a numpy
         # warning followed by a later, less specific error.  numpy's error
-        # state is per thread: simulate_calibration's --threads workers run
-        # under the default state.
+        # state is per thread; simulate_calibration hands it to its
+        # --threads workers.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except FluxcalError as exc:

@@ -22,8 +22,8 @@ class DegenerateFitError(FitFailedError):
 
 
 class IllConditionedChannelError(FluxcalError, ValueError):
-    """A channel transfer function has spectral nulls the regularization
-    floor would dominate, so its inverse is not trustworthy."""
+    """A channel's causal inverse is unstable, or its transfer function has
+    spectral nulls the regularization floor would dominate."""
 
 
 class SweepRangeError(FluxcalError, ValueError):

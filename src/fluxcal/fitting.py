@@ -540,7 +540,7 @@ def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
     header = ("t_ns", "v_oft")
     delays, compensation = _finite_columns(path, header, read_csv_table(path, header))
     if len(delays) < 2:
-        raise InvalidArgumentError(f"{path}: need at least two rows")
+        raise ValueError(f"{path}: need at least two rows")
     return CalibrationRun(
         delays_ns=delays, compensation=compensation, v_step=v_step, regime=regime
     )
@@ -554,4 +554,6 @@ def read_anticrossing_csv(path) -> AnticrossingData:
     header = ("zpa_c", "f_ghz", "branch")
     zpa, freq, branch = read_csv_table(path, header, converters=(float, float, str.strip))
     zpa, freq = _finite_columns(path, header, (zpa, freq))
+    if not zpa.size:
+        raise ValueError(f"{path}: no data rows")
     return AnticrossingData(zpa=zpa, freq_ghz=freq, branch=branch)

@@ -1,19 +1,14 @@
 """Channel inversion: build waveforms that arrive undistorted.
 
-Two complementary techniques:
+``full_pipeline`` convolves the target with the exact causal inverse of the
+sampled channel, which is rational in z because the step response is a sum
+of exponentials, so ``apply_channel`` of its output returns the target to
+round-off.  Two approximate inverses remain for comparison:
 
-* ``reversed_convolution_o2`` expands the inverse transfer function as a
-  truncated geometric series in R = 1 - H and keeps terms through R^2.
-  It is cheap, stays in the time domain, and its residual shrinks with
-  the cube of the distortion amplitude, which is ample for the small
-  (few percent) settling tails seen on coupler flux lines.
-* ``spectral_predistort`` divides by the transfer function in the
-  frequency domain with Tikhonov-style regularization.  It is exact up
-  to the regularization floor and is used for the faster multi-exponential
-  distortion where the series expansion would need many terms.
-
-``full_pipeline`` chains both: series correction of the slow settling
-first, then spectral inversion of the short-time response.
+* ``reversed_convolution_o2``, the series 1 + R + R^2 in R = 1 - H, whose
+  residual shrinks with the cube of the distortion amplitude;
+* ``spectral_predistort``, the FFT division by the transfer function with
+  Tikhonov-style regularization.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import ChannelApproximationWarning, IllConditionedChannelError, InvalidArgumentError
-from .models import CombinedResponse, LongTimeModel, ShortTimeModel, step_response_grid
+from .models import CombinedResponse, step_response_grid
 from .signal import ImpulseResponse, Waveform, convolve, require_same_grid, step_to_impulse
 
 # Above this kernel deviation the truncated series is outside its regime.
@@ -105,34 +100,54 @@ def spectral_predistort(
     return Waveform(dt_ns=target.dt_ns, samples=out)
 
 
-def _channel_kernel(
-    short: ShortTimeModel | None, long: LongTimeModel | None, like: Waveform
-) -> ImpulseResponse:
-    """Kernel of the unit-step channel made of ``short`` and ``long``, on
-    the grid and over the duration of ``like``."""
-    unit = CombinedResponse(short=short, long=long)
-    return step_to_impulse(step_response_grid(unit, like.duration_ns, like.dt_ns))
+def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> ImpulseResponse:
+    """Kernel of the exact causal inverse of ``resp`` on the grid of ``like``.
 
-
-def full_pipeline(
-    target: Waveform,
-    resp: CombinedResponse,
-    regularization: float = 1e-6,
-) -> Waveform:
-    """Predistort ``target`` against a combined channel model.
-
-    The long-time settling (if present) is corrected first with the
-    second-order series, then the short-time response (if present) is
-    inverted spectrally; serial correction of the two parts matches the
-    additive combined model to second order in the distortion amplitudes.
-    A model with neither component returns the target unchanged.
+    The step response is c + sum_k q_k exp(-t / tau_k): q = p for a short
+    term, q = B - A at tau = 1000 tau_us for a long part, c = A (else 1).
+    With b_k = 1 - exp(-dt / tau_k) and x = z - 1 the sampled channel is
+    H(x) = s0 - sum_k q_k b_k / (x + b_k), s0 = c + sum_k q_k.  Its zeros x_j
+    are the eigenvalues of -diag(b) + (q b / s0) 1^T, and partial fractions
+    of 1/H give g[0] = 1 / s0, g[n] = Re sum_j R_j (1 + x_j)^(n - 1) with
+    R_j = 1 / H'(x_j) = prod_k (x_j + b_k) / (s0 prod_{i != j} (x_j - x_i)),
+    a form that stays accurate when a tiny q puts a zero next to its pole.
+    Equal b are merged and terms with q b = 0 dropped, so that each
+    eigenvalue is a zero.  Raises IllConditionedChannelError when s0 = 0
+    or some |1 + x_j| >= 1, that is, when the inverse is unstable.
     """
-    out = target
+    terms = [(t.amplitude, t.tau_ns) for t in (resp.short.terms if resp.short else ())]
     if resp.long is not None:
-        out = reversed_convolution_o2(out, _channel_kernel(None, resp.long, target))
-    if resp.short is not None:
-        out = spectral_predistort(out, _channel_kernel(resp.short, None, target), regularization)
-    return out
+        terms.append((resp.long.initial - resp.long.settled, 1000.0 * resp.long.tau_us))
+    q, taus = np.array(terms).T
+    b, where = np.unique(-np.expm1(-like.dt_ns / taus), return_inverse=True)
+    q = np.bincount(where, weights=q)
+    s0 = resp.settled_level + q.sum()
+    keep = q * b != 0
+    q, b = q[keep], b[keep]
+    if s0 == 0:
+        raise IllConditionedChannelError("channel has zero gain at t = 0; it has no inverse")
+    zeros = np.linalg.eigvals(np.outer(q * b / s0, np.ones(b.size)) - np.diag(b))
+    if np.any(np.abs(1.0 + zeros) >= 1.0):
+        raise IllConditionedChannelError(
+            "channel has a zero on or outside the unit circle; its causal inverse is unstable"
+        )
+    g = np.zeros(len(like))
+    g[0] = 1.0 / s0
+    for j, x in enumerate(zeros):
+        residue = np.prod(x + b) / (s0 * np.prod(x - np.delete(zeros, j)))
+        g[1:] += (residue * (1.0 + x) ** np.arange(g.size - 1)).real
+    return ImpulseResponse(dt_ns=like.dt_ns, kernel=g / like.dt_ns)
+
+
+def full_pipeline(target: Waveform, resp: CombinedResponse) -> Waveform:
+    """Predistort ``target`` against a combined channel model: convolve it
+    with the channel's exact causal inverse (``_inverse_kernel``), so that
+    ``apply_channel`` returns the target to round-off.  A model with neither
+    component returns the target unchanged; a channel whose inverse is
+    unstable raises IllConditionedChannelError."""
+    if resp.short is None and resp.long is None:
+        return target
+    return convolve(target, _inverse_kernel(resp, target))
 
 
 def apply_channel(waveform: Waveform, resp: CombinedResponse) -> Waveform:
@@ -141,4 +156,6 @@ def apply_channel(waveform: Waveform, resp: CombinedResponse) -> Waveform:
     The waveform is convolved with the kernel of the combined normalized
     step response; v_step plays no role here because the channel is linear.
     """
-    return convolve(waveform, _channel_kernel(resp.short, resp.long, waveform))
+    unit = CombinedResponse(short=resp.short, long=resp.long)
+    step = step_response_grid(unit, waveform.duration_ns, waveform.dt_ns)
+    return convolve(waveform, step_to_impulse(step))

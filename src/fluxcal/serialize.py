@@ -137,13 +137,14 @@ def read_csv_table(path, header, converters=None) -> list[list]:
     """Read the columns named by ``header``, one list per column, each field
     parsed by its column's converter (``float`` by default).
 
-    A bad header raises InvalidArgumentError; a short or unparseable row, or
-    one ``csv.reader`` rejects, raises ValueError naming the file and line.
+    A bad header raises ValueError naming the file; a short or unparseable
+    row, or one ``csv.reader`` rejects, raises ValueError naming the file
+    and line.
     """
     converters = converters or (float,) * len(header)
     names, columns = _split_table(path, len(converters)) or _csv_table(path, len(converters))
     if names is None or [h.strip() for h in names[: len(header)]] != list(header):
-        raise InvalidArgumentError(f"{path}: expected header '{','.join(header)}'")
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
     if columns is not None:
         try:
             return [list(map(convert, column)) for convert, column in zip(converters, columns)]

@@ -179,7 +179,7 @@ def read_waveform_csv(path) -> Waveform:
     header = ("t_ns", "amplitude")
     t, a = _finite_columns(path, header, read_csv_table(path, header))
     if len(t) < 2:
-        raise InvalidArgumentError(f"{path}: need at least two samples to infer dt")
+        raise ValueError(f"{path}: need at least two samples to infer dt")
     dt = t[1] - t[0]
     if dt <= 0:
         raise InvalidArgumentError(f"{path}: time column must increase")

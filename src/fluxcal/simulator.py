@@ -624,27 +624,31 @@ def simulate_calibration(
                 f"delay {t_delay} ns cannot hold a {t_pi} ns probe pulse after the edge"
             )
 
+    # numpy's error state is per thread; workers take the caller's.
+    error_state = np.geterr()
+
     def run_delay(i: int) -> tuple[float, np.ndarray]:
-        t_delay = float(delays[i])
-        t_pi = t_pis[i]
-        rabi = pi_pulse_rabi_mhz(params, z_ref, t_pi, schedule.sigma_fraction)
-        drive = DriveParams(
-            omega_d_ghz=omega_d,
-            rabi_mhz=rabi,
-            t_pi_ns=t_pi,
-            t_center_ns=t_delay,
-            sigma_fraction=schedule.sigma_fraction,
-        )
-        t_nodes, h = drive.step_nodes(dt_integration_ns)
-        traces = base_zpa(t_nodes)[None, :] + offs[:, None]
-        p1 = _propagate(params, drive, traces, t_nodes, h)
-        k = int(np.argmax(p1))
-        if k == 0 or k == offs.size - 1:
-            raise SweepRangeError(
-                f"P1 maximum sits at the offset-sweep edge for delay {t_delay} ns; "
-                "widen the offset grid"
+        with np.errstate(**error_state):
+            t_delay = float(delays[i])
+            t_pi = t_pis[i]
+            rabi = pi_pulse_rabi_mhz(params, z_ref, t_pi, schedule.sigma_fraction)
+            drive = DriveParams(
+                omega_d_ghz=omega_d,
+                rabi_mhz=rabi,
+                t_pi_ns=t_pi,
+                t_center_ns=t_delay,
+                sigma_fraction=schedule.sigma_fraction,
             )
-        return _quadratic_peak(offs, p1, k), p1
+            t_nodes, h = drive.step_nodes(dt_integration_ns)
+            traces = base_zpa(t_nodes)[None, :] + offs[:, None]
+            p1 = _propagate(params, drive, traces, t_nodes, h)
+            k = int(np.argmax(p1))
+            if k == 0 or k == offs.size - 1:
+                raise SweepRangeError(
+                    f"P1 maximum sits at the offset-sweep edge for delay {t_delay} ns; "
+                    "widen the offset grid"
+                )
+            return _quadratic_peak(offs, p1, k), p1
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -180,5 +180,5 @@ def test_decay_csv_roundtrip(tmp_path):
 def test_decay_csv_header_check(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("depth,F\n1,0.9\n")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError, match="expected header 'n,fidelity'"):
         read_decay_csv(path)

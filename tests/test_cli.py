@@ -62,15 +62,17 @@ def test_fit_long_recovers_preset_settling(tmp_path):
     assert entry["tau_us"] == pytest.approx(full.long.tau_us, rel=0.01)
 
 
-def test_fit_empty_csv_is_numerical_failure(tmp_path, capsys):
-    path = tmp_path / "empty.csv"
-    path.write_text("t_ns,v_oft\n")
-    code = main([
-        "fit", str(path), "--regime", "short", "--v-step", "1.0",
-        "-o", str(tmp_path / "x.json"),
-    ])
-    assert code == 2
-    assert "fluxcal fit" in capsys.readouterr().err
+def test_fit_empty_csv_is_usage_error(tmp_path, capsys):
+    for name, text in (("empty.csv", "t_ns,v_oft\n"), ("header.csv", "delay,comp\n1,0\n2,0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main([
+            "fit", str(path), "--regime", "short", "--v-step", "1.0",
+            "-o", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fluxcal fit: {path}: ") and err.count("\n") == 1
 
 
 def test_fit_overflow_is_one_line_numerical_failure(tmp_path, capsys):
@@ -141,6 +143,27 @@ def test_predistort_forward_check_under_one_percent(tmp_path):
     assert sidecar["forward_check"]["max_residual_fraction_after_2dt"] < 0.01
     assert sidecar["model"]["long"]["tau_us"] == presets.planar_channel(1.0).long.tau_us
     assert len(read_waveform_csv(out)) == 40000
+
+
+def test_predistort_unstable_inverse_is_one_line_numerical_failure(tmp_path, capsys):
+    # At dt = 2 ns this channel has a sampled zero outside the unit circle.
+    target = tmp_path / "step.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 200.0, 2.0))
+    model = tmp_path / "unstable.json"
+    write_json(model, {"short": [{"p": -0.3, "tau_ns": 0.31}, {"p": -0.2, "tau_ns": 1.30},
+                                 {"p": -0.1, "tau_ns": 399.0}], "v_step": 0.3})
+    out = tmp_path / "out.csv"
+    assert main(["predistort", str(target), "--model", str(model), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fluxcal predistort: ") and "unstable" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_predistort_has_no_regularization_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["predistort", "t.csv", "--model", "m.json", "--regularization", "1e-6", "-o", "o.csv"])
+    assert info.value.code == 1
+    assert "--regularization" in capsys.readouterr().err
 
 
 def test_predistort_missing_model_is_usage_error(tmp_path, capsys):
@@ -251,6 +274,26 @@ def test_simulate_names_missing_scenario_key(tmp_path, capsys):
     code = main(["simulate", str(scenario), "-o", str(tmp_path / "sim")])
     assert code == 1
     assert "missing required key 'delays_ns'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", {"regularization": 1e-6}, "scenario: unknown keys ['regularization']"),
+    ("roundtrip", {"regularization": 1e-6, "n_exps": 2},
+     "scenario: unknown keys ['n_exps', 'regularization']"),
+    ("roundtrip", {"delays_ns": [60.0, 150.0]}, "scenario: unknown keys ['delays_ns']"),
+    ("simulate", {"dt_integration_ns": 0.51}, "dt_integration_ns must be in (0, 0.5] ns, got 0.51"),
+    ("roundtrip", {"dt_integration_ns": 0.0}, "dt_integration_ns must be in (0, 0.5] ns, got 0.0"),
+])
+def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
+    scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
+    if command == "simulate":
+        scenario.update(delays_ns=[60.0, 150.0], offsets_rel={"start": -0.01, "stop": 0.01, "count": 11})
+    path = tmp_path / "scenario.json"
+    write_json(path, {**scenario, **extra})
+    outdir = tmp_path / "out"
+    assert main([command, str(path), "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"fluxcal {command}: {message}\n"
+    assert not outdir.exists()
 
 
 def test_roundtrip_planar_defaults_raise_no_warning(tmp_path):

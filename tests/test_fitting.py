@@ -459,11 +459,11 @@ def test_calibration_csv_roundtrip(tmp_path):
 def test_calibration_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("t_ns,v_oft\n")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError, match="need at least two rows"):
         read_calibration_csv(empty, v_step=1.0, regime="short")
     bad = tmp_path / "bad.csv"
     bad.write_text("delay,comp\n1,0\n2,0\n")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError, match="expected header 't_ns,v_oft'"):
         read_calibration_csv(bad, v_step=1.0, regime="short")
 
 

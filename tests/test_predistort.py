@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxcal.errors import ChannelApproximationWarning, IllConditionedChannelError
@@ -104,7 +104,7 @@ def test_full_pipeline_flattens_channel_output(resp, grid_ns):
     pre = full_pipeline(target, resp)
     out = apply_channel(pre, resp)
     dev = np.abs(out.samples - target.samples)
-    assert np.max(dev[2:]) < 0.01
+    assert np.max(dev) < 1e-10
 
 
 def test_full_pipeline_without_model_is_identity():
@@ -120,7 +120,28 @@ def test_full_pipeline_long_only_removes_slow_settling():
     pre = full_pipeline(target, resp)
     out = apply_channel(pre, resp)
     dev = np.abs(out.samples - target.samples)
-    assert np.max(dev[2:]) < 1e-4
+    assert np.max(dev) < 1e-10
+
+
+def test_full_pipeline_rejects_channel_with_zero_initial_gain():
+    # s(0) = 1 - 0.5 - 0.5 = 0: nothing passes at t = 0, so no inverse exists.
+    resp = CombinedResponse(short=ShortTimeModel.from_arrays([-0.5, -0.5], [1.0, 2.0]), long=None)
+    with pytest.raises(IllConditionedChannelError, match="zero gain"):
+        full_pipeline(heaviside_step(1.0, 100.0, 1.0), resp)
+
+
+def test_full_pipeline_rejects_unstable_inverse():
+    # Sub-sample time constants: at dt = 2 ns the sampled channel has a zero
+    # near z = -1.08, so its causal inverse grows as (-1.08)^n.  The same
+    # model at dt = 1 ns is invertible.
+    resp = CombinedResponse(
+        short=ShortTimeModel.from_arrays([-0.3, -0.2, -0.1], [0.31, 1.30, 399.0]), long=None
+    )
+    with pytest.raises(IllConditionedChannelError, match="unstable"):
+        full_pipeline(heaviside_step(1.0, 2000.0, 2.0), resp)
+    target = heaviside_step(1.0, 2000.0, 1.0)
+    out = apply_channel(full_pipeline(target, resp), resp)
+    np.testing.assert_allclose(out.samples, target.samples, rtol=0.0, atol=1e-12)
 
 
 def test_apply_channel_ideal_is_identity():
@@ -178,3 +199,32 @@ def test_apply_channel_to_unit_step_reproduces_step_response(short, long, v_step
     unit = CombinedResponse(short=short, long=long)
     expected = step_response_grid(unit, n * dt_ns, dt_ns)
     np.testing.assert_allclose(out.samples, expected.samples, rtol=0.0, atol=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    short=st.lists(
+        st.tuples(st.floats(-0.1, 0.1), st.floats(0.3, 5000.0)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda term: term[1],
+    ).map(lambda terms: ShortTimeModel.from_arrays(*zip(*terms))),
+    long=st.none() | long_models,
+    dt_ns=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    n=st.integers(1, 20000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # a zero amplitude, and a short time constant equal to the long one
+    short=ShortTimeModel.from_arrays([0.0, -0.05], [3.0, 2000.0]),
+    long=LongTimeModel(settled=1.02, initial=0.99, tau_us=2.0),
+    dt_ns=0.5,
+    n=20000,
+    seed=1,
+)
+def test_full_pipeline_then_channel_returns_target(short, long, dt_ns, n, seed):
+    # |p| <= 0.1 and levels within 10% of 1 keep every zero of the sampled
+    # channel inside the unit circle, so the exact inverse always exists.
+    resp = CombinedResponse(short=short, long=long, v_step=0.3)
+    x = Waveform(dt_ns, np.random.default_rng(seed).normal(size=n))
+    out = apply_channel(full_pipeline(x, resp), resp)
+    np.testing.assert_allclose(out.samples, x.samples, rtol=0.0, atol=1e-12 * np.max(np.abs(x.samples)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxcal.analysis import read_decay_csv
-from fluxcal.errors import FluxcalError, InvalidArgumentError
+from fluxcal.errors import FluxcalError
 from fluxcal.fitting import read_anticrossing_csv, read_calibration_csv
 from fluxcal.serialize import read_csv_table, write_csv_table
 from fluxcal.signal import read_waveform_csv
@@ -43,6 +43,22 @@ def test_csv_readers_reject_malformed_row(tmp_path, reader, bad_row, message):
     text = str(info.value)
     assert f"{path}, line 4: {message}" in text
     assert "\n" not in text
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("kind", ["wrong_header", "no_data_rows"])
+def test_csv_readers_reject_bad_header_and_empty_file(tmp_path, reader, kind):
+    read, header, good_row = READERS[reader]
+    path = tmp_path / "bad.csv"
+    if kind == "wrong_header":
+        path.write_text(f"x{header}\n{good_row}\n{good_row}\n")
+    else:
+        path.write_text(f"{header}\n")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    # A usage error (exit 1), not a numerical FluxcalError (exit 2).
+    assert not isinstance(info.value, FluxcalError)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
@@ -116,7 +132,7 @@ def reference_read(path, header, converters):
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if names is None or [h.strip() for h in names[: len(header)]] != list(header):
-        raise InvalidArgumentError(f"{path}: expected header '{','.join(header)}'")
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
     for line, row in rows:
         where = f"{path}, line {line}"
         if len(row) < len(converters):

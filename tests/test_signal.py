@@ -167,7 +167,7 @@ def test_waveform_csv_roundtrip_is_byte_identical(tmp_path):
 def test_waveform_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,volts\n0,1\n1,1\n")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError, match="expected header 't_ns,amplitude'"):
         read_waveform_csv(path)
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,30 @@ def test_simulate_thread_count_does_not_change_results():
         params, DriveSchedule(regime="short"), channel, threads=3, **kwargs
     )
     np.testing.assert_array_equal(serial.compensation, threaded.compensation)
+
+
+def test_simulate_threads_run_under_the_callers_error_state(monkeypatch):
+    # numpy's error state is per thread; a worker that started with the
+    # default state would warn where the caller asked to raise.
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((threading.get_ident(), np.geterr()))
+        return _propagate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_propagate", spy)
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        expected = np.geterr()
+        simulate_calibration(
+            params, DriveSchedule(regime="short"), channel, threads=2,
+            delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+        )
+    assert len(seen) == 3
+    assert all(ident != threading.get_ident() for ident, _ in seen)
+    assert all(state == expected for _, state in seen)
 
 
 def test_simulate_rejects_delay_inside_pulse_window():
