@@ -153,6 +153,11 @@ def _reject_unknown_keys(spec: dict, accepted, name: str) -> None:
         raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
+
+
 def _integration_step(scenario: dict) -> float:
     dt = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
     if not 0.0 < dt <= MAX_STEP_NS:
@@ -253,6 +258,7 @@ def _channel_from_scenario(scenario: dict, v_step: float | None = None) -> Combi
 
 
 def cmd_simulate(args) -> int:
+    _check_threads(args.threads)
     scenario = load_json(args.scenario)
     _reject_unknown_keys(scenario, _SIMULATE_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
@@ -362,6 +368,7 @@ def _stage_grids(scenario: dict, stage: str, defaults: dict, v_step: float):
     spec = scenario.get(stage, {})
     if not isinstance(spec, dict):
         raise ValueError(f"{stage}: expected an object")
+    _reject_unknown_keys(spec, ("delays_ns", "offsets", "offsets_rel"), stage)
     delays = _parse_grid(spec.get("delays_ns", defaults["delays_ns"]), f"{stage}.delays_ns")
     if "offsets" in spec or "offsets_rel" in spec:
         offsets = _offsets_from_scenario(spec, v_step)
@@ -371,6 +378,7 @@ def _stage_grids(scenario: dict, stage: str, defaults: dict, v_step: float):
 
 
 def cmd_roundtrip(args) -> int:
+    _check_threads(args.threads)
     scenario = load_json(args.scenario)
     _reject_unknown_keys(scenario, _ROUNDTRIP_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
@@ -383,29 +391,53 @@ def cmd_roundtrip(args) -> int:
     seed = _resolve_seed(args.seed)
     fit_long = bool(scenario.get("fit_long", channel.long is not None))
 
+    # Every stage's grid is read before the first sweep, so a bad stage
+    # object fails at once.  The long stage's span must exceed 3 tau for
+    # fit_long_time; 70 us covers the planar preset's 18.7 us.
+    long_grids = _stage_grids(
+        scenario,
+        "long_stage",
+        {
+            "delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 25},
+            "offsets_rel": np.linspace(-0.022, 0.022, 41),
+        },
+        z_work,
+    )
+    short_delays, short_offsets = _stage_grids(
+        scenario,
+        "short_stage",
+        {
+            "delays_ns": {"start": 20.0, "stop": 5000.0, "count": 30, "spacing": "log"},
+            "offsets_rel": np.linspace(-0.012, 0.052, 41),
+        },
+        z_work,
+    )
+    delays_val, offsets_val = _stage_grids(
+        scenario,
+        "validate",
+        {
+            "delays_ns": {
+                "start": 30.0,
+                "stop": 38000.0 if fit_long else 5000.0,
+                "count": 16,
+                "spacing": "log",
+            },
+            "offsets_rel": np.linspace(-0.02, 0.02, 41),
+        },
+        z_work,
+    )
+
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     # Stage 1: delays past the fast transients isolate the slow settling.
-    # The span must exceed 3 tau for fit_long_time; 70 us covers the
-    # planar preset's 18.7 us.
     long_model = None
     if fit_long:
-        delays, offsets = _stage_grids(
-            scenario,
-            "long_stage",
-            {
-                "delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 25},
-                "offsets_rel": np.linspace(-0.022, 0.022, 41),
-            },
-            z_work,
-        )
         run_long = simulate_calibration(
             params,
             long_time_schedule(),
             channel,
-            delays,
-            offsets,
+            *long_grids,
             dt_integration_ns=dt_int,
             threads=args.threads,
         )
@@ -418,16 +450,7 @@ def cmd_roundtrip(args) -> int:
 
     # Stage 2: probe the fast transients through the slow-settling
     # correction so the short fit sees only what remains.
-    delays, offsets = _stage_grids(
-        scenario,
-        "short_stage",
-        {
-            "delays_ns": {"start": 20.0, "stop": 5000.0, "count": 30, "spacing": "log"},
-            "offsets_rel": np.linspace(-0.012, 0.052, 41),
-        },
-        z_work,
-    )
-    step_span_ns = float(delays[-1]) + 1000.0
+    step_span_ns = float(short_delays[-1]) + 1000.0
     probe = heaviside_step(z_work, step_span_ns, 1.0)
     if long_model is not None:
         lt_only = CombinedResponse(short=None, long=long_model, v_step=z_work)
@@ -436,8 +459,8 @@ def cmd_roundtrip(args) -> int:
         params,
         _schedule_from_spec(scenario.get("drive", {"regime": "short"})),
         channel,
-        delays,
-        offsets,
+        short_delays,
+        short_offsets,
         input_waveform=probe,
         dt_integration_ns=dt_int,
         threads=args.threads,
@@ -449,18 +472,6 @@ def cmd_roundtrip(args) -> int:
 
     # Stage 3: predistort with the fitted model and check the channel
     # output is flat at the working point everywhere in the sweep.
-    val_defaults = {
-        "delays_ns": {"start": 30.0, "stop": 38000.0, "count": 16, "spacing": "log"},
-        "offsets_rel": np.linspace(-0.02, 0.02, 41),
-    }
-    if not fit_long:
-        val_defaults["delays_ns"] = {
-            "start": 30.0,
-            "stop": 5000.0,
-            "count": 16,
-            "spacing": "log",
-        }
-    delays_val, offsets_val = _stage_grids(scenario, "validate", val_defaults, z_work)
     target = heaviside_step(z_work, float(delays_val[-1]) + 2000.0, 1.0)
     predistorted = full_pipeline(target, fitted)
     write_waveform_csv(outdir / "predistorted.csv", predistorted)
@@ -505,6 +516,13 @@ def cmd_roundtrip(args) -> int:
     return 0 if passed else NUMERICAL_EXIT
 
 
+_THREADS_HELP = (
+    "delay workers (processes, forked per sweep; capped at the delay count and "
+    "the usable CPUs). Results are byte-identical for any count; each sweep pays "
+    "a start-up cost, so use 1 on a single CPU. Default 1"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fluxcal",
@@ -534,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulated calibration sweep")
     p_sim.add_argument("scenario", help="scenario JSON")
     p_sim.add_argument("--output-dir", "-o", required=True, dest="output_dir")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="compute gate fidelity from decay CSVs")
@@ -552,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rt.add_argument("scenario", help="scenario JSON with system and true channel")
     p_rt.add_argument("--output-dir", "-o", required=True, dest="output_dir")
-    p_rt.add_argument("--threads", type=int, default=1)
+    p_rt.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.set_defaults(func=cmd_roundtrip)
     return parser
@@ -564,9 +582,8 @@ def main(argv=None) -> int:
     try:
         # Arithmetic that leaves the double range (inputs scaled near 1e308,
         # or a 1e-300 ns sample spacing) fails in one line, not with a numpy
-        # warning followed by a later, less specific error.  numpy's error
-        # state is per thread; simulate_calibration hands it to its
-        # --threads workers.
+        # warning followed by a later, less specific error.
+        # simulate_calibration hands this state to its --threads workers.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except FluxcalError as exc:

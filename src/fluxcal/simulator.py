@@ -22,13 +22,18 @@ before it acts on the state.  At the default 0.5 ns step, P1 is within
 The calibration protocol mirrors the hardware sequence: pick the working
 point on the lower dressed branch, calibrate the pi-pulse amplitude there,
 then sweep delay and compensation offset to locate, per delay, the offset
-that restores the working-point flux.
+that restores the working-point flux.  The delays are independent, so
+``simulate_calibration(threads=n)`` shares them among up to n forked worker
+processes (capped at the delay count and the usable CPUs), with results
+identical to the serial sweep's.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import warnings
 
@@ -64,6 +69,13 @@ _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 # 12% less time than 64 and 5% less than 256, at a 4.3 MB peak allocation
 # against 2.7 and 7.4 MB; 512 took 38% more.
 _BLOCK_STEPS = 128
+
+# Sweep workers are forked: a fork starts in milliseconds with fluxcal
+# already imported, where a spawned worker would import numpy and scipy
+# again on every sweep.
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
 
 
 @dataclass(frozen=True)
@@ -550,6 +562,32 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(-b / (2.0 * a))
 
 
+def _probe_delay(params, drive, t_nodes, h, zpa_nodes, offsets, error_state):
+    """One delay of the sweep: P1 over the offset grid and the refined
+    offset of its maximum, as (offset, P1 row).
+
+    ``zpa_nodes`` is the channel's zpa at ``t_nodes`` before any offset.
+    The body runs under ``error_state`` (a ``np.geterr()`` dict), so a
+    worker process raises where the caller asked numpy to raise.
+    """
+    with np.errstate(**error_state):
+        traces = zpa_nodes[None, :] + offsets[:, None]
+        p1 = _propagate(params, drive, traces, t_nodes, h)
+        k = int(np.argmax(p1))
+        if k == 0 or k == offsets.size - 1:
+            raise SweepRangeError(
+                f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "
+                "widen the offset grid"
+            )
+        return _quadratic_peak(offsets, p1, k), p1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_calibration(
     params: SystemParams,
     schedule: DriveSchedule,
@@ -575,6 +613,17 @@ def simulate_calibration(
     (0, ``MAX_STEP_NS``]; each window is cut into equal CF4 steps no
     longer than it (see ``_propagate``).
 
+    ``threads`` (>= 1) is the number of delay workers.  The delays are
+    shared among min(threads, number of delays, usable CPUs) worker
+    processes, forked where the platform can fork; at 1 the sweep runs in
+    the calling process and starts none.  The results are identical for
+    every worker count, and a failing delay raises its own error, the
+    earliest delay first, as in the serial sweep.  Each parallel sweep
+    pays for starting and stopping its workers (15-30 ms on a 2-CPU Linux
+    host), so pass 1 on a single CPU.  On Python >= 3.12 a fork in a
+    process that already runs threads (numpy's BLAS pool counts) emits a
+    DeprecationWarning, hidden by default.
+
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid.
     """
@@ -586,6 +635,8 @@ def simulate_calibration(
         raise InvalidArgumentError("offsets must be an increasing 1-D array with >= 3 points")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
 
     v_step = channel.v_step
     z_ref = v_step
@@ -615,7 +666,10 @@ def simulate_calibration(
             )
         return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
 
+    # The caller's numpy error state goes to every worker with its job.
+    error_state = np.geterr()
     t_pis = []
+    jobs = []
     for t_delay in delays:
         t_pi = schedule.t_pi_ns(float(t_delay))
         t_pis.append(t_pi)
@@ -623,38 +677,22 @@ def simulate_calibration(
             raise SweepRangeError(
                 f"delay {t_delay} ns cannot hold a {t_pi} ns probe pulse after the edge"
             )
+        drive = DriveParams(
+            omega_d_ghz=omega_d,
+            rabi_mhz=pi_pulse_rabi_mhz(params, z_ref, t_pi, schedule.sigma_fraction),
+            t_pi_ns=t_pi,
+            t_center_ns=float(t_delay),
+            sigma_fraction=schedule.sigma_fraction,
+        )
+        t_nodes, h = drive.step_nodes(dt_integration_ns)
+        jobs.append((params, drive, t_nodes, h, base_zpa(t_nodes), offs, error_state))
 
-    # numpy's error state is per thread; workers take the caller's.
-    error_state = np.geterr()
-
-    def run_delay(i: int) -> tuple[float, np.ndarray]:
-        with np.errstate(**error_state):
-            t_delay = float(delays[i])
-            t_pi = t_pis[i]
-            rabi = pi_pulse_rabi_mhz(params, z_ref, t_pi, schedule.sigma_fraction)
-            drive = DriveParams(
-                omega_d_ghz=omega_d,
-                rabi_mhz=rabi,
-                t_pi_ns=t_pi,
-                t_center_ns=t_delay,
-                sigma_fraction=schedule.sigma_fraction,
-            )
-            t_nodes, h = drive.step_nodes(dt_integration_ns)
-            traces = base_zpa(t_nodes)[None, :] + offs[:, None]
-            p1 = _propagate(params, drive, traces, t_nodes, h)
-            k = int(np.argmax(p1))
-            if k == 0 or k == offs.size - 1:
-                raise SweepRangeError(
-                    f"P1 maximum sits at the offset-sweep edge for delay {t_delay} ns; "
-                    "widen the offset grid"
-                )
-            return _quadratic_peak(offs, p1, k), p1
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_delay, range(delays.size)))
+    workers = min(threads, delays.size, _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT) as pool:
+            results = list(pool.map(_probe_delay, *zip(*jobs)))
     else:
-        results = [run_delay(i) for i in range(delays.size)]
+        results = list(map(_probe_delay, *zip(*jobs)))
 
     v_oft = np.array([r[0] for r in results])
     p1_grid = np.vstack([r[1] for r in results])

@@ -283,6 +283,10 @@ def test_simulate_names_missing_scenario_key(tmp_path, capsys):
     ("roundtrip", {"delays_ns": [60.0, 150.0]}, "scenario: unknown keys ['delays_ns']"),
     ("simulate", {"dt_integration_ns": 0.51}, "dt_integration_ns must be in (0, 0.5] ns, got 0.51"),
     ("roundtrip", {"dt_integration_ns": 0.0}, "dt_integration_ns must be in (0, 0.5] ns, got 0.0"),
+    ("roundtrip", {"short_stage": {"delay_ns": [20.0, 40.0, 80.0]}},
+     "short_stage: unknown keys ['delay_ns']"),
+    ("roundtrip", {"validate": {"delays_ns": [30.0, 60.0], "offset_rel": [-0.02, 0.0, 0.02]}},
+     "validate: unknown keys ['offset_rel']"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -294,6 +298,36 @@ def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extr
     assert main([command, str(path), "-o", str(outdir)]) == 1
     assert capsys.readouterr().err == f"fluxcal {command}: {message}\n"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_threads_below_one_is_one_line_usage_error(tmp_path, capsys, command):
+    scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
+    if command == "simulate":
+        scenario.update(delays_ns=[60.0, 150.0], offsets_rel={"start": -0.01, "stop": 0.01, "count": 11})
+    path = tmp_path / "scenario.json"
+    write_json(path, scenario)
+    outdir = tmp_path / "out"
+    for threads in (0, -1):
+        assert main([command, str(path), "-o", str(outdir), "--threads", str(threads)]) == 1
+        assert capsys.readouterr().err == f"fluxcal {command}: --threads must be >= 1, got {threads}\n"
+    assert not outdir.exists()
+
+
+def test_simulate_worker_failure_is_one_line_numerical_failure(tmp_path, capsys):
+    # The true compensation is about 0, so an all-positive offset grid puts
+    # every delay's peak on its edge; the earliest delay is reported.
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "flipchip", "channel": {"v_step": 0.42},
+        "delays_ns": [100.0, 110.0, 120.0],
+        "offsets_rel": {"start": 0.01, "stop": 0.05, "count": 9},
+    })
+    assert main(["simulate", str(path), "-o", str(tmp_path / "sim"), "--threads", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "fluxcal simulate: P1 maximum sits at the offset-sweep edge for delay 100.0 ns; "
+        "widen the offset grid\n"
+    )
 
 
 def test_roundtrip_planar_defaults_raise_no_warning(tmp_path):

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,28 +257,93 @@ def test_simulate_thread_count_does_not_change_results():
     np.testing.assert_array_equal(serial.compensation, threaded.compensation)
 
 
-def test_simulate_threads_run_under_the_callers_error_state(monkeypatch):
-    # numpy's error state is per thread; a worker that started with the
-    # default state would warn where the caller asked to raise.
-    seen = []
+def test_simulate_workers_raise_under_the_callers_error_state(monkeypatch):
+    # Patched before the workers fork, so they overflow too.  Under numpy's
+    # default state the overflow would only warn, and the sweep would then
+    # fail on the offset-grid edge instead.
+    def overflowing(params, drive, traces, t_nodes, h):
+        return np.full(traces.shape[0], np.finfo(float).max) * 2.0
 
-    def spy(*args, **kwargs):
-        seen.append((threading.get_ident(), np.geterr()))
-        return _propagate(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "_propagate", spy)
+    monkeypatch.setattr(simulator, "_propagate", overflowing)
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
     channel = CombinedResponse(short=None, long=None, v_step=z)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        expected = np.geterr()
-        simulate_calibration(
-            params, DriveSchedule(regime="short"), channel, threads=2,
-            delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+    for threads in (1, 2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            simulate_calibration(
+                params, DriveSchedule(regime="short"), channel, threads=threads,
+                delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+            )
+    # A forked worker inherits the state anyway; a spawned one (where the
+    # platform cannot fork) starts from numpy's default, so each job
+    # carries the caller's state.
+    with pytest.raises(FloatingPointError, match="overflow"):
+        simulator._probe_delay(
+            params, None, None, None, np.zeros(4), np.zeros(3), {**np.geterr(), "over": "raise"}
         )
-    assert len(seen) == 3
-    assert all(ident != threading.get_ident() for ident, _ in seen)
-    assert all(state == expected for _, state in seen)
+
+
+def test_simulate_edge_peak_raises_the_same_error_for_any_worker_count():
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    messages = []
+    for threads in (1, 2):
+        # Every delay peaks on the edge; the earliest one must be reported.
+        with pytest.raises(SweepRangeError) as excinfo:
+            simulate_calibration(
+                params, DriveSchedule(regime="short"), channel, threads=threads,
+                delays_ns=[100.0, 110.0, 120.0], offsets=np.linspace(0.01, 0.05, 9) * z,
+            )
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert "for delay 100.0 ns" in messages[0]
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [
+    (2, 10_000, 2), (64, 10_000, 3), (64, 2, 2), (64, 1, None), (1, 10_000, None),
+])
+def test_simulate_worker_count_is_capped(monkeypatch, cpus, threads, workers):
+    # The executor is replaced by one that records its size and runs the
+    # jobs inline, so no process starts.
+    created = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    run = simulate_calibration(
+        params, DriveSchedule(regime="short"), channel, threads=threads,
+        delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+    )
+    assert created == ([] if workers is None else [workers])
+    assert run.compensation.size == 3
+
+
+def test_simulate_rejects_fewer_than_one_worker():
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    for threads in (0, -2):
+        with pytest.raises(InvalidArgumentError, match=f"threads must be >= 1, got {threads}"):
+            simulate_calibration(
+                params, DriveSchedule(regime="short"), channel, threads=threads,
+                delays_ns=[100.0, 110.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
+            )
 
 
 def test_simulate_rejects_delay_inside_pulse_window():
