@@ -4,11 +4,16 @@ Subcommands: fit, predistort, simulate, analyze, roundtrip.  All inputs
 and outputs are files; every JSON report embeds the tool version, SHA-256
 digests of the inputs, and the settings used, and all floats are written
 with 17 significant digits so identical inputs and seed reproduce
-byte-identical artifacts.
+byte-identical artifacts.  The commands only read and check their inputs,
+call the library, and write the results: ``roundtrip`` runs
+``fluxcal.pipeline.roundtrip`` and writes its artifacts only once the loop
+has finished, passed or not.
 
 Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
-form, including a nan or inf CSV field), 2 numerical failure (a well-formed
-input on which the computation fails, including floating-point overflow).
+form: a nan or inf CSV field, a scenario or model object with an unknown
+key, a JSON field that is not a finite number where one is expected), 2
+numerical failure (a well-formed input on which the computation fails,
+including floating-point overflow, and a sweep worker process that dies).
 The ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
 """
 
@@ -18,6 +23,8 @@ import argparse
 import hashlib
 import os
 import sys
+import warnings
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +39,22 @@ from .analysis import (
 )
 from .errors import FluxcalError
 from .fitting import (
+    REGIMES,
     fit_long_time,
     fit_short_time,
     read_calibration_csv,
     write_calibration_csv,
 )
 from .models import CombinedResponse, model_from_dict, model_to_dict
+from .pipeline import roundtrip
 from .predistort import apply_channel, full_pipeline
-from .serialize import load_json, write_json
-from .signal import heaviside_step, read_waveform_csv, write_waveform_csv
+from .serialize import _check_object, _finite_float, load_json, write_json
+from .signal import read_waveform_csv, write_waveform_csv
 from .simulator import (
     MAX_STEP_NS,
     CouplerMap,
     DriveSchedule,
     SystemParams,
-    find_working_point,
-    long_time_schedule,
     simulate_calibration,
 )
 from . import presets
@@ -94,21 +101,38 @@ def _resolve_seed(flag_value: int) -> int:
         raise ValueError(f"FLUXCAL_SEED must be an integer, got {raw!r}") from None
 
 
+def _number(spec: dict, key: str, default=None, where: str = "") -> float:
+    """``spec[key]`` as a finite float, ``default`` when the key is absent
+    and a default is given; ``where`` prefixes the field's name."""
+    value = spec[key] if default is None else spec.get(key, default)
+    return _finite_float(value, where + key)
+
+
+_GRID_KEYS = ("start", "stop", "count")
+
+
 def _parse_grid(spec, name: str) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
+        return np.array([_finite_float(value, name) for value in spec], dtype=float)
     if isinstance(spec, dict):
+        _check_object(spec, (*_GRID_KEYS, "spacing"), name)
         try:
-            start, stop, count = float(spec["start"]), float(spec["stop"]), int(spec["count"])
+            start, stop, count = (_number(spec, key, where=f"{name}.") for key in _GRID_KEYS)
         except KeyError as exc:
             raise ValueError(f"{name}: grid object needs start/stop/count ({exc})") from None
         spacing = spec.get("spacing", "linear")
         if spacing == "linear":
-            return np.linspace(start, stop, count)
+            return np.linspace(start, stop, int(count))
         if spacing == "log":
-            return np.geomspace(start, stop, count)
+            return np.geomspace(start, stop, int(count))
         raise ValueError(f"{name}: unknown spacing {spacing!r}")
     raise ValueError(f"{name}: expected a list or a start/stop/count object")
+
+
+_SYSTEM_KEYS = ("omega_q_ghz", "g_qc_ghz", "coupler", "coeff_zxtalk", "qubit_zpa_slope_ghz")
+_COUPLER_KEYS = (
+    "f_max_ghz", "curvature_ghz", "asymmetry", "zpa_to_flux", "flux_offset", "zpa_range",
+)
 
 
 def _system_from_spec(spec) -> SystemParams:
@@ -117,40 +141,37 @@ def _system_from_spec(spec) -> SystemParams:
     if spec == "flipchip":
         return presets.flipchip_system()
     if isinstance(spec, dict):
-        cm = spec["coupler"]
+        _check_object(spec, _SYSTEM_KEYS, "system")
+        cm = _check_object(spec["coupler"], _COUPLER_KEYS, "system.coupler")
+        where = "system.coupler."
+        zpa_range = _parse_grid(cm.get("zpa_range", [0.0, 0.5]), f"{where}zpa_range")
         coupler = CouplerMap(
-            f_max_ghz=float(cm["f_max_ghz"]),
-            curvature_ghz=float(cm["curvature_ghz"]),
-            asymmetry=float(cm.get("asymmetry", 0.0)),
-            zpa_to_flux=float(cm.get("zpa_to_flux", 1.0)),
-            flux_offset=float(cm.get("flux_offset", 0.0)),
-            zpa_range=tuple(float(v) for v in cm.get("zpa_range", (0.0, 0.5))),
+            f_max_ghz=_number(cm, "f_max_ghz", where=where),
+            curvature_ghz=_number(cm, "curvature_ghz", where=where),
+            asymmetry=_number(cm, "asymmetry", 0.0, where),
+            zpa_to_flux=_number(cm, "zpa_to_flux", 1.0, where),
+            flux_offset=_number(cm, "flux_offset", 0.0, where),
+            zpa_range=tuple(zpa_range.tolist()),
         )
         return SystemParams(
-            omega_q_ghz=float(spec["omega_q_ghz"]),
-            g_qc_ghz=float(spec["g_qc_ghz"]),
+            omega_q_ghz=_number(spec, "omega_q_ghz", where="system."),
+            g_qc_ghz=_number(spec, "g_qc_ghz", where="system."),
             coupler=coupler,
-            coeff_zxtalk=float(spec.get("coeff_zxtalk", 0.0)),
-            qubit_zpa_slope_ghz=float(spec.get("qubit_zpa_slope_ghz", 0.0)),
+            coeff_zxtalk=_number(spec, "coeff_zxtalk", 0.0, "system."),
+            qubit_zpa_slope_ghz=_number(spec, "qubit_zpa_slope_ghz", 0.0, "system."),
         )
     raise ValueError(f"system must be 'planar', 'flipchip', or an object, got {spec!r}")
 
 
 _SCHEDULE_KEYS = ("t_pi_min_ns", "t_pi_max_ns", "ramp_end_ns", "sigma_fraction")
 _SIMULATE_KEYS = (
-    "system", "channel", "drive", "delays_ns", "offsets", "offsets_rel",
-    "dt_integration_ns", "input_waveform_csv",
+    "system", "channel", "drive", "delays_ns", "offsets_rel", "dt_integration_ns",
+    "input_waveform_csv",
 )
 _ROUNDTRIP_KEYS = (
     "system", "channel", "drive", "repulsion_mhz", "n_exp", "threshold",
-    "dt_integration_ns", "fit_long", "long_stage", "short_stage", "validate",
+    "dt_integration_ns", "long_stage", "short_stage", "validate",
 )
-
-
-def _reject_unknown_keys(spec: dict, accepted, name: str) -> None:
-    unknown = set(spec) - set(accepted)
-    if unknown:
-        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
 
 
 def _check_threads(threads: int) -> None:
@@ -159,27 +180,19 @@ def _check_threads(threads: int) -> None:
 
 
 def _integration_step(scenario: dict) -> float:
-    dt = float(scenario.get("dt_integration_ns", MAX_STEP_NS))
+    dt = _number(scenario, "dt_integration_ns", MAX_STEP_NS)
     if not 0.0 < dt <= MAX_STEP_NS:
         raise ValueError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns, got {dt}")
     return dt
 
 
-def _schedule_from_spec(spec: dict) -> DriveSchedule:
+def _schedule_from_spec(spec) -> DriveSchedule:
+    _check_object(spec, ("regime", *_SCHEDULE_KEYS), "drive")
     regime = spec.get("regime", "short")
-    _reject_unknown_keys(spec, ("regime", *_SCHEDULE_KEYS), "drive")
-    kwargs = {k: float(spec[k]) for k in _SCHEDULE_KEYS if k in spec}
+    if regime not in REGIMES:
+        raise ValueError(f"drive: regime must be one of {REGIMES}, got {regime!r}")
+    kwargs = {k: _number(spec, k, where="drive.") for k in _SCHEDULE_KEYS if k in spec}
     return DriveSchedule(regime=regime, **kwargs)
-
-
-def _offsets_from_scenario(scenario: dict, v_step: float, name: str = "offsets") -> np.ndarray:
-    has_abs = name in scenario
-    has_rel = f"{name}_rel" in scenario
-    if has_abs == has_rel:
-        raise ValueError(f"scenario needs exactly one of '{name}' or '{name}_rel'")
-    if has_abs:
-        return _parse_grid(scenario[name], name)
-    return _parse_grid(scenario[f"{name}_rel"], f"{name}_rel") * v_step
 
 
 def cmd_fit(args) -> int:
@@ -224,7 +237,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predistort(args) -> int:
     target = read_waveform_csv(args.input)
-    resp = model_from_dict(load_json(args.model))
+    resp = model_from_dict(load_json(args.model), "model")
     out = full_pipeline(target, resp)
     write_waveform_csv(args.output, out)
 
@@ -247,30 +260,21 @@ def cmd_predistort(args) -> int:
     return 0
 
 
-def _channel_from_scenario(scenario: dict, v_step: float | None = None) -> CombinedResponse:
-    chan = scenario.get("channel")
-    if not isinstance(chan, dict):
-        raise ValueError("scenario needs a 'channel' model object")
-    resp = model_from_dict(chan)
-    if v_step is None:
-        return resp
-    return CombinedResponse(short=resp.short, long=resp.long, v_step=v_step)
-
-
 def cmd_simulate(args) -> int:
     _check_threads(args.threads)
-    scenario = load_json(args.scenario)
-    _reject_unknown_keys(scenario, _SIMULATE_KEYS, "scenario")
+    scenario = _check_object(load_json(args.scenario), _SIMULATE_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
-    channel = _channel_from_scenario(scenario)
+    channel = model_from_dict(scenario["channel"], "channel")
     schedule = _schedule_from_spec(scenario.get("drive", {}))
     delays = _parse_grid(scenario["delays_ns"], "delays_ns")
-    offsets = _offsets_from_scenario(scenario, channel.v_step)
+    offsets = _parse_grid(scenario["offsets_rel"], "offsets_rel") * channel.v_step
     dt_int = _integration_step(scenario)
 
     input_waveform = None
     inputs = {"scenario": args.scenario}
     if "input_waveform_csv" in scenario:
+        if not isinstance(scenario["input_waveform_csv"], str):
+            raise ValueError("input_waveform_csv: expected a file name")
         wf_path = Path(args.scenario).parent / scenario["input_waveform_csv"]
         input_waveform = read_waveform_csv(wf_path)
         inputs["input_waveform"] = wf_path
@@ -364,156 +368,61 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _stage_grids(scenario: dict, stage: str, defaults: dict, v_step: float):
-    spec = scenario.get(stage, {})
-    if not isinstance(spec, dict):
-        raise ValueError(f"{stage}: expected an object")
-    _reject_unknown_keys(spec, ("delays_ns", "offsets", "offsets_rel"), stage)
-    delays = _parse_grid(spec.get("delays_ns", defaults["delays_ns"]), f"{stage}.delays_ns")
-    if "offsets" in spec or "offsets_rel" in spec:
-        offsets = _offsets_from_scenario(spec, v_step)
-    else:
-        offsets = np.asarray(defaults["offsets_rel"], dtype=float) * v_step
-    return delays, offsets
+def _stage_grids(scenario: dict, stage: str) -> dict:
+    spec = _check_object(scenario.get(stage, {}), ("delays_ns", "offsets_rel"), stage)
+    return {key: _parse_grid(value, f"{stage}.{key}") for key, value in spec.items()}
 
 
 def cmd_roundtrip(args) -> int:
+    # Every scenario value is read and checked before the loop starts, and
+    # the artifacts are written only after it has finished.
     _check_threads(args.threads)
-    scenario = load_json(args.scenario)
-    _reject_unknown_keys(scenario, _ROUNDTRIP_KEYS, "scenario")
+    scenario = _check_object(load_json(args.scenario), _ROUNDTRIP_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
-    repulsion_ghz = float(scenario.get("repulsion_mhz", 50.0)) / 1000.0
-    z_work = find_working_point(params, repulsion_ghz)
-    channel = _channel_from_scenario(scenario, v_step=z_work)
-    n_exp = int(scenario.get("n_exp", 3))
-    threshold = float(scenario.get("threshold", 0.01))
+    channel = model_from_dict(scenario["channel"], "channel")
+    repulsion_ghz = _number(scenario, "repulsion_mhz", 50.0) / 1000.0
+    n_exp = int(_number(scenario, "n_exp", 3))
+    threshold = _number(scenario, "threshold", 0.01)
+    drive = _schedule_from_spec(scenario.get("drive", {}))
     dt_int = _integration_step(scenario)
+    stages = {key: _stage_grids(scenario, key) for key in ("long_stage", "short_stage", "validate")}
     seed = _resolve_seed(args.seed)
-    fit_long = bool(scenario.get("fit_long", channel.long is not None))
 
-    # Every stage's grid is read before the first sweep, so a bad stage
-    # object fails at once.  The long stage's span must exceed 3 tau for
-    # fit_long_time; 70 us covers the planar preset's 18.7 us.
-    long_grids = _stage_grids(
-        scenario,
-        "long_stage",
-        {
-            "delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 25},
-            "offsets_rel": np.linspace(-0.022, 0.022, 41),
-        },
-        z_work,
-    )
-    short_delays, short_offsets = _stage_grids(
-        scenario,
-        "short_stage",
-        {
-            "delays_ns": {"start": 20.0, "stop": 5000.0, "count": 30, "spacing": "log"},
-            "offsets_rel": np.linspace(-0.012, 0.052, 41),
-        },
-        z_work,
-    )
-    delays_val, offsets_val = _stage_grids(
-        scenario,
-        "validate",
-        {
-            "delays_ns": {
-                "start": 30.0,
-                "stop": 38000.0 if fit_long else 5000.0,
-                "count": 16,
-                "spacing": "log",
-            },
-            "offsets_rel": np.linspace(-0.02, 0.02, 41),
-        },
-        z_work,
+    result = roundtrip(
+        params, channel, repulsion_ghz=repulsion_ghz, n_exp=n_exp, threshold=threshold,
+        drive=drive, dt_integration_ns=dt_int, seed=seed, threads=args.threads, **stages,
     )
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    # Stage 1: delays past the fast transients isolate the slow settling.
-    long_model = None
-    if fit_long:
-        run_long = simulate_calibration(
-            params,
-            long_time_schedule(),
-            channel,
-            *long_grids,
-            dt_integration_ns=dt_int,
-            threads=args.threads,
-        )
-        write_calibration_csv(outdir / "long_run.csv", run_long)
-        long_model = fit_long_time(run_long)
-        write_json(
-            outdir / "long_model.json",
-            model_to_dict(CombinedResponse(short=None, long=long_model, v_step=z_work)),
-        )
-
-    # Stage 2: probe the fast transients through the slow-settling
-    # correction so the short fit sees only what remains.
-    step_span_ns = float(short_delays[-1]) + 1000.0
-    probe = heaviside_step(z_work, step_span_ns, 1.0)
-    if long_model is not None:
-        lt_only = CombinedResponse(short=None, long=long_model, v_step=z_work)
-        probe = full_pipeline(probe, lt_only)
-    run_short = simulate_calibration(
-        params,
-        _schedule_from_spec(scenario.get("drive", {"regime": "short"})),
-        channel,
-        short_delays,
-        short_offsets,
-        input_waveform=probe,
-        dt_integration_ns=dt_int,
-        threads=args.threads,
-    )
-    write_calibration_csv(outdir / "short_run.csv", run_short)
-    short_model = fit_short_time(run_short, n_terms=n_exp, seed=seed)
-    fitted = CombinedResponse(short=short_model, long=long_model, v_step=z_work)
-    write_json(outdir / "model.json", model_to_dict(fitted))
-
-    # Stage 3: predistort with the fitted model and check the channel
-    # output is flat at the working point everywhere in the sweep.
-    target = heaviside_step(z_work, float(delays_val[-1]) + 2000.0, 1.0)
-    predistorted = full_pipeline(target, fitted)
-    write_waveform_csv(outdir / "predistorted.csv", predistorted)
-    run_val = simulate_calibration(
-        params,
-        DriveSchedule(regime="short"),
-        channel,
-        delays_val,
-        offsets_val,
-        input_waveform=predistorted,
-        dt_integration_ns=dt_int,
-        threads=args.threads,
-    )
-    write_calibration_csv(outdir / "validation_run.csv", run_val)
-
-    max_residual = float(np.max(np.abs(run_val.compensation)) / abs(z_work))
-    passed = max_residual < threshold
+    if result.long_run is not None:
+        write_calibration_csv(outdir / "long_run.csv", result.long_run)
+        write_json(outdir / "long_model.json", model_to_dict(result.long_model))
+    write_calibration_csv(outdir / "short_run.csv", result.short_run)
+    write_json(outdir / "model.json", model_to_dict(result.fitted))
+    write_waveform_csv(outdir / "predistorted.csv", result.predistorted)
+    write_calibration_csv(outdir / "validation_run.csv", result.validation_run)
     payload = {
-        "reference_zpa": z_work,
+        "reference_zpa": result.working_point,
         "repulsion_mhz": repulsion_ghz * 1000.0,
-        "fitted_model": model_to_dict(fitted),
-        "max_residual_fraction": max_residual,
+        "fitted_model": model_to_dict(result.fitted),
+        "max_residual_fraction": result.max_residual,
         "threshold": threshold,
-        "passed": passed,
+        "passed": result.passed,
         "stages": {
-            "long": {"enabled": fit_long},
+            "long": {"enabled": result.long_run is not None},
             "short": {"n_exp": n_exp},
-            "validate": {"n_delays": int(delays_val.size)},
+            "validate": {"n_delays": int(result.validation_run.delays_ns.size)},
         },
         "provenance": _provenance(
             {"scenario": args.scenario},
-            {
-                "threads": args.threads,
-                "seed": seed,
-                "dt_integration_ns": dt_int,
-            },
+            {"threads": args.threads, "seed": seed, "dt_integration_ns": dt_int},
         ),
     }
     write_json(outdir / "report.json", payload)
-    status = "PASS" if passed else "FAIL"
-    print(f"{status}: max residual {max_residual:.3g} of v_step (threshold {threshold})")
-    return 0 if passed else NUMERICAL_EXIT
+    status = "PASS" if result.passed else "FAIL"
+    print(f"{status}: max residual {result.max_residual:.3g} of v_step (threshold {threshold})")
+    return 0 if result.passed else NUMERICAL_EXIT
 
 
 _THREADS_HELP = (
@@ -576,28 +485,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[int, str | None]:
+    """The command's exit code, and its one-line error for a failure."""
     try:
         # Arithmetic that leaves the double range (inputs scaled near 1e308,
         # or a 1e-300 ns sample spacing) fails in one line, not with a numpy
         # warning followed by a later, less specific error.
         # simulate_calibration hands this state to its --threads workers.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            return args.func(args), None
     except FluxcalError as exc:
-        print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        return NUMERICAL_EXIT, str(exc)
     except FloatingPointError as exc:
-        print(f"fluxcal {args.command}: floating-point {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        return NUMERICAL_EXIT, f"floating-point {exc}"
+    except BrokenExecutor as exc:
+        # A sweep worker process died (for example under the OOM killer).
+        return NUMERICAL_EXIT, f"sweep worker died: {exc}"
     except (OSError, ValueError) as exc:
-        print(f"fluxcal {args.command}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        return USAGE_EXIT, str(exc)
     except KeyError as exc:
-        print(f"fluxcal {args.command}: missing required key {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        return USAGE_EXIT, f"missing required key {exc}"
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # A failure ends in one line, so the warnings raised on the way are held
+    # and named in that line; after a success they are shown as usual.
+    with warnings.catch_warnings(record=True) as caught:
+        code, error = _run(args)
+    if error is None:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return code
+    notes = "".join(f" [{w.category.__name__}: {w.message}]" for w in caught)
+    print(f"fluxcal {args.command}: {error}{notes}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

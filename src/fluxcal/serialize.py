@@ -44,7 +44,7 @@ def _emit(obj, indent: int, out: list) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise InvalidArgumentError("JSON object keys must be strings")
-            out.append(f'{pad}  "{key}": ')
+            out.append(f"{pad}  {json.dumps(key, ensure_ascii=False)}: ")
             _emit(value, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -67,7 +67,7 @@ def _emit(obj, indent: int, out: list) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     else:
         raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
 
@@ -99,6 +99,29 @@ def load_json(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
+
+
+def _check_object(obj, accepted, name: str) -> dict:
+    """``obj`` if it is a JSON object with no key outside ``accepted``;
+    otherwise ValueError naming the object ``name``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: expected an object, got {obj!r}")
+    unknown = set(obj) - set(accepted)
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
+    return obj
+
+
+def _finite_float(value, name: str) -> float:
+    """A JSON value as a finite float (``float`` also parses numeric text);
+    otherwise ValueError naming the field ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return number
 
 
 def write_csv_table(path, header, columns) -> None:

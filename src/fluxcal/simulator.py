@@ -588,6 +588,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _sweep_grids(delays_ns, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """A sweep's delays and offsets as float arrays, checked: each must be
+    an increasing 1-D array, of >= 2 delays and >= 3 offsets."""
+    delays = np.asarray(delays_ns, dtype=float)
+    offs = np.asarray(offsets, dtype=float)
+    if delays.ndim != 1 or delays.size < 2 or np.any(np.diff(delays) <= 0):
+        raise InvalidArgumentError("delays must be an increasing 1-D array with >= 2 points")
+    if offs.ndim != 1 or offs.size < 3 or np.any(np.diff(offs) <= 0):
+        raise InvalidArgumentError("offsets must be an increasing 1-D array with >= 3 points")
+    return delays, offs
+
+
 def simulate_calibration(
     params: SystemParams,
     schedule: DriveSchedule,
@@ -627,12 +639,7 @@ def simulate_calibration(
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid.
     """
-    delays = np.asarray(delays_ns, dtype=float)
-    offs = np.asarray(offsets, dtype=float)
-    if delays.ndim != 1 or delays.size < 2 or np.any(np.diff(delays) <= 0):
-        raise InvalidArgumentError("delays must be an increasing 1-D array with >= 2 points")
-    if offs.ndim != 1 or offs.size < 3 or np.any(np.diff(offs) <= 0):
-        raise InvalidArgumentError("offsets must be an increasing 1-D array with >= 3 points")
+    delays, offs = _sweep_grids(delays_ns, offsets)
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
     if threads < 1:

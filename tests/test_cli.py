@@ -1,19 +1,23 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import os
 import tempfile
+from unittest import mock
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluxcal import presets
+from fluxcal import pipeline, presets, simulator
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import main
+from fluxcal.errors import SweepRangeError
 from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import write_json
@@ -159,6 +163,48 @@ def test_predistort_unstable_inverse_is_one_line_numerical_failure(tmp_path, cap
     assert not out.exists()
 
 
+def test_predistort_takes_a_fit_output_as_model(tmp_path, flipchip_run_csv):
+    model = tmp_path / "model.json"
+    assert main([
+        "fit", str(flipchip_run_csv), "--regime", "short", "--n-exp", "2",
+        "--v-step", "0.3", "-o", str(model),
+    ]) == 0
+    target = tmp_path / "step.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 2000.0, 1.0))
+    out = tmp_path / "out.csv"
+    assert main(["predistort", str(target), "--model", str(model), "-o", str(out)]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["model"]["short"][0]["tau_ns"] > 40.0
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"short": [{"p": -0.02, "tau_ns": 50.0}], "lnog": {"A": 1.01, "B": 0.99, "tau_us": 9.0},
+      "v_step": 0.3}, "model: unknown keys ['lnog']"),
+    ({"long": {"A": 1.01, "B": 0.99, "tau_us": "9 us"}, "v_step": 0.3},
+     "model.long.tau_us: expected a finite number, got '9 us'"),
+    ({"short": {"p": -0.02, "tau_ns": 50.0}, "v_step": 0.3}, "model.short: expected a list of terms"),
+])
+def test_predistort_malformed_model_is_one_line_usage_error(tmp_path, capsys, model, message):
+    target = tmp_path / "step.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 100.0, 1.0))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out.csv"
+    assert main(["predistort", str(target), "--model", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"fluxcal predistort: {message}\n"
+    assert not out.exists()
+
+
+def test_predistort_sidecar_parses_for_a_target_name_with_a_tab(tmp_path):
+    target = tmp_path / "step\tone.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 100.0, 1.0))
+    model = tmp_path / "identity.json"
+    write_json(model, {"v_step": 0.3})
+    out = tmp_path / "out.csv"
+    assert main(["predistort", str(target), "--model", str(model), "-o", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "out.json").read_text())
+    assert sidecar["provenance"]["inputs"]["target"]["path"] == str(target)
+
+
 def test_predistort_has_no_regularization_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["predistort", "t.csv", "--model", "m.json", "--regularization", "1e-6", "-o", "o.csv"])
@@ -276,6 +322,14 @@ def test_simulate_names_missing_scenario_key(tmp_path, capsys):
     assert "missing required key 'delays_ns'" in capsys.readouterr().err
 
 
+# The flip-chip preset written out as an explicit system object.
+EXPLICIT_FLIPCHIP = {
+    "omega_q_ghz": 4.9030, "g_qc_ghz": 0.0834, "coeff_zxtalk": 0.0016, "qubit_zpa_slope_ghz": 4.0,
+    "coupler": {"f_max_ghz": 8.3157, "curvature_ghz": 0.300, "asymmetry": 0.3,
+                "zpa_to_flux": 1.0, "zpa_range": [0.0, 0.48]},
+}
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("simulate", {"regularization": 1e-6}, "scenario: unknown keys ['regularization']"),
     ("roundtrip", {"regularization": 1e-6, "n_exps": 2},
@@ -287,6 +341,32 @@ def test_simulate_names_missing_scenario_key(tmp_path, capsys):
      "short_stage: unknown keys ['delay_ns']"),
     ("roundtrip", {"validate": {"delays_ns": [30.0, 60.0], "offset_rel": [-0.02, 0.0, 0.02]}},
      "validate: unknown keys ['offset_rel']"),
+    ("roundtrip", {"fit_long": False}, "scenario: unknown keys ['fit_long']"),
+    ("simulate", {"offsets": [-0.004, 0.0, 0.004]}, "scenario: unknown keys ['offsets']"),
+    ("roundtrip", {"offsets": [-0.004, 0.0, 0.004]}, "scenario: unknown keys ['offsets']"),
+    ("roundtrip", {"long_stage": {"offsets": [-0.01, 0.0, 0.01]}},
+     "long_stage: unknown keys ['offsets']"),
+    ("roundtrip", {"short_stage": {"offsets": [-0.004, 0.0, 0.02]}},
+     "short_stage: unknown keys ['offsets']"),
+    ("roundtrip", {"validate": {"offsets": [-0.008, 0.0, 0.008]}},
+     "validate: unknown keys ['offsets']"),
+    ("simulate", {"channel": {"v_step": 0.42, "shrot": [{"p": -0.02, "tau_ns": 50.0}]}},
+     "channel: unknown keys ['shrot']"),
+    ("roundtrip", {"channel": {"v_step": 0.42, "short": [{"p": -0.02, "tau": 50.0}]}},
+     "channel.short[0]: unknown keys ['tau']"),
+    ("roundtrip", {"channel": {"long": {"A": 1.01, "B": 0.99, "tau_ms": 0.02}}},
+     "channel.long: unknown keys ['tau_ms']"),
+    ("simulate", {"system": {**EXPLICIT_FLIPCHIP, "coef_zxtalk": 0.0016}},
+     "system: unknown keys ['coef_zxtalk']"),
+    ("roundtrip", {"system": {**EXPLICIT_FLIPCHIP,
+                              "coupler": {**EXPLICIT_FLIPCHIP["coupler"], "asymetry": 0.3}}},
+     "system.coupler: unknown keys ['asymetry']"),
+    ("simulate", {"channel": {"v_step": None}}, "channel.v_step: expected a finite number, got None"),
+    ("roundtrip", {"repulsion_mhz": [50.0]}, "repulsion_mhz: expected a finite number, got [50]"),
+    ("roundtrip", {"short_stage": {"delays_ns": {"start": 20.0, "stop": 4600.0, "cout": 24}}},
+     "short_stage.delays_ns: unknown keys ['cout']"),
+    ("roundtrip", {"short_stage": {"delays_ns": [20.0, None, 80.0]}},
+     "short_stage.delays_ns: expected a finite number, got None"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -314,6 +394,29 @@ def test_threads_below_one_is_one_line_usage_error(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
+def _exit_outside(test_pid, *job):
+    """A sweep job that ends a worker process abruptly; in the test's own
+    process it raises instead, so a serial sweep cannot end pytest."""
+    if os.getpid() != test_pid:
+        os._exit(1)
+    raise AssertionError("the sweep ran in the test process")
+
+
+def test_simulate_worker_death_is_one_line_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_probe_delay", functools.partial(_exit_outside, os.getpid()))
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "flipchip", "channel": {"v_step": 0.42},
+        "delays_ns": [100.0, 110.0], "offsets_rel": {"start": -0.01, "stop": 0.01, "count": 5},
+    })
+    outdir = tmp_path / "sim"
+    assert main(["simulate", str(path), "-o", str(outdir), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fluxcal simulate: sweep worker died: ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
 def test_simulate_worker_failure_is_one_line_numerical_failure(tmp_path, capsys):
     # The true compensation is about 0, so an all-positive offset grid puts
     # every delay's peak on its edge; the earliest delay is reported.
@@ -328,6 +431,50 @@ def test_simulate_worker_failure_is_one_line_numerical_failure(tmp_path, capsys)
         "fluxcal simulate: P1 maximum sits at the offset-sweep edge for delay 100.0 ns; "
         "widen the offset grid\n"
     )
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("simulate_calibration was called")
+
+
+@pytest.mark.parametrize("drive, message", [
+    ({"regime": "short", "t_pi_mn_ns": 30.0}, "drive: unknown keys ['t_pi_mn_ns']"),
+    ({"regime": "medium"}, "drive: regime must be one of ('short', 'long'), got 'medium'"),
+])
+def test_roundtrip_bad_drive_fails_before_any_sweep(tmp_path, capsys, monkeypatch, drive, message):
+    # The planar channel has a long-time part, so its long stage would run
+    # before the short stage reads the drive.
+    monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "planar", "channel": model_to_dict(presets.planar_channel()), "drive": drive,
+    })
+    outdir = tmp_path / "rt"
+    assert main(["roundtrip", str(path), "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"fluxcal roundtrip: {message}\n"
+    assert not outdir.exists()
+
+
+def test_roundtrip_failing_stage_leaves_no_output(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def edge_on_second_sweep(*args, **kwargs):
+        calls.append(args[3])
+        if len(calls) == 2:
+            raise SweepRangeError("P1 maximum sits at the offset-sweep edge")
+        return real_sweep(*args, **kwargs)
+
+    real_sweep = pipeline.simulate_calibration
+    monkeypatch.setattr(pipeline, "simulate_calibration", edge_on_second_sweep)
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "planar", "channel": model_to_dict(presets.planar_channel()),
+        "long_stage": {"delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 6}},
+    })
+    outdir = tmp_path / "rt"
+    assert main(["roundtrip", str(path), "-o", str(outdir)]) == 2
+    assert capsys.readouterr().err == "fluxcal roundtrip: P1 maximum sits at the offset-sweep edge\n"
+    assert len(calls) == 2 and not outdir.exists()
 
 
 def test_roundtrip_planar_defaults_raise_no_warning(tmp_path):
@@ -402,3 +549,157 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "fluxcal" in capsys.readouterr().out
+
+
+def _run_quietly(argv):
+    """``main(argv)`` with its stdout dropped: the exit code, stderr and
+    the messages of the warnings that reached the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+_JUNK = (None, "x", [], {}, [1.0], float("nan"), float("inf"), -1.0, 0.0, 1e308, "0.3")
+
+
+@st.composite
+def tiny_simulate_scenarios(draw):
+    """A ``simulate`` scenario of at most 3 delays and 7 offsets, with up to
+    two fields replaced by junk or an unknown key added."""
+    delays = draw(st.lists(st.floats(20.0, 5000.0), min_size=2, max_size=3, unique=True))
+    scenario = {
+        "system": draw(st.sampled_from(["planar", "flipchip", EXPLICIT_FLIPCHIP])),
+        "channel": {
+            "v_step": draw(st.sampled_from([0.42, 0.3, 0.1, 2.0])),
+            "short": [{"p": draw(st.floats(-0.05, 0.05)), "tau_ns": draw(st.floats(5.0, 2000.0))}],
+        },
+        "drive": {"regime": draw(st.sampled_from(["short", "long"]))},
+        "delays_ns": sorted(delays),
+        "offsets_rel": {"start": draw(st.floats(-0.05, -0.005)), "stop": draw(st.floats(0.01, 0.08)),
+                        "count": draw(st.integers(3, 7))},
+    }
+    if draw(st.booleans()):
+        scenario["dt_integration_ns"] = draw(st.sampled_from([0.25, 0.5, 0.51, 0.0]))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from(["", "channel", "drive", "offsets_rel"]))
+        target = scenario[where] if where else scenario
+        if isinstance(target, dict):  # not replaced by junk already
+            key = draw(st.sampled_from(sorted(target) + ["offsets", "fit_long", "shrot"]))
+            target[key] = draw(st.sampled_from(_JUNK))
+    return scenario
+
+
+@settings(deadline=None, max_examples=100)
+@given(tiny_simulate_scenarios())
+def test_simulate_fuzzed_scenario_exits_cleanly(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, err, caught = _run_quietly(["simulate", str(path), "-o", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        assert caught == []
+        assert err.count("\n") == 1 and err.startswith("fluxcal simulate: ")
+
+
+# A roundtrip scenario that sets every key it accepts, and the keys whose
+# absence is itself malformed (the others have defaults).
+_ROUNDTRIP_BASE = {
+    "system": {**EXPLICIT_FLIPCHIP, "coupler": {**EXPLICIT_FLIPCHIP["coupler"], "flux_offset": 0.0}},
+    "channel": {"short": [{"p": -0.02, "tau_ns": 50.0}],
+                "long": {"A": 1.01, "B": 0.99, "tau_us": 9.0}, "v_step": 1.0},
+    "drive": {"regime": "short", "t_pi_min_ns": 30.0, "t_pi_max_ns": 200.0,
+              "ramp_end_ns": 2000.0, "sigma_fraction": 0.25},
+    "repulsion_mhz": 50.0, "n_exp": 2, "threshold": 0.01, "dt_integration_ns": 0.5,
+    "long_stage": {"delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 5},
+                   "offsets_rel": [-0.02, 0.0, 0.02]},
+    "short_stage": {"delays_ns": [20.0, 100.0, 500.0],
+                    "offsets_rel": {"start": -0.01, "stop": 0.05, "count": 7, "spacing": "linear"}},
+    "validate": {"delays_ns": {"start": 30.0, "stop": 5000.0, "count": 4, "spacing": "log"},
+                 "offsets_rel": [-0.02, 0.0, 0.02]},
+}
+_REQUIRED_KEYS = {
+    "channel", "omega_q_ghz", "g_qc_ghz", "coupler", "f_max_ghz", "curvature_ghz",
+    "p", "tau_ns", "A", "B", "tau_us", "start", "stop", "count",
+}
+_NUMBER_JUNK = st.sampled_from([None, "x", [], {}, [1.0], float("nan"), float("inf"), -float("inf")])
+_OBJECT_JUNK = st.sampled_from([None, 1.0, "x", [], [{}]])
+_GRID_JUNK = st.sampled_from([
+    None, 1.0, "x", [1.0, None], [[1.0, 2.0]], [1.0, "y"], {"start": 1.0, "stop": 2.0},
+    {"start": 1.0, "stop": 2.0, "count": 3, "spacing": "cubic"},
+    {"start": "x", "stop": 2.0, "count": 3}, {"start": 1.0, "stop": 2.0, "count": None},
+])
+_UNKNOWN_KEYS = st.sampled_from(["offsets", "fit_long", "shrot", "lnog", "t_pi_mn_ns", "asymetry", ""])
+
+
+def _roundtrip_fields(obj, path=()):
+    """(path, kind) of every field below ``obj``, objects included."""
+    for key, value in obj.items():
+        here = path + (key,)
+        if key in ("delays_ns", "offsets_rel", "zpa_range"):
+            yield here, "grid"
+        elif key == "regime":
+            yield here, "regime"
+        elif key == "short":
+            yield here, "terms"
+            for k, term in enumerate(value):
+                yield from _roundtrip_fields(term, here + (k,))
+                yield here + (k,), "object"
+        elif isinstance(value, dict):
+            yield from _roundtrip_fields(value, here)
+            yield here, "object"
+        else:
+            yield here, "number"
+
+
+_MALFORMED = {
+    "number": _NUMBER_JUNK,
+    "grid": _GRID_JUNK,
+    "object": _OBJECT_JUNK,
+    "terms": st.sampled_from([None, 1.0, {"p": -0.02, "tau_ns": 50.0}, [None], ["x"]]),
+    "regime": st.sampled_from(["medium", "", None, 1.0, ["short"]]),
+}
+
+
+@st.composite
+def malformed_roundtrip_scenarios(draw):
+    """The full roundtrip scenario above with one to three fields spoiled:
+    junk of the wrong kind, an unknown key, or a required key removed."""
+    scenario = json.loads(json.dumps(_ROUNDTRIP_BASE))
+    fields = list(_roundtrip_fields(scenario))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(_MALFORMED)))
+        path = draw(st.sampled_from([path for path, k in fields if k == kind]))
+        parent = scenario
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            value = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier spoil removed or replaced the field
+        how = draw(st.sampled_from(["junk", "unknown key", "remove"]))
+        if how == "unknown key" and isinstance(value, dict):
+            value[draw(_UNKNOWN_KEYS)] = 1.0
+        elif how == "remove" and path[-1] in _REQUIRED_KEYS:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_MALFORMED[kind])
+    assume(scenario != _ROUNDTRIP_BASE)
+    return scenario
+
+
+@settings(deadline=None, max_examples=100)
+@given(malformed_roundtrip_scenarios())
+def test_roundtrip_malformed_scenario_fails_before_any_sweep(scenario):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "simulate_calibration", _no_sweep):
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        outdir = Path(tmp) / "out"
+        code, err, caught = _run_quietly(["roundtrip", str(path), "-o", str(outdir)])
+        assert not outdir.exists()
+    assert (code, caught) == (1, [])
+    assert err.count("\n") == 1 and err.startswith("fluxcal roundtrip: ")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxcal.errors import InvalidArgumentError
 from fluxcal.models import (
@@ -169,3 +171,47 @@ def test_dumps_json_is_valid_json_with_full_precision():
     assert back["a"] == 1 / 3
     assert back["c"]["d"] == 1e-300
     assert back["b"] == [True, None, "text", 7]
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text(), st.text() | st.lists(st.text(), max_size=3), max_size=4))
+def test_dumps_json_round_trips_any_text(payload):
+    assert json.loads(dumps_json(payload)) == payload
+
+
+@given(st.text(st.characters(min_codepoint=0x20, blacklist_categories=("Cs",))))
+def test_dumps_json_text_without_control_characters_keeps_its_bytes(text):
+    # With no character below U+0020, only quotes and backslashes are escaped.
+    quoted = '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    assert dumps_json({"path": text}) == '{\n  "path": ' + quoted + "\n}\n"
+
+
+def test_dumps_json_escapes_control_characters():
+    assert dumps_json({"path": "a\tb\nc"}) == '{\n  "path": "a\\tb\\nc"\n}\n'
+
+
+def test_model_from_dict_takes_fit_outputs_and_their_merge():
+    short = {**model_to_dict(CombinedResponse(
+        short=ShortTimeModel.from_arrays([-0.02], [40.0]), long=None, v_step=0.3)),
+        "meta": {"regime": "short"}}
+    long = {**model_to_dict(CombinedResponse(
+        short=None, long=LongTimeModel(settled=1.01, initial=0.99, tau_us=9.0), v_step=0.3)),
+        "meta": {"regime": "long"}}
+    merged = model_from_dict({**short, **long})
+    assert merged.short.taus_ns.tolist() == [40.0] and merged.long.tau_us == 9.0
+    assert model_from_dict(short).long is None
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"lnog": {"A": 1.0, "B": 1.0, "tau_us": 1.0}}, "model: unknown keys ['lnog']"),
+    ({"short": [{"p": -0.02, "tau_ns": 40.0, "tau_us": 1.0}]}, "model.short[0]: unknown keys ['tau_us']"),
+    ({"short": [[-0.02, 40.0]]}, "model.short[0]: expected an object, got [-0.02, 40.0]"),
+    ({"long": {"A": 1.0, "B": 1.0, "tau": 1.0}}, "model.long: unknown keys ['tau']"),
+    ({"long": {"A": 1.0, "B": None, "tau_us": 1.0}}, "model.long.B: expected a finite number, got None"),
+    ({"v_step": "nan"}, "model.v_step: expected a finite number, got 'nan'"),
+])
+def test_model_from_dict_rejects_unknown_keys_and_non_numbers(data, message):
+    with pytest.raises(ValueError) as info:
+        model_from_dict(data)
+    assert str(info.value) == message
+    assert not isinstance(info.value, InvalidArgumentError)
