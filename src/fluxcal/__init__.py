@@ -31,7 +31,6 @@ from .predistort import (
     spectral_predistort,
 )
 from .signal import (
-    ImpulseResponse,
     Waveform,
     convolve,
     heaviside_step,
@@ -51,7 +50,6 @@ __all__ = [
     "FitFailedError",
     "FluxcalError",
     "IllConditionedChannelError",
-    "ImpulseResponse",
     "IncompatibleSamplingError",
     "IntegrationError",
     "InvalidArgumentError",

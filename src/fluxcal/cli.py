@@ -10,8 +10,10 @@ call the library, and write the results: ``roundtrip`` runs
 has finished, passed or not.
 
 Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
-form: a nan or inf CSV field, a scenario or model object with an unknown
-key, a JSON field that is not a finite number where one is expected), 2
+form: a nan or inf CSV field, a CSV time column out of order, a scenario or
+model object with an unknown key, a JSON field that is not a finite number
+where one is expected, a grid count or ``n_exp`` that is not an integer in
+range), 2
 numerical failure (a well-formed input on which the computation fails,
 including floating-point overflow, and a sweep worker process that dies).
 The ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
@@ -45,7 +47,7 @@ from .fitting import (
     read_calibration_csv,
     write_calibration_csv,
 )
-from .models import CombinedResponse, model_from_dict, model_to_dict
+from .models import MAX_SHORT_TERMS, CombinedResponse, model_from_dict, model_to_dict
 from .pipeline import roundtrip
 from .predistort import apply_channel, full_pipeline
 from .serialize import _check_object, _finite_float, load_json, write_json
@@ -108,23 +110,39 @@ def _number(spec: dict, key: str, default=None, where: str = "") -> float:
     return _finite_float(value, where + key)
 
 
-_GRID_KEYS = ("start", "stop", "count")
+def _integer(spec: dict, key: str, top: int, default=None, where: str = "") -> int:
+    """``spec[key]`` as an int from 1 to ``top``; a non-integral number is
+    rejected, not truncated."""
+    value = _number(spec, key, default, where)
+    if value != int(value) or not 1 <= value <= top:
+        raise ValueError(
+            f"{where}{key}: expected an integer from 1 to {top}, got {spec.get(key, default)!r}"
+        )
+    return int(value)
+
+
+# Points in one grid: 25 times the largest default grid, and small enough
+# that a sweep's arrays stay in the tens of MB.
+MAX_GRID_POINTS = 1000
 
 
 def _parse_grid(spec, name: str) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
+        if len(spec) > MAX_GRID_POINTS:
+            raise ValueError(f"{name}: at most {MAX_GRID_POINTS} values, got {len(spec)}")
         return np.array([_finite_float(value, name) for value in spec], dtype=float)
     if isinstance(spec, dict):
-        _check_object(spec, (*_GRID_KEYS, "spacing"), name)
+        _check_object(spec, ("start", "stop", "count", "spacing"), name)
         try:
-            start, stop, count = (_number(spec, key, where=f"{name}.") for key in _GRID_KEYS)
+            start, stop = (_number(spec, key, where=f"{name}.") for key in ("start", "stop"))
+            count = _integer(spec, "count", MAX_GRID_POINTS, where=f"{name}.")
         except KeyError as exc:
             raise ValueError(f"{name}: grid object needs start/stop/count ({exc})") from None
         spacing = spec.get("spacing", "linear")
         if spacing == "linear":
-            return np.linspace(start, stop, int(count))
+            return np.linspace(start, stop, count)
         if spacing == "log":
-            return np.geomspace(start, stop, int(count))
+            return np.geomspace(start, stop, count)
         raise ValueError(f"{name}: unknown spacing {spacing!r}")
     raise ValueError(f"{name}: expected a list or a start/stop/count object")
 
@@ -186,8 +204,10 @@ def _integration_step(scenario: dict) -> float:
     return dt
 
 
-def _schedule_from_spec(spec) -> DriveSchedule:
-    _check_object(spec, ("regime", *_SCHEDULE_KEYS), "drive")
+def _schedule_from_spec(spec, keys=("regime", *_SCHEDULE_KEYS)) -> DriveSchedule:
+    """The ``drive`` object as a schedule; ``keys`` are the keys it takes
+    (a roundtrip's takes no ``regime``: its short stage needs "short")."""
+    _check_object(spec, keys, "drive")
     regime = spec.get("regime", "short")
     if regime not in REGIMES:
         raise ValueError(f"drive: regime must be one of {REGIMES}, got {regime!r}")
@@ -381,9 +401,9 @@ def cmd_roundtrip(args) -> int:
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = model_from_dict(scenario["channel"], "channel")
     repulsion_ghz = _number(scenario, "repulsion_mhz", 50.0) / 1000.0
-    n_exp = int(_number(scenario, "n_exp", 3))
+    n_exp = _integer(scenario, "n_exp", MAX_SHORT_TERMS, default=3)
     threshold = _number(scenario, "threshold", 0.01)
-    drive = _schedule_from_spec(scenario.get("drive", {}))
+    drive = _schedule_from_spec(scenario.get("drive", {}), _SCHEDULE_KEYS)
     dt_int = _integration_step(scenario)
     stages = {key: _stage_grids(scenario, key) for key in ("long_stage", "short_stage", "validate")}
     seed = _resolve_seed(args.seed)

@@ -541,9 +541,12 @@ def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
     delays, compensation = _finite_columns(path, header, read_csv_table(path, header))
     if len(delays) < 2:
         raise ValueError(f"{path}: need at least two rows")
-    return CalibrationRun(
-        delays_ns=delays, compensation=compensation, v_step=v_step, regime=regime
-    )
+    try:
+        return CalibrationRun(
+            delays_ns=delays, compensation=compensation, v_step=v_step, regime=regime
+        )
+    except InvalidArgumentError as exc:  # the delay rule, or v_step and regime
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_anticrossing_csv(path, data: AnticrossingData) -> None:

@@ -57,18 +57,26 @@ def roundtrip(
     channel's ``v_step``); the run passes when the residual is below
     ``threshold``.
 
-    ``drive`` is the short stage's probe schedule, ``seed`` seeds the
-    short-time fit, ``threads`` is each sweep's delay-worker count.  A
-    stage override (``long_stage``, ``short_stage``, ``validate``) maps
-    ``delays_ns`` and/or ``offsets_rel`` (fractions of the working point)
-    to arrays.  The default long span, 4-70 us, exceeds 3 settling
-    constants of the planar preset, as ``fit_long_time`` requires.
+    ``drive`` is the short stage's probe schedule, of the short regime;
+    ``seed`` seeds the short-time fit, ``threads`` is each sweep's
+    delay-worker count.  A stage override (``long_stage``, ``short_stage``,
+    ``validate``) maps ``delays_ns`` and/or ``offsets_rel`` (fractions of
+    the working point) to arrays; a non-empty ``long_stage`` needs a
+    channel with a long-time part.  The default long span, 4-70 us, exceeds
+    3 settling constants of the planar preset, as ``fit_long_time``
+    requires.
     """
     if not 1 <= n_exp <= MAX_SHORT_TERMS:
         raise InvalidArgumentError(f"n_exp must be 1..{MAX_SHORT_TERMS}, got {n_exp}")
+    if drive.regime != "short":
+        raise InvalidArgumentError(f"drive must be a short-regime schedule, got {drive.regime!r}")
+    has_long = channel.long is not None
+    if long_stage and not has_long:
+        raise InvalidArgumentError(
+            "long_stage: the channel has no long-time part, so no long stage runs"
+        )
     z_work = find_working_point(params, repulsion_ghz)
     channel = replace(channel, v_step=z_work)
-    has_long = channel.long is not None
     long_grids = _grids(
         long_stage, np.linspace(4000.0, 70000.0, 25), np.linspace(-0.022, 0.022, 41), z_work
     )

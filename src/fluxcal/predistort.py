@@ -19,13 +19,13 @@ import numpy as np
 
 from .errors import ChannelApproximationWarning, IllConditionedChannelError, InvalidArgumentError
 from .models import CombinedResponse, step_response_grid
-from .signal import ImpulseResponse, Waveform, convolve, require_same_grid, step_to_impulse
+from .signal import Waveform, convolve, require_same_grid, step_to_impulse
 
 # Above this kernel deviation the truncated series is outside its regime.
 SERIES_REGIME_LIMIT = 0.5
 
 
-def reversed_convolution_o2(target: Waveform, response: ImpulseResponse) -> Waveform:
+def reversed_convolution_o2(target: Waveform, kernel: Waveform) -> Waveform:
     """Second-order series inverse of a channel applied to ``target``.
 
     With R = 1 - H the exact inverse is X = Y * (1 + R + R^2 + ...); this
@@ -33,8 +33,9 @@ def reversed_convolution_o2(target: Waveform, response: ImpulseResponse) -> Wave
     y -> y - y * h.  The reconstruction error after re-applying the
     channel is O(R^3) in the distortion amplitude.
     """
-    require_same_grid(target, response)
-    deviation = response.deviation_from_identity()
+    require_same_grid(target, kernel)
+    # L1 distance from the identity kernel; zero for a distortion-free channel.
+    deviation = float(np.sum(np.abs(kernel.samples[1:])) + abs(kernel.samples[0] - 1.0))
     if deviation >= SERIES_REGIME_LIMIT:
         warnings.warn(
             f"kernel deviates from identity by {deviation:.3g} (L1); the "
@@ -42,8 +43,8 @@ def reversed_convolution_o2(target: Waveform, response: ImpulseResponse) -> Wave
             ChannelApproximationWarning,
             stacklevel=2,
         )
-    first = Waveform(target.dt_ns, target.samples - convolve(target, response).samples)
-    second = Waveform(target.dt_ns, first.samples - convolve(first, response).samples)
+    first = Waveform(target.dt_ns, target.samples - convolve(target, kernel).samples)
+    second = Waveform(target.dt_ns, first.samples - convolve(first, kernel).samples)
     return Waveform(
         dt_ns=target.dt_ns,
         samples=target.samples + first.samples + second.samples,
@@ -59,7 +60,7 @@ def _next_pow2(n: int) -> int:
 
 def spectral_predistort(
     target: Waveform,
-    response: ImpulseResponse,
+    kernel: Waveform,
     regularization: float = 1e-6,
 ) -> Waveform:
     """Frequency-domain inverse of a channel applied to ``target``.
@@ -75,7 +76,7 @@ def spectral_predistort(
     so spectral regions where the channel vanishes are floored instead of
     amplified.  Channels with nulls deeper than the floor are rejected.
     """
-    require_same_grid(target, response)
+    require_same_grid(target, kernel)
     if not (0 < regularization < 1):
         raise InvalidArgumentError("regularization must be in (0, 1)")
     n = len(target)
@@ -84,10 +85,7 @@ def spectral_predistort(
     padded = np.zeros(nfft)
     padded[front : front + n] = target.samples
     padded[front + n :] = target.samples[-1]
-    kernel = np.zeros(nfft)
-    k = min(len(response), nfft)
-    kernel[:k] = response.kernel[:k]
-    transfer = np.fft.rfft(kernel) * target.dt_ns
+    transfer = np.fft.rfft(kernel.samples[:nfft], nfft)
     eps = regularization * np.max(np.abs(transfer))
     if np.min(np.abs(transfer)) < eps:
         raise IllConditionedChannelError(
@@ -100,7 +98,7 @@ def spectral_predistort(
     return Waveform(dt_ns=target.dt_ns, samples=out)
 
 
-def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> ImpulseResponse:
+def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> Waveform:
     """Kernel of the exact causal inverse of ``resp`` on the grid of ``like``.
 
     The step response is c + sum_k q_k exp(-t / tau_k): q = p for a short
@@ -136,7 +134,7 @@ def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> ImpulseResponse:
     for j, x in enumerate(zeros):
         residue = np.prod(x + b) / (s0 * np.prod(x - np.delete(zeros, j)))
         g[1:] += (residue * (1.0 + x) ** np.arange(g.size - 1)).real
-    return ImpulseResponse(dt_ns=like.dt_ns, kernel=g / like.dt_ns)
+    return Waveform(dt_ns=like.dt_ns, samples=g)
 
 
 def full_pipeline(target: Waveform, resp: CombinedResponse) -> Waveform:

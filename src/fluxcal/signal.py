@@ -1,18 +1,19 @@
 """Uniformly sampled waveforms and causal LTI channel kernels.
 
-Discrete convention used throughout the package: a channel is represented
-by a kernel ``h`` carrying an implicit 1/dt normalization, and
+A channel kernel is itself a ``Waveform``: plain taps on the grid of the
+waveforms it acts on, so that
 
-    out[n] = sum_k input[n - k] * h[k] * dt
+    out[n] = sum_k input[n - k] * h[k]
 
-so the identity channel is ``h[0] = 1/dt`` and the dc gain of a channel is
-``sum(h) * dt``.  With this convention the kernel obtained from a sampled
-step response reproduces that step exactly when applied to a unit step.
+the identity channel is ``h[0] = 1`` and the dc gain of a channel is
+``sum(h)``.  The kernel obtained from a sampled step response is the
+step's first difference, which reproduces that step exactly when applied
+to a unit step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
@@ -65,42 +66,13 @@ class Waveform:
         return np.arange(self.samples.size) * self.dt_ns
 
 
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """A causal channel kernel over the same grid as the waveforms it acts on.
-
-    The kernel carries the 1/dt normalization described in the module
-    docstring; ``dc_gain`` is the settled response to a unit step.
-    """
-
-    dt_ns: float
-    kernel: np.ndarray
-    dc_gain: float = field(init=False)
-
-    def __post_init__(self):
-        if not np.isfinite(self.dt_ns) or self.dt_ns <= 0:
-            raise InvalidArgumentError(f"dt_ns must be finite and > 0, got {self.dt_ns}")
-        object.__setattr__(self, "kernel", _as_readonly(self.kernel, "kernel"))
-        object.__setattr__(self, "dc_gain", float(np.sum(self.kernel) * self.dt_ns))
-
-    def __len__(self) -> int:
-        return self.kernel.size
-
-    def deviation_from_identity(self) -> float:
-        """L1 distance (including the dt weight) between this kernel and the
-        identity kernel delta[0] = 1/dt.  Zero for a distortion-free channel."""
-        delta = np.zeros_like(self.kernel)
-        delta[0] = 1.0 / self.dt_ns
-        return float(np.sum(np.abs(self.kernel - delta)) * self.dt_ns)
-
-
-def identity_kernel(dt_ns: float, n: int = 1) -> ImpulseResponse:
-    """The distortion-free channel: a single impulsive weight 1/dt."""
+def identity_kernel(dt_ns: float, n: int = 1) -> Waveform:
+    """The distortion-free channel: a single unit tap."""
     if n < 1:
         raise InvalidArgumentError("kernel length must be >= 1")
     kernel = np.zeros(n)
-    kernel[0] = 1.0 / dt_ns
-    return ImpulseResponse(dt_ns=dt_ns, kernel=kernel)
+    kernel[0] = 1.0
+    return Waveform(dt_ns=dt_ns, samples=kernel)
 
 
 def require_same_grid(a, b):
@@ -125,36 +97,30 @@ def heaviside_step(amplitude: float, duration_ns: float, dt_ns: float) -> Wavefo
     return Waveform(dt_ns=dt_ns, samples=np.full(n, float(amplitude)))
 
 
-def convolve(waveform: Waveform, response: ImpulseResponse) -> Waveform:
+def convolve(waveform: Waveform, kernel: Waveform) -> Waveform:
     """Causal convolution of a waveform with a channel kernel.
 
     Returns a waveform of the same length as the input; the input is taken
     to be zero before t = 0.
     """
-    require_same_grid(waveform, response)
+    require_same_grid(waveform, kernel)
     n = len(waveform)
-    # Only kernel[:n] reaches the first n outputs.  One real FFT at a fast
-    # length of at least the full linear-convolution length, so nothing
+    # Only the first n taps reach the first n outputs.  One real FFT at a
+    # fast length of at least the full linear-convolution length, so nothing
     # wraps around; values agree with the direct sum to round-off relative
     # to max|kernel| * sum|samples|.
-    kernel = response.kernel[:n]
-    size = _fft.next_fast_len(n + kernel.size - 1, real=True)
-    spectrum = _fft.rfft(waveform.samples, size) * _fft.rfft(kernel, size)
-    return Waveform(dt_ns=waveform.dt_ns, samples=_fft.irfft(spectrum, size)[:n] * waveform.dt_ns)
+    taps = kernel.samples[:n]
+    size = _fft.next_fast_len(n + taps.size - 1, real=True)
+    spectrum = _fft.rfft(waveform.samples, size) * _fft.rfft(taps, size)
+    return Waveform(dt_ns=waveform.dt_ns, samples=_fft.irfft(spectrum, size)[:n])
 
 
-def step_to_impulse(step: Waveform) -> ImpulseResponse:
-    """Kernel of the channel whose unit-step response is ``step``.
-
-    The kernel is the discrete derivative of the step plus an impulsive
-    term step[0]/dt at n = 0, so that convolve(unit_step, kernel)
-    reproduces ``step`` exactly (telescoping sum).
-    """
-    s = step.samples
-    kernel = np.empty_like(s)
-    kernel[0] = s[0] / step.dt_ns
-    kernel[1:] = np.diff(s) / step.dt_ns
-    return ImpulseResponse(dt_ns=step.dt_ns, kernel=kernel)
+def step_to_impulse(step: Waveform) -> Waveform:
+    """Kernel of the channel whose unit-step response is ``step``: its first
+    difference with step[0] as the first tap, so that
+    convolve(unit_step, kernel) reproduces ``step`` exactly (telescoping
+    sum)."""
+    return Waveform(dt_ns=step.dt_ns, samples=np.diff(step.samples, prepend=0.0))
 
 
 def negate_compensation(waveform: Waveform, v_step: float) -> Waveform:
@@ -175,14 +141,15 @@ def write_waveform_csv(path, waveform: Waveform) -> None:
 
 
 def read_waveform_csv(path) -> Waveform:
-    """Read a ``t_ns,amplitude`` file, validating grid uniformity."""
+    """Read a ``t_ns,amplitude`` file.  A time column that does not
+    increase on a uniform grid raises ValueError naming the file."""
     header = ("t_ns", "amplitude")
     t, a = _finite_columns(path, header, read_csv_table(path, header))
     if len(t) < 2:
         raise ValueError(f"{path}: need at least two samples to infer dt")
     dt = t[1] - t[0]
     if dt <= 0:
-        raise InvalidArgumentError(f"{path}: time column must increase")
+        raise ValueError(f"{path}: time column must increase")
     if np.max(np.abs(np.diff(t) - dt)) > _GRID_TOL_NS:
-        raise IncompatibleSamplingError(f"{path}: time grid is not uniform within 1e-9 ns")
+        raise ValueError(f"{path}: time grid is not uniform within 1e-9 ns")
     return Waveform(dt_ns=float(dt), samples=a)

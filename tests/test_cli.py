@@ -20,7 +20,7 @@ from fluxcal.cli import main
 from fluxcal.errors import SweepRangeError
 from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
-from fluxcal.serialize import write_json
+from fluxcal.serialize import dumps_json, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
 
 
@@ -67,7 +67,11 @@ def test_fit_long_recovers_preset_settling(tmp_path):
 
 
 def test_fit_empty_csv_is_usage_error(tmp_path, capsys):
-    for name, text in (("empty.csv", "t_ns,v_oft\n"), ("header.csv", "delay,comp\n1,0\n2,0\n")):
+    for name, text in (
+        ("empty.csv", "t_ns,v_oft\n"), ("header.csv", "delay,comp\n1,0\n2,0\n"),
+        ("unordered.csv", "t_ns,v_oft\n20,0\n10,0\n30,0\n"),
+        ("repeated.csv", "t_ns,v_oft\n10,0\n10,0\n"),
+    ):
         path = tmp_path / name
         path.write_text(text)
         code = main([
@@ -236,6 +240,26 @@ def test_predistort_malformed_row_is_one_line_usage_error(tmp_path, capsys, bad_
     assert f"{target}, line 3" in err
 
 
+@pytest.mark.parametrize("times", ["1,0,-1", "0,1,3"], ids=["decreasing", "nonuniform"])
+def test_predistort_out_of_order_time_column_is_one_line_usage_error(tmp_path, capsys, times):
+    target = tmp_path / "step.csv"
+    target.write_text("t_ns,amplitude\n" + "".join(f"{t},0.3\n" for t in times.split(",")))
+    model = tmp_path / "identity.json"
+    write_json(model, {"v_step": 0.3})
+    out = tmp_path / "o.csv"
+    assert main(["predistort", str(target), "--model", str(model), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fluxcal predistort: {target}: time ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Rows a hand-written or truncated CSV file could carry.
+_JUNK_ROWS = st.sampled_from(
+    ["", " ", "1", "1,", ",1", "1,2,3", "x,1", "1,x", "nan,1", "1,inf", "1e999,1", "1_0,1", "\u0661,1",
+     '"1",1', '"1,1', "# note", "\x00"]
+)
+
+
 @st.composite
 def fuzzed_targets(draw):
     """A ``t_ns,amplitude`` waveform file: a short uniform grid, then a few
@@ -246,10 +270,7 @@ def fuzzed_targets(draw):
     lines = ["t_ns,amplitude"] + [
         f"{k * float(dt):.17g},{draw(amplitude)}" for k in range(n)
     ]
-    oddities = st.sampled_from(
-        ["", " ", "1", "1,", ",1", "1,2,3", "x,1", "1,x", "nan,1", "1,inf", "1_0,1", "\u0661,1",
-         '"1",1', '"1,1', "# note", "\x00", "t_ns,amplitude", "t_ns;amplitude"]
-    )
+    oddities = _JUNK_ROWS | st.sampled_from(["t_ns,amplitude", "t_ns;amplitude"])
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, len(lines)))
         if draw(st.booleans()):
@@ -266,24 +287,9 @@ def test_predistort_fuzzed_target_exits_cleanly(text, model_name):
     model = {"v_step": 0.3}
     if model_name == "planar":
         model = model_to_dict(presets.planar_channel(v_step=0.3))
-    with tempfile.TemporaryDirectory() as tmp:
-        target, model_path = Path(tmp) / "target.csv", Path(tmp) / "model.json"
-        with open(target, "w", newline="") as fh:
-            fh.write(text)
-        write_json(model_path, model)
-        err = io.StringIO()
-        # An uncaught exception ends the test here, as a traceback ends the
-        # tool; a warning would reach the user's stderr as two more lines.
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([
-                "predistort", str(target), "--model", str(model_path), "-o", str(Path(tmp) / "out.csv"),
-            ])
-    assert code in (0, 1, 2)
-    if code:
-        assert [str(w.message) for w in caught] == []
-        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("fluxcal predistort: ")
+    _exits_cleanly("predistort", [
+        "predistort", "{dir}/target.csv", "--model", "{dir}/model.json", "-o", "{dir}/out.csv",
+    ], {"target.csv": text, "model.json": dumps_json(model)})
 
 
 def test_simulate_scenario_ideal_channel(tmp_path):
@@ -367,6 +373,16 @@ EXPLICIT_FLIPCHIP = {
      "short_stage.delays_ns: unknown keys ['cout']"),
     ("roundtrip", {"short_stage": {"delays_ns": [20.0, None, 80.0]}},
      "short_stage.delays_ns: expected a finite number, got None"),
+    ("simulate", {"offsets_rel": {"start": -0.01, "stop": 0.01, "count": 1e12}},
+     "offsets_rel.count: expected an integer from 1 to 1000, got 1000000000000"),
+    ("roundtrip", {"short_stage": {"delays_ns": {"start": 20.0, "stop": 4600.0, "count": 12.9}}},
+     "short_stage.delays_ns.count: expected an integer from 1 to 1000, got 12.9"),
+    ("roundtrip", {"validate": {"offsets_rel": {"start": -0.02, "stop": 0.02, "count": 0}}},
+     "validate.offsets_rel.count: expected an integer from 1 to 1000, got 0"),
+    ("simulate", {"delays_ns": [20.0 + k for k in range(1001)]},
+     "delays_ns: at most 1000 values, got 1001"),
+    ("roundtrip", {"n_exp": 2.9}, "n_exp: expected an integer from 1 to 6, got 2.9"),
+    ("roundtrip", {"n_exp": 7}, "n_exp: expected an integer from 1 to 6, got 7"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -438,8 +454,9 @@ def _no_sweep(*args, **kwargs):
 
 
 @pytest.mark.parametrize("drive, message", [
-    ({"regime": "short", "t_pi_mn_ns": 30.0}, "drive: unknown keys ['t_pi_mn_ns']"),
-    ({"regime": "medium"}, "drive: regime must be one of ('short', 'long'), got 'medium'"),
+    ({"t_pi_mn_ns": 30.0}, "drive: unknown keys ['t_pi_mn_ns']"),
+    # The short stage needs a short-regime drive, so a roundtrip's takes no regime.
+    ({"regime": "long"}, "drive: unknown keys ['regime']"),
 ])
 def test_roundtrip_bad_drive_fails_before_any_sweep(tmp_path, capsys, monkeypatch, drive, message):
     # The planar channel has a long-time part, so its long stage would run
@@ -452,6 +469,22 @@ def test_roundtrip_bad_drive_fails_before_any_sweep(tmp_path, capsys, monkeypatc
     outdir = tmp_path / "rt"
     assert main(["roundtrip", str(path), "-o", str(outdir)]) == 1
     assert capsys.readouterr().err == f"fluxcal roundtrip: {message}\n"
+    assert not outdir.exists()
+
+
+def test_roundtrip_long_stage_without_long_part_fails_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # The flip-chip channel has no long-time part, so the override would be dropped.
+    monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "flipchip", "channel": model_to_dict(presets.flipchip_channel()),
+        "long_stage": {"delays_ns": [4000.0, 8000.0, 16000.0]},
+    })
+    outdir = tmp_path / "rt"
+    assert main(["roundtrip", str(path), "-o", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "fluxcal roundtrip: long_stage: the channel has no long-time part, so no long stage runs\n"
+    )
     assert not outdir.exists()
 
 
@@ -595,14 +628,8 @@ def tiny_simulate_scenarios(draw):
 @settings(deadline=None, max_examples=100)
 @given(tiny_simulate_scenarios())
 def test_simulate_fuzzed_scenario_exits_cleanly(scenario):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, err, caught = _run_quietly(["simulate", str(path), "-o", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
-    if code:
-        assert caught == []
-        assert err.count("\n") == 1 and err.startswith("fluxcal simulate: ")
+    _exits_cleanly("simulate", ["simulate", "{dir}/scenario.json", "-o", "{dir}/out"],
+                   {"scenario.json": json.dumps(scenario)})
 
 
 # A roundtrip scenario that sets every key it accepts, and the keys whose
@@ -611,8 +638,8 @@ _ROUNDTRIP_BASE = {
     "system": {**EXPLICIT_FLIPCHIP, "coupler": {**EXPLICIT_FLIPCHIP["coupler"], "flux_offset": 0.0}},
     "channel": {"short": [{"p": -0.02, "tau_ns": 50.0}],
                 "long": {"A": 1.01, "B": 0.99, "tau_us": 9.0}, "v_step": 1.0},
-    "drive": {"regime": "short", "t_pi_min_ns": 30.0, "t_pi_max_ns": 200.0,
-              "ramp_end_ns": 2000.0, "sigma_fraction": 0.25},
+    "drive": {"t_pi_min_ns": 30.0, "t_pi_max_ns": 200.0, "ramp_end_ns": 2000.0,
+              "sigma_fraction": 0.25},
     "repulsion_mhz": 50.0, "n_exp": 2, "threshold": 0.01, "dt_integration_ns": 0.5,
     "long_stage": {"delays_ns": {"start": 4000.0, "stop": 70000.0, "count": 5},
                    "offsets_rel": [-0.02, 0.0, 0.02]},
@@ -632,7 +659,9 @@ _GRID_JUNK = st.sampled_from([
     {"start": 1.0, "stop": 2.0, "count": 3, "spacing": "cubic"},
     {"start": "x", "stop": 2.0, "count": 3}, {"start": 1.0, "stop": 2.0, "count": None},
 ])
-_UNKNOWN_KEYS = st.sampled_from(["offsets", "fit_long", "shrot", "lnog", "t_pi_mn_ns", "asymetry", ""])
+_UNKNOWN_KEYS = st.sampled_from(
+    ["offsets", "fit_long", "regime", "shrot", "lnog", "t_pi_mn_ns", "asymetry", ""]
+)
 
 
 def _roundtrip_fields(obj, path=()):
@@ -641,8 +670,6 @@ def _roundtrip_fields(obj, path=()):
         here = path + (key,)
         if key in ("delays_ns", "offsets_rel", "zpa_range"):
             yield here, "grid"
-        elif key == "regime":
-            yield here, "regime"
         elif key == "short":
             yield here, "terms"
             for k, term in enumerate(value):
@@ -660,7 +687,6 @@ _MALFORMED = {
     "grid": _GRID_JUNK,
     "object": _OBJECT_JUNK,
     "terms": st.sampled_from([None, 1.0, {"p": -0.02, "tau_ns": 50.0}, [None], ["x"]]),
-    "regime": st.sampled_from(["medium", "", None, 1.0, ["short"]]),
 }
 
 
@@ -703,3 +729,88 @@ def test_roundtrip_malformed_scenario_fails_before_any_sweep(scenario):
         assert not outdir.exists()
     assert (code, caught) == (1, [])
     assert err.count("\n") == 1 and err.startswith("fluxcal roundtrip: ")
+
+
+# Numbers at the edges of the double range, signed zeros and sub-normals.
+_EXTREMES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-300, 1e-12, -1.0, 2.0, 1e300, -1e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def fuzzed_tables(draw, header, keys, values):
+    """A two-column CSV file under ``header``: up to 12 rows of increasing
+    ``keys`` and their ``values``, then possibly one key repeated or the
+    rows put out of order, up to two fields set to extreme numbers, and up
+    to two junk rows inserted or swapped in."""
+    rows = [[key, draw(values)] for key in sorted(draw(st.lists(keys, max_size=12, unique=True)))]
+    if len(rows) > 1:
+        k = draw(st.integers(1, len(rows) - 1))
+        how = draw(st.sampled_from(["keep", "repeat", "swap", "reverse"]))
+        if how == "repeat":
+            rows[k][0] = rows[k - 1][0]
+        elif how == "swap":
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        elif how == "reverse":
+            rows.reverse()
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        draw(st.sampled_from(rows))[draw(st.integers(0, 1))] = draw(_EXTREMES)
+    lines = [f"{key!r},{value!r}" for key, value in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            lines.insert(k, draw(_JUNK_ROWS | st.just(header)))
+        elif k < len(lines):
+            lines[k] = draw(_JUNK_ROWS)
+    return "".join(f"{line}\n" for line in [header, *lines])
+
+
+def _exits_cleanly(command, argv, files):
+    """Write ``files`` (name -> text, line ends kept) to a fresh directory,
+    run ``argv`` there (``{dir}`` names it) and check the outcome: exit 0, 1
+    or 2, and a failure ends in one line with no warning reaching the
+    caller.  An uncaught exception ends the test, as a traceback ends the
+    tool; a warning would reach the user's stderr as two more lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(Path(tmp) / name, "w", newline="") as fh:
+                fh.write(text)
+        code, err, caught = _run_quietly([arg.format(dir=tmp) for arg in argv])
+    assert code in (0, 1, 2)
+    if code:
+        assert caught == []
+        assert err.count("\n") == 1 and err.startswith(f"fluxcal {command}: ")
+
+
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    fuzzed_tables("t_ns,v_oft", st.floats(0.0, 1e5), st.floats(-0.05, 0.05)),
+    st.sampled_from(["short", "long"]),
+    st.integers(1, 3),
+)
+def test_fit_fuzzed_run_exits_cleanly(text, regime, n_exp):
+    _exits_cleanly("fit", [
+        "fit", "{dir}/run.csv", "--regime", regime, "--n-exp", str(n_exp), "--v-step", "0.3",
+        "-o", "{dir}/model.json",
+    ], {"run.csv": text})
+
+
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(fuzzed_tables("n,fidelity", st.integers(0, 500), st.floats(0.0, 1.0)),
+             min_size=2, max_size=3),
+    st.booleans(),
+)
+def test_analyze_fuzzed_decays_exit_cleanly(texts, rb):
+    # rb takes one reference file, xeb one or two.
+    files = {f"decay{k}.csv": text for k, text in enumerate(texts)}
+    references = [f"{{dir}}/{name}" for name in list(files)[1:]]
+    _exits_cleanly("analyze", [
+        "analyze", "--scheme", "rb" if rb and len(references) == 1 else "xeb",
+        "--gate", "{dir}/decay0.csv", "--reference", *references,
+        "-o", "{dir}/report.json",
+    ], files)

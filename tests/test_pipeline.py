@@ -12,6 +12,7 @@ from fluxcal.errors import InvalidArgumentError
 from fluxcal.models import model_to_dict
 from fluxcal.pipeline import roundtrip
 from fluxcal.serialize import dumps_json, write_json
+from fluxcal.simulator import DriveSchedule
 
 # Acceptance criterion 7's flip-chip grids.
 SHORT_DELAYS = np.geomspace(20.0, 4600.0, 24)
@@ -50,6 +51,9 @@ def test_roundtrip_in_process_matches_the_cli(tmp_path, monkeypatch):
     ({"validate": {"delays_ns": [30.0]}}, "delays must be an increasing 1-D array with >= 2 points"),
     ({"short_stage": {"offsets_rel": [0.01, 0.0, 0.02]}}, "offsets must be an increasing"),
     ({"n_exp": 7}, "n_exp must be 1..6, got 7"),
+    ({"drive": DriveSchedule(regime="long")}, "drive must be a short-regime schedule, got 'long'"),
+    ({"channel": presets.flipchip_channel(), "long_stage": {"delays_ns": [4000.0, 8000.0]}},
+     "long_stage: the channel has no long-time part"),
 ])
 def test_roundtrip_checks_its_arguments_before_any_sweep(monkeypatch, kwargs, message):
     def no_sweep(*_, **__):
@@ -57,7 +61,8 @@ def test_roundtrip_checks_its_arguments_before_any_sweep(monkeypatch, kwargs, me
 
     monkeypatch.setattr(pipeline, "simulate_calibration", no_sweep)
     with pytest.raises(InvalidArgumentError, match=message):
-        roundtrip(presets.planar_system(), presets.planar_channel(), **kwargs)
+        roundtrip(**{"params": presets.planar_system(), "channel": presets.planar_channel(),
+                     **kwargs})
 
 
 def test_importing_fluxcal_leaves_the_pipeline_out():

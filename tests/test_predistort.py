@@ -11,7 +11,7 @@ from fluxcal.predistort import (
     reversed_convolution_o2,
     spectral_predistort,
 )
-from fluxcal.signal import ImpulseResponse, Waveform, convolve, heaviside_step, identity_kernel, step_to_impulse
+from fluxcal.signal import Waveform, convolve, heaviside_step, identity_kernel, step_to_impulse
 
 FLIPCHIP = CombinedResponse(
     short=ShortTimeModel.from_arrays([-0.019, -0.021], [47.83, 528.10]),
@@ -92,7 +92,7 @@ def test_spectral_predistort_identity_kernel_is_noop():
 
 def test_spectral_predistort_rejects_nulled_channel():
     # A differencing kernel has zero DC response: nothing can restore it.
-    kernel = ImpulseResponse(1.0, np.array([1.0, -1.0]))
+    kernel = Waveform(1.0, np.array([1.0, -1.0]))
     target = heaviside_step(1.0, 64.0, 1.0)
     with pytest.raises(IllConditionedChannelError):
         spectral_predistort(target, kernel)
@@ -210,7 +210,7 @@ def test_apply_channel_to_unit_step_reproduces_step_response(short, long, v_step
         unique_by=lambda term: term[1],
     ).map(lambda terms: ShortTimeModel.from_arrays(*zip(*terms))),
     long=st.none() | long_models,
-    dt_ns=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    dt_ns=st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.0]),
     n=st.integers(1, 20000),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -220,6 +220,9 @@ def test_apply_channel_to_unit_step_reproduces_step_response(short, long, v_step
     dt_ns=0.5,
     n=20000,
     seed=1,
+)
+@example(  # the planar terms on a 0.1 ns grid, where dt is no power of two
+    short=PLANAR.short, long=PLANAR.long, dt_ns=0.1, n=20000, seed=2,
 )
 def test_full_pipeline_then_channel_returns_target(short, long, dt_ns, n, seed):
     # |p| <= 0.1 and levels within 10% of 1 keep every zero of the sampled

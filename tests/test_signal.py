@@ -1,11 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxcal.errors import IncompatibleSamplingError, InvalidArgumentError
+from fluxcal.errors import FluxcalError, IncompatibleSamplingError, InvalidArgumentError
 from fluxcal.signal import (
-    ImpulseResponse,
     Waveform,
     convolve,
     heaviside_step,
@@ -51,18 +52,11 @@ def test_identity_kernel_preserves_any_input(dt):
     np.testing.assert_allclose(out.samples, wf.samples, rtol=0.0, atol=1e-15)
 
 
-def test_identity_kernel_unit_dc_gain():
-    resp = identity_kernel(0.5, 16)
-    assert resp.dc_gain == 1.0
-    assert resp.deviation_from_identity() == 0.0
-    assert resp.kernel[0] == 2.0  # 1/dt
-
-
-def test_dc_gain_is_kernel_sum_times_dt():
-    rng = np.random.default_rng(11)
-    kernel = rng.normal(size=32)
-    resp = ImpulseResponse(dt_ns=0.25, kernel=kernel)
-    assert resp.dc_gain == pytest.approx(kernel.sum() * 0.25, rel=1e-15)
+def test_identity_kernel_is_one_unit_tap():
+    kernel = identity_kernel(0.5, 16)
+    assert kernel.dt_ns == 0.5 and len(kernel) == 16
+    assert kernel.samples.sum() == 1.0
+    assert kernel.samples[0] == 1.0  # a plain tap, whatever dt
 
 
 def test_heaviside_step_shape_and_values():
@@ -74,7 +68,7 @@ def test_heaviside_step_shape_and_values():
 
 
 def test_convolve_matches_direct_sum():
-    # Oracle: out[n] = sum_k x[n-k] h[k] dt evaluated with explicit loops.
+    # Oracle: out[n] = sum_k x[n-k] h[k] evaluated with explicit loops.
     rng = np.random.default_rng(3)
     dt = 0.5
     x = rng.normal(size=17)
@@ -82,8 +76,8 @@ def test_convolve_matches_direct_sum():
     direct = np.zeros(17)
     for n in range(17):
         for k in range(min(n + 1, 9)):
-            direct[n] += x[n - k] * h[k] * dt
-    out = convolve(Waveform(dt, x), ImpulseResponse(dt, h))
+            direct[n] += x[n - k] * h[k]
+    out = convolve(Waveform(dt, x), Waveform(dt, h))
     np.testing.assert_allclose(out.samples, direct, rtol=0.0, atol=1e-12)
 
 
@@ -98,16 +92,16 @@ _SAMPLE = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 1e-9 else 0.0)
     st.sampled_from([0.1, 0.5, 1.0]),
 )
 def test_convolve_matches_numpy_convolve(samples, kernel, dt):
-    out = convolve(Waveform(dt, samples), ImpulseResponse(dt, kernel))
-    direct = np.convolve(samples, kernel)[: len(samples)] * dt
-    scale = np.max(np.abs(kernel)) * np.sum(np.abs(samples)) * dt
+    out = convolve(Waveform(dt, samples), Waveform(dt, kernel))
+    direct = np.convolve(samples, kernel)[: len(samples)]
+    scale = np.max(np.abs(kernel)) * np.sum(np.abs(samples))
     np.testing.assert_allclose(out.samples, direct, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_convolve_is_linear():
     rng = np.random.default_rng(5)
     dt = 1.0
-    h = ImpulseResponse(dt, rng.normal(size=12))
+    h = Waveform(dt, rng.normal(size=12))
     a = rng.normal(size=40)
     b = rng.normal(size=40)
     out_sum = convolve(Waveform(dt, 2.0 * a + b), h)
@@ -127,9 +121,9 @@ def test_require_same_grid_tolerates_tiny_mismatch():
 
 def test_step_to_impulse_identity_for_flat_step():
     step = heaviside_step(1.0, 32.0, 1.0)
-    resp = step_to_impulse(step)
-    assert resp.kernel[0] == 1.0
-    assert np.all(resp.kernel[1:] == 0.0)
+    kernel = step_to_impulse(step)
+    assert kernel.samples[0] == 1.0
+    assert np.all(kernel.samples[1:] == 0.0)
 
 
 def test_step_to_impulse_reconstructs_step_exactly():
@@ -172,7 +166,11 @@ def test_waveform_csv_rejects_bad_header(tmp_path):
 
 
 def test_waveform_csv_rejects_nonuniform_grid(tmp_path):
+    # A time column out of order is a malformed file (ValueError naming it),
+    # whether it falls or steps unevenly.
     path = tmp_path / "bad.csv"
-    path.write_text("t_ns,amplitude\n0,1\n1,1\n3,1\n")
-    with pytest.raises(IncompatibleSamplingError):
-        read_waveform_csv(path)
+    for times, message in (("0,1,3", "not uniform"), ("1,0,-1", "must increase")):
+        path.write_text("t_ns,amplitude\n" + "".join(f"{t},1\n" for t in times.split(",")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: time .*{message}") as info:
+            read_waveform_csv(path)
+        assert not isinstance(info.value, FluxcalError)
