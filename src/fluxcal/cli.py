@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
 form: a nan or inf CSV field, a CSV time column out of order, a scenario or
 model object with an unknown key, a JSON field that is not a finite number
 where one is expected, a grid count or ``n_exp`` that is not an integer in
-range), 2
-numerical failure (a well-formed input on which the computation fails,
-including floating-point overflow, and a sweep worker process that dies).
-The ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
+range, a decay file that breaks the decay fit's rules), 2 numerical
+failure (a well-formed input on which the computation fails, including
+floating-point overflow).  The ``FLUXCAL_SEED`` environment variable
+overrides any ``--seed`` flag.  ``simulate`` and ``roundtrip`` run each
+sweep in this process.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import hashlib
 import os
 import sys
 import warnings
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .analysis import (
     xeb_fidelity,
     xeb_parallel_combine,
 )
-from .errors import FluxcalError
+from .errors import FluxcalError, InvalidArgumentError
 from .fitting import (
     REGIMES,
     fit_long_time,
@@ -192,11 +192,6 @@ _ROUNDTRIP_KEYS = (
 )
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-
-
 def _integration_step(scenario: dict) -> float:
     dt = _number(scenario, "dt_integration_ns", MAX_STEP_NS)
     if not 0.0 < dt <= MAX_STEP_NS:
@@ -281,7 +276,6 @@ def cmd_predistort(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_threads(args.threads)
     scenario = _check_object(load_json(args.scenario), _SIMULATE_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = model_from_dict(scenario["channel"], "channel")
@@ -307,7 +301,6 @@ def cmd_simulate(args) -> int:
         offsets,
         input_waveform=input_waveform,
         dt_integration_ns=dt_int,
-        threads=args.threads,
         full_output=True,
     )
 
@@ -332,11 +325,20 @@ def cmd_simulate(args) -> int:
             "offset_span": [float(offsets[0]), float(offsets[-1])],
             "dt_integration_ns": dt_int,
         },
-        "provenance": _provenance(inputs, {"threads": args.threads}),
+        "provenance": _provenance(inputs, {}),
     }
     write_json(outdir / "report.json", payload)
     print(f"wrote {outdir}/run.csv and {outdir}/report.json")
     return 0
+
+
+def _fit_decay_file(path):
+    """The decay fit of one CSV; a file that breaks the fit's input rules
+    is a usage error naming the file."""
+    try:
+        return fit_decay(*read_decay_csv(path))
+    except InvalidArgumentError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -345,12 +347,8 @@ def cmd_analyze(args) -> int:
     if args.scheme == "xeb" and len(args.reference) not in (1, 2):
         raise ValueError("xeb takes one combined or two single-qubit reference files")
 
-    n_gate, f_gate = read_decay_csv(args.gate)
-    gate_fit = fit_decay(n_gate, f_gate)
-    component_fits = []
-    for path in args.reference:
-        n_ref, f_ref = read_decay_csv(path)
-        component_fits.append(fit_decay(n_ref, f_ref))
+    gate_fit = _fit_decay_file(args.gate)
+    component_fits = [_fit_decay_file(path) for path in args.reference]
     if len(component_fits) == 2:
         ref_fit = xeb_parallel_combine(component_fits[0], component_fits[1])
     else:
@@ -396,7 +394,6 @@ def _stage_grids(scenario: dict, stage: str) -> dict:
 def cmd_roundtrip(args) -> int:
     # Every scenario value is read and checked before the loop starts, and
     # the artifacts are written only after it has finished.
-    _check_threads(args.threads)
     scenario = _check_object(load_json(args.scenario), _ROUNDTRIP_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = model_from_dict(scenario["channel"], "channel")
@@ -410,7 +407,7 @@ def cmd_roundtrip(args) -> int:
 
     result = roundtrip(
         params, channel, repulsion_ghz=repulsion_ghz, n_exp=n_exp, threshold=threshold,
-        drive=drive, dt_integration_ns=dt_int, seed=seed, threads=args.threads, **stages,
+        drive=drive, dt_integration_ns=dt_int, seed=seed, **stages,
     )
 
     outdir = Path(args.output_dir)
@@ -436,20 +433,13 @@ def cmd_roundtrip(args) -> int:
         },
         "provenance": _provenance(
             {"scenario": args.scenario},
-            {"threads": args.threads, "seed": seed, "dt_integration_ns": dt_int},
+            {"seed": seed, "dt_integration_ns": dt_int},
         ),
     }
     write_json(outdir / "report.json", payload)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}: max residual {result.max_residual:.3g} of v_step (threshold {threshold})")
     return 0 if result.passed else NUMERICAL_EXIT
-
-
-_THREADS_HELP = (
-    "delay workers (processes, forked per sweep; capped at the delay count and "
-    "the usable CPUs). Results are byte-identical for any count; each sweep pays "
-    "a start-up cost, so use 1 on a single CPU. Default 1"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulated calibration sweep")
     p_sim.add_argument("scenario", help="scenario JSON")
     p_sim.add_argument("--output-dir", "-o", required=True, dest="output_dir")
-    p_sim.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    # --threads is parsed and ignored here and on roundtrip: perfbench still passes it.
+    p_sim.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="compute gate fidelity from decay CSVs")
@@ -499,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rt.add_argument("scenario", help="scenario JSON with system and true channel")
     p_rt.add_argument("--output-dir", "-o", required=True, dest="output_dir")
-    p_rt.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p_rt.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.set_defaults(func=cmd_roundtrip)
     return parser
@@ -511,16 +502,12 @@ def _run(args) -> tuple[int, str | None]:
         # Arithmetic that leaves the double range (inputs scaled near 1e308,
         # or a 1e-300 ns sample spacing) fails in one line, not with a numpy
         # warning followed by a later, less specific error.
-        # simulate_calibration hands this state to its --threads workers.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args), None
     except FluxcalError as exc:
         return NUMERICAL_EXIT, str(exc)
     except FloatingPointError as exc:
         return NUMERICAL_EXIT, f"floating-point {exc}"
-    except BrokenExecutor as exc:
-        # A sweep worker process died (for example under the OOM killer).
-        return NUMERICAL_EXIT, f"sweep worker died: {exc}"
     except (OSError, ValueError) as exc:
         return USAGE_EXIT, str(exc)
     except KeyError as exc:

@@ -49,7 +49,7 @@ def _grids(override, delays_ns: np.ndarray, offsets_rel: np.ndarray, v_step: flo
 def roundtrip(
     params: SystemParams, channel: CombinedResponse, *, repulsion_ghz: float = 0.050,
     n_exp: int = 3, threshold: float = 0.01, drive: DriveSchedule = DriveSchedule(),
-    dt_integration_ns: float = MAX_STEP_NS, seed: int = 0, threads: int = 1,
+    dt_integration_ns: float = MAX_STEP_NS, seed: int = 0,
     long_stage=None, short_stage=None, validate=None,
 ) -> RoundtripResult:
     """Calibrate ``channel`` on the device ``params`` at the working point
@@ -58,12 +58,11 @@ def roundtrip(
     ``threshold``.
 
     ``drive`` is the short stage's probe schedule, of the short regime;
-    ``seed`` seeds the short-time fit, ``threads`` is each sweep's
-    delay-worker count.  A stage override (``long_stage``, ``short_stage``,
-    ``validate``) maps ``delays_ns`` and/or ``offsets_rel`` (fractions of
-    the working point) to arrays; a non-empty ``long_stage`` needs a
-    channel with a long-time part.  The default long span, 4-70 us, exceeds
-    3 settling constants of the planar preset, as ``fit_long_time``
+    ``seed`` seeds the short-time fit.  A stage override (``long_stage``,
+    ``short_stage``, ``validate``) maps ``delays_ns`` and/or ``offsets_rel``
+    (fractions of the working point) to arrays; a non-empty ``long_stage``
+    needs a channel with a long-time part.  The default long span, 4-70 us,
+    exceeds 3 settling constants of the planar preset, as ``fit_long_time``
     requires.
     """
     if not 1 <= n_exp <= MAX_SHORT_TERMS:
@@ -87,7 +86,7 @@ def roundtrip(
     val_delays, val_offsets = _grids(
         validate, np.geomspace(30.0, val_span, 16), np.linspace(-0.02, 0.02, 41), z_work
     )
-    sweep = dict(dt_integration_ns=dt_integration_ns, threads=threads)
+    sweep = dict(dt_integration_ns=dt_integration_ns)
 
     long_run = long_model = None
     if has_long:

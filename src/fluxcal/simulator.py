@@ -16,24 +16,20 @@ method CF4: two exact exponentials of real-symmetric combinations of the
 Hamiltonian at the step's two Gauss-Legendre nodes.  The exponentials are
 evaluated in closed form (no eigensolver call) for all offsets and
 sub-steps of a block at once, and each block is multiplied into one matrix
-before it acts on the state.  At the default 0.5 ns step, P1 is within
-1e-7 of a converged run.
+before it acts on the state.  The step is sized by what the calibration
+loop reads, the measured compensation: at the default 2 ns step it is
+within 1e-5 of v_step of a converged run.
 
 The calibration protocol mirrors the hardware sequence: pick the working
 point on the lower dressed branch, calibrate the pi-pulse amplitude there,
 then sweep delay and compensation offset to locate, per delay, the offset
-that restores the working-point flux.  The delays are independent, so
-``simulate_calibration(threads=n)`` shares them among up to n forked worker
-processes (capped at the delay count and the usable CPUs), with results
-identical to the serial sweep's.
+that restores the working-point flux.  The delays run in order in the
+calling process.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import warnings
 
@@ -55,9 +51,11 @@ ENVELOPE_TRUNC_SIGMAS = 2.0
 
 NORM_DRIFT_LIMIT = 1e-8
 
-# Largest integration step, and the default one.  CF4 is fourth order: at
-# 0.5 ns the P1 error is below 1e-7 on both presets for 30-200 ns probes.
-MAX_STEP_NS = 0.5
+# Largest integration step, and the default one, sized by the compensation
+# the loop reads: CF4 is fourth order, and at 2 ns the compensation of every
+# default roundtrip stage is within 1.7e-6 of v_step of a 0.05 ns run on
+# both presets (P1 itself is off by up to 2.5e-5 for a 30 ns probe).
+MAX_STEP_NS = 2.0
 
 # CF4 weights of the early and the late Gauss node in each exponential.
 _BETA_PLUS = 0.5 + math.sqrt(3.0) / 3.0
@@ -65,17 +63,12 @@ _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 
 # Sub-steps (two per CF4 step) per block in _evolve.  A block holds
 # 3 x 3 x batch x _BLOCK_STEPS complex unitaries (0.8 MB for 41 offsets).
-# For 41 offsets and 800 sub-steps (a 200 ns probe at 0.5 ns), 128 took
-# 12% less time than 64 and 5% less than 256, at a 4.3 MB peak allocation
-# against 2.7 and 7.4 MB; 512 took 38% more.
+# At the default step the longest window, a 200 ns probe, has 200
+# sub-steps, so it takes two blocks.  Sized for 41 offsets and 800
+# sub-steps (a 200 ns probe at 0.5 ns): 128 took 12% less time than 64 and
+# 5% less than 256, at a 4.3 MB peak allocation against 2.7 and 7.4 MB;
+# 512 took 38% more.
 _BLOCK_STEPS = 128
-
-# Sweep workers are forked: a fork starts in milliseconds with fluxcal
-# already imported, where a spawned worker would import numpy and scipy
-# again on every sweep.
-_POOL_CONTEXT = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-)
 
 
 @dataclass(frozen=True)
@@ -562,30 +555,21 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(-b / (2.0 * a))
 
 
-def _probe_delay(params, drive, t_nodes, h, zpa_nodes, offsets, error_state):
+def _probe_delay(params, drive, t_nodes, h, zpa_nodes, offsets):
     """One delay of the sweep: P1 over the offset grid and the refined
     offset of its maximum, as (offset, P1 row).
 
     ``zpa_nodes`` is the channel's zpa at ``t_nodes`` before any offset.
-    The body runs under ``error_state`` (a ``np.geterr()`` dict), so a
-    worker process raises where the caller asked numpy to raise.
     """
-    with np.errstate(**error_state):
-        traces = zpa_nodes[None, :] + offsets[:, None]
-        p1 = _propagate(params, drive, traces, t_nodes, h)
-        k = int(np.argmax(p1))
-        if k == 0 or k == offsets.size - 1:
-            raise SweepRangeError(
-                f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "
-                "widen the offset grid"
-            )
-        return _quadratic_peak(offsets, p1, k), p1
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    traces = zpa_nodes[None, :] + offsets[:, None]
+    p1 = _propagate(params, drive, traces, t_nodes, h)
+    k = int(np.argmax(p1))
+    if k == 0 or k == offsets.size - 1:
+        raise SweepRangeError(
+            f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "
+            "widen the offset grid"
+        )
+    return _quadratic_peak(offsets, p1, k), p1
 
 
 def _sweep_grids(delays_ns, offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -608,7 +592,6 @@ def simulate_calibration(
     offsets,
     input_waveform: Waveform | None = None,
     dt_integration_ns: float = MAX_STEP_NS,
-    threads: int = 1,
     full_output: bool = False,
 ):
     """Run the delay-times-offset calibration sweep against a channel model.
@@ -623,18 +606,8 @@ def simulate_calibration(
 
     ``dt_integration_ns`` is the largest integration step, in
     (0, ``MAX_STEP_NS``]; each window is cut into equal CF4 steps no
-    longer than it (see ``_propagate``).
-
-    ``threads`` (>= 1) is the number of delay workers.  The delays are
-    shared among min(threads, number of delays, usable CPUs) worker
-    processes, forked where the platform can fork; at 1 the sweep runs in
-    the calling process and starts none.  The results are identical for
-    every worker count, and a failing delay raises its own error, the
-    earliest delay first, as in the serial sweep.  Each parallel sweep
-    pays for starting and stopping its workers (15-30 ms on a 2-CPU Linux
-    host), so pass 1 on a single CPU.  On Python >= 3.12 a fork in a
-    process that already runs threads (numpy's BLAS pool counts) emits a
-    DeprecationWarning, hidden by default.
+    longer than it (see ``_propagate``).  The delays run in order, and
+    the first one that fails raises its error.
 
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid.
@@ -642,8 +615,6 @@ def simulate_calibration(
     delays, offs = _sweep_grids(delays_ns, offsets)
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
-    if threads < 1:
-        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
 
     v_step = channel.v_step
     z_ref = v_step
@@ -673,8 +644,6 @@ def simulate_calibration(
             )
         return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
 
-    # The caller's numpy error state goes to every worker with its job.
-    error_state = np.geterr()
     t_pis = []
     jobs = []
     for t_delay in delays:
@@ -692,19 +661,11 @@ def simulate_calibration(
             sigma_fraction=schedule.sigma_fraction,
         )
         t_nodes, h = drive.step_nodes(dt_integration_ns)
-        jobs.append((params, drive, t_nodes, h, base_zpa(t_nodes), offs, error_state))
+        jobs.append((params, drive, t_nodes, h, base_zpa(t_nodes), offs))
 
-    workers = min(threads, delays.size, _usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT) as pool:
-            results = list(pool.map(_probe_delay, *zip(*jobs)))
-    else:
-        results = list(map(_probe_delay, *zip(*jobs)))
-
-    v_oft = np.array([r[0] for r in results])
-    p1_grid = np.vstack([r[1] for r in results])
+    v_oft, p1_rows = zip(*(_probe_delay(*job) for job in jobs))
     run = CalibrationRun(
-        delays_ns=delays, compensation=v_oft, v_step=v_step, regime=schedule.regime
+        delays_ns=delays, compensation=np.array(v_oft), v_step=v_step, regime=schedule.regime
     )
     if not full_output:
         return run
@@ -713,6 +674,6 @@ def simulate_calibration(
         omega_drive_ghz=omega_d,
         rwa=rwa,
         t_pi_ns=tuple(t_pis),
-        p1_grid=p1_grid,
+        p1_grid=np.vstack(p1_rows),
     )
     return run, report

@@ -1,9 +1,7 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
-import os
 import tempfile
 from unittest import mock
 import warnings
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluxcal import pipeline, presets, simulator
+from fluxcal import pipeline, presets
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import main
 from fluxcal.errors import SweepRangeError
@@ -22,6 +20,7 @@ from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
+from fluxcal.simulator import MAX_STEP_NS
 
 
 @pytest.fixture()
@@ -341,8 +340,10 @@ EXPLICIT_FLIPCHIP = {
     ("roundtrip", {"regularization": 1e-6, "n_exps": 2},
      "scenario: unknown keys ['n_exps', 'regularization']"),
     ("roundtrip", {"delays_ns": [60.0, 150.0]}, "scenario: unknown keys ['delays_ns']"),
-    ("simulate", {"dt_integration_ns": 0.51}, "dt_integration_ns must be in (0, 0.5] ns, got 0.51"),
-    ("roundtrip", {"dt_integration_ns": 0.0}, "dt_integration_ns must be in (0, 0.5] ns, got 0.0"),
+    ("simulate", {"dt_integration_ns": MAX_STEP_NS + 0.01},
+     f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns, got {MAX_STEP_NS + 0.01}"),
+    ("roundtrip", {"dt_integration_ns": 0.0},
+     f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns, got 0.0"),
     ("roundtrip", {"short_stage": {"delay_ns": [20.0, 40.0, 80.0]}},
      "short_stage: unknown keys ['delay_ns']"),
     ("roundtrip", {"validate": {"delays_ns": [30.0, 60.0], "offset_rel": [-0.02, 0.0, 0.02]}},
@@ -394,59 +395,6 @@ def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extr
     assert main([command, str(path), "-o", str(outdir)]) == 1
     assert capsys.readouterr().err == f"fluxcal {command}: {message}\n"
     assert not outdir.exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-def test_threads_below_one_is_one_line_usage_error(tmp_path, capsys, command):
-    scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
-    if command == "simulate":
-        scenario.update(delays_ns=[60.0, 150.0], offsets_rel={"start": -0.01, "stop": 0.01, "count": 11})
-    path = tmp_path / "scenario.json"
-    write_json(path, scenario)
-    outdir = tmp_path / "out"
-    for threads in (0, -1):
-        assert main([command, str(path), "-o", str(outdir), "--threads", str(threads)]) == 1
-        assert capsys.readouterr().err == f"fluxcal {command}: --threads must be >= 1, got {threads}\n"
-    assert not outdir.exists()
-
-
-def _exit_outside(test_pid, *job):
-    """A sweep job that ends a worker process abruptly; in the test's own
-    process it raises instead, so a serial sweep cannot end pytest."""
-    if os.getpid() != test_pid:
-        os._exit(1)
-    raise AssertionError("the sweep ran in the test process")
-
-
-def test_simulate_worker_death_is_one_line_numerical_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulator, "_probe_delay", functools.partial(_exit_outside, os.getpid()))
-    path = tmp_path / "scenario.json"
-    write_json(path, {
-        "system": "flipchip", "channel": {"v_step": 0.42},
-        "delays_ns": [100.0, 110.0], "offsets_rel": {"start": -0.01, "stop": 0.01, "count": 5},
-    })
-    outdir = tmp_path / "sim"
-    assert main(["simulate", str(path), "-o", str(outdir), "--threads", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("fluxcal simulate: sweep worker died: ") and err.count("\n") == 1
-    assert not outdir.exists()
-
-
-def test_simulate_worker_failure_is_one_line_numerical_failure(tmp_path, capsys):
-    # The true compensation is about 0, so an all-positive offset grid puts
-    # every delay's peak on its edge; the earliest delay is reported.
-    path = tmp_path / "scenario.json"
-    write_json(path, {
-        "system": "flipchip", "channel": {"v_step": 0.42},
-        "delays_ns": [100.0, 110.0, 120.0],
-        "offsets_rel": {"start": 0.01, "stop": 0.05, "count": 9},
-    })
-    assert main(["simulate", str(path), "-o", str(tmp_path / "sim"), "--threads", "2"]) == 2
-    assert capsys.readouterr().err == (
-        "fluxcal simulate: P1 maximum sits at the offset-sweep edge for delay 100.0 ns; "
-        "widen the offset grid\n"
-    )
 
 
 def _no_sweep(*args, **kwargs):
@@ -520,7 +468,7 @@ def test_roundtrip_planar_defaults_raise_no_warning(tmp_path):
         warnings.simplefilter("error", UserWarning)
         assert main(["roundtrip", str(scenario), "-o", str(outdir)]) == 0
     report = json.loads((outdir / "report.json").read_text())
-    assert report["passed"] and report["provenance"]["settings"]["dt_integration_ns"] == 0.5
+    assert report["passed"] and report["provenance"]["settings"]["dt_integration_ns"] == MAX_STEP_NS
 
 
 def test_analyze_rb_report(tmp_path):
@@ -570,6 +518,25 @@ def test_analyze_rb_rejects_two_references(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, fidelity, code, message", [
+    ([-1, 20, 40, 60, 80], [0.9, 0.8, 0.7, 0.65, 0.6], 1, "{path}: sequence lengths must be >= 0"),
+    ([0, 20, 40, 60, 80], [0.9, 0.8, 1.2, 0.65, 0.6], 1, "{path}: fidelities must lie in [0, 1]"),
+    ([0, 20, 40, 40, 80], [0.9, 0.8, 0.7, 0.7, 0.6], 1,
+     "{path}: need at least 5 distinct sequence lengths"),
+    # well-formed, but the decay rate cannot be fitted: a numerical failure
+    ([0, 20, 40, 60, 80], [0.7] * 5, 2, "constant fidelities: decay rate is unidentifiable"),
+], ids=["negative-n", "fidelity-above-1", "four-lengths", "constant"])
+def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, message):
+    good, bad = tmp_path / "gate.csv", tmp_path / "ref.csv"
+    write_decay_csv(good, np.arange(0, 400, 20), 0.75 * 0.99 ** np.arange(0, 400, 20) + 0.25)
+    write_decay_csv(bad, n, fidelity)
+    out = tmp_path / "out.json"
+    argv = ["analyze", "--scheme", "rb", "--gate", str(good), "--reference", str(bad), "-o", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"fluxcal analyze: {message.format(path=bad)}\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -615,7 +582,7 @@ def tiny_simulate_scenarios(draw):
                         "count": draw(st.integers(3, 7))},
     }
     if draw(st.booleans()):
-        scenario["dt_integration_ns"] = draw(st.sampled_from([0.25, 0.5, 0.51, 0.0]))
+        scenario["dt_integration_ns"] = draw(st.sampled_from([0.25, 0.5, MAX_STEP_NS, MAX_STEP_NS + 0.01, 0.0]))
     for _ in range(draw(st.integers(0, 2))):
         where = draw(st.sampled_from(["", "channel", "drive", "offsets_rel"]))
         target = scenario[where] if where else scenario

@@ -244,23 +244,9 @@ def test_simulate_ideal_channel_recovers_zero_offsets():
     assert np.max(np.abs(run.compensation)) < grid_step
 
 
-def test_simulate_thread_count_does_not_change_results():
-    params = presets.flipchip_system()
-    z = find_working_point(params, 0.050)
-    channel = presets.flipchip_channel(v_step=z)
-    offsets = np.linspace(-0.01, 0.05, 15) * z
-    kwargs = dict(delays_ns=[40.0, 90.0, 200.0], offsets=offsets)
-    serial = simulate_calibration(params, DriveSchedule(regime="short"), channel, **kwargs)
-    threaded = simulate_calibration(
-        params, DriveSchedule(regime="short"), channel, threads=3, **kwargs
-    )
-    np.testing.assert_array_equal(serial.compensation, threaded.compensation)
-
-
 def test_simulate_workers_raise_under_the_callers_error_state(monkeypatch):
-    # Patched before the workers fork, so they overflow too.  Under numpy's
-    # default state the overflow would only warn, and the sweep would then
-    # fail on the offset-grid edge instead.
+    # Under numpy's default state the overflow would only warn, and the
+    # sweep would then fail on the offset-grid edge instead.
     def overflowing(params, drive, traces, t_nodes, h):
         return np.full(traces.shape[0], np.finfo(float).max) * 2.0
 
@@ -268,18 +254,10 @@ def test_simulate_workers_raise_under_the_callers_error_state(monkeypatch):
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
     channel = CombinedResponse(short=None, long=None, v_step=z)
-    for threads in (1, 2):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            simulate_calibration(
-                params, DriveSchedule(regime="short"), channel, threads=threads,
-                delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
-            )
-    # A forked worker inherits the state anyway; a spawned one (where the
-    # platform cannot fork) starts from numpy's default, so each job
-    # carries the caller's state.
-    with pytest.raises(FloatingPointError, match="overflow"):
-        simulator._probe_delay(
-            params, None, None, None, np.zeros(4), np.zeros(3), {**np.geterr(), "over": "raise"}
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        simulate_calibration(
+            params, DriveSchedule(regime="short"), channel,
+            delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
         )
 
 
@@ -287,63 +265,12 @@ def test_simulate_edge_peak_raises_the_same_error_for_any_worker_count():
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
     channel = CombinedResponse(short=None, long=None, v_step=z)
-    messages = []
-    for threads in (1, 2):
-        # Every delay peaks on the edge; the earliest one must be reported.
-        with pytest.raises(SweepRangeError) as excinfo:
-            simulate_calibration(
-                params, DriveSchedule(regime="short"), channel, threads=threads,
-                delays_ns=[100.0, 110.0, 120.0], offsets=np.linspace(0.01, 0.05, 9) * z,
-            )
-        messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
-    assert "for delay 100.0 ns" in messages[0]
-
-
-@pytest.mark.parametrize("cpus, threads, workers", [
-    (2, 10_000, 2), (64, 10_000, 3), (64, 2, 2), (64, 1, None), (1, 10_000, None),
-])
-def test_simulate_worker_count_is_capped(monkeypatch, cpus, threads, workers):
-    # The executor is replaced by one that records its size and runs the
-    # jobs inline, so no process starts.
-    created = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers, mp_context):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
-    params = presets.flipchip_system()
-    z = find_working_point(params, 0.050)
-    channel = CombinedResponse(short=None, long=None, v_step=z)
-    run = simulate_calibration(
-        params, DriveSchedule(regime="short"), channel, threads=threads,
-        delays_ns=[50.0, 120.0, 300.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
-    )
-    assert created == ([] if workers is None else [workers])
-    assert run.compensation.size == 3
-
-
-def test_simulate_rejects_fewer_than_one_worker():
-    params = presets.flipchip_system()
-    z = find_working_point(params, 0.050)
-    channel = CombinedResponse(short=None, long=None, v_step=z)
-    for threads in (0, -2):
-        with pytest.raises(InvalidArgumentError, match=f"threads must be >= 1, got {threads}"):
-            simulate_calibration(
-                params, DriveSchedule(regime="short"), channel, threads=threads,
-                delays_ns=[100.0, 110.0], offsets=np.linspace(-0.01, 0.01, 11) * z,
-            )
+    # Every delay peaks on the edge; the earliest one must be reported.
+    with pytest.raises(SweepRangeError, match="for delay 100.0 ns"):
+        simulate_calibration(
+            params, DriveSchedule(regime="short"), channel,
+            delays_ns=[100.0, 110.0, 120.0], offsets=np.linspace(0.01, 0.05, 9) * z,
+        )
 
 
 def test_simulate_rejects_delay_inside_pulse_window():
@@ -477,11 +404,11 @@ def _probe(make_params, t_pi, rabi_mhz=None, sigma_fraction=0.25):
 @pytest.mark.parametrize("t_pi", [30.0, 200.0])
 @pytest.mark.parametrize("make_params", [presets.planar_system, presets.flipchip_system])
 def test_propagate_matches_eigh_across_resonance_peak(make_params, t_pi):
-    # CF4 at the default step against an independent scheme and kernel: the
-    # per-step eigh midpoint loop at 0.01 ns, whose own error is up to 8e-8
-    # here (second order: 8e-6 at 0.1 ns).
+    # CF4 at 0.5 ns against an independent scheme and kernel: the per-step
+    # eigh midpoint loop at 0.01 ns, whose own error is up to 8e-8 here
+    # (second order: 8e-6 at 0.1 ns).
     params, drive, zpa = _probe(make_params, t_pi)
-    p1 = _cf4(params, drive, zpa, MAX_STEP_NS)
+    p1 = _cf4(params, drive, zpa, 0.5)
     ref = _midpoint_eigh(params, drive, zpa, 0.01)
     np.testing.assert_allclose(p1, ref, rtol=0.0, atol=2e-7)
     assert 0 < np.argmax(p1) < 40 and p1.max() > 0.5
@@ -501,9 +428,9 @@ def test_cf4_error_falls_sixteenfold_per_halving(make_params):
 
 @pytest.mark.parametrize("t_pi", [30.0, 47.33, 200.0])
 @pytest.mark.parametrize("preset", ["planar", "flipchip"])
-def test_default_step_p1_within_1e7_of_converged(preset, t_pi):
-    # The calibration sweep at the default step against the same sweep at
-    # 0.01 ns, which agrees with 0.02 ns to 1e-12.  A 47.33 ns window is
+def test_half_ns_step_p1_within_1e7_of_converged(preset, t_pi):
+    # The calibration sweep at 0.5 ns against the same sweep at 0.01 ns,
+    # which agrees with 0.02 ns to 1e-12.  A 47.33 ns window is
     # not a whole number of 0.1 ns steps: a grid that is not fitted to the
     # window steps over the envelope cut there and is off by 3.5e-4 (planar)
     # to 4.9e-4 (flip-chip).
@@ -516,10 +443,31 @@ def test_default_step_p1_within_1e7_of_converged(preset, t_pi):
     offsets = center + z * np.linspace(-0.6, 0.6, 9) / t_pi
     grids = [
         simulate_calibration(params, schedule, channel, delays, offsets, full_output=True, **dt)[1].p1_grid
-        for dt in ({}, {"dt_integration_ns": 0.01})
+        for dt in ({"dt_integration_ns": 0.5}, {"dt_integration_ns": 0.01})
     ]
     assert 0 < np.argmax(grids[1][0]) < 8
     np.testing.assert_allclose(grids[0], grids[1], rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("t_pi", [30.0, 47.33, 200.0])
+@pytest.mark.parametrize("preset", ["planar", "flipchip"])
+def test_default_step_compensation_within_1e5_of_reference(preset, t_pi):
+    # The loop reads only the compensation, so that is what the default step
+    # must get right: on the short stage's offset grid, against the same
+    # sweep at 0.05 ns.  The first delay puts the probe right after the edge.
+    params = getattr(presets, f"{preset}_system")()
+    z = find_working_point(params, 0.050)
+    channel = getattr(presets, f"{preset}_channel")(v_step=z)
+    schedule = DriveSchedule(regime="short", t_pi_min_ns=t_pi, t_pi_max_ns=t_pi)
+    delays = 0.5 * t_pi + np.array([0.0, 60.0, 1000.0])
+    offsets = np.linspace(-0.012, 0.052, 41) * z
+    runs = [
+        simulate_calibration(params, schedule, channel, delays, offsets, **dt)
+        for dt in ({}, {"dt_integration_ns": 0.05})
+    ]
+    np.testing.assert_allclose(
+        runs[0].compensation, runs[1].compensation, rtol=0.0, atol=1e-5 * z
+    )
 
 
 _WINDOW = st.tuples(
@@ -583,7 +531,7 @@ def test_propagate_matches_eigh_on_partial_blocks(steps):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_propagate_rejects_non_finite_state():
     params, drive, zpa = _probe(presets.planar_system, 30.0)
-    t, h = drive.step_nodes(MAX_STEP_NS)
+    t, h = drive.step_nodes(0.5)  # index 40 below lies inside the 0.5 ns grid
     traces = zpa(t)
     traces[3, 40] = np.nan
     with pytest.raises(IntegrationError):
