@@ -12,8 +12,9 @@ has finished, passed or not.
 Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
 form: a nan or inf CSV field, a CSV time column out of order, a scenario or
 model object with an unknown key, a JSON field that is not a finite number
-where one is expected, a grid count or ``n_exp`` that is not an integer in
-range, a decay file that breaks the decay fit's rules), 2 numerical
+where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
+an integer in range, an ``--rms-threshold`` that is not a finite number
+above 0, a decay file that breaks the decay fit's rules), 2 numerical
 failure (a well-formed input on which the computation fails, including
 floating-point overflow).  The ``FLUXCAL_SEED`` environment variable
 overrides any ``--seed`` flag.  ``simulate`` and ``roundtrip`` run each
@@ -211,6 +212,12 @@ def _schedule_from_spec(spec, keys=("regime", *_SCHEDULE_KEYS)) -> DriveSchedule
 
 
 def cmd_fit(args) -> int:
+    if not 1 <= args.n_exp <= MAX_SHORT_TERMS:
+        raise ValueError(
+            f"--n-exp: expected an integer from 1 to {MAX_SHORT_TERMS}, got {args.n_exp}"
+        )
+    if not 0.0 < args.rms_threshold < np.inf:
+        raise ValueError(f"--rms-threshold: expected a finite number > 0, got {args.rms_threshold}")
     run = read_calibration_csv(args.input, v_step=args.v_step, regime=args.regime)
     seed = _resolve_seed(args.seed)
     if args.regime == "short":
@@ -232,6 +239,7 @@ def cmd_fit(args) -> int:
         "regime": args.regime,
         "residual_rms": diag.residual_rms,
         "n_starts": diag.n_starts,
+        "n_joint_refits": diag.n_joint_refits,
         "degenerate": diag.degenerate,
         "messages": list(diag.messages),
         "provenance": _provenance(

@@ -2,7 +2,9 @@
 
 Covers the three fits the calibration workflow needs:
 
-* multi-exponential fits of short-time compensation sweeps;
+* multi-exponential fits of short-time compensation sweeps, a multi-start
+  variable-projection search over log time constants whose starts run as
+  one batched Levenberg-Marquardt iteration;
 * single-exponential fits of long-time (microsecond) settling sweeps;
 * anti-crossing fits that extract the qubit-coupler coupling strength and
   the Z-line crosstalk coefficient from branch-resolved spectroscopy.
@@ -137,10 +139,15 @@ class FitDiagnostics:
     n_starts: int
     degenerate: bool = False
     messages: tuple[str, ...] = field(default_factory=tuple)
+    # Short-time fit: starts refitted jointly because their search ended
+    # with amplitudes outside [-0.5, 0.5].
+    n_joint_refits: int = 0
 
 
 def _exp_design_matrix(t: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    return np.exp(-t[:, None] / taus[None, :])
+    """Columns exp(-t / tau_k); a stack of time-constant sets (..., n)
+    gives a stack of designs (..., m, n)."""
+    return np.exp(-t[:, None] / taus[..., None, :])
 
 
 def _residual(t, y, p, taus) -> np.ndarray:
@@ -151,45 +158,98 @@ def _rms(t, y, p, taus) -> float:
     return float(np.sqrt(np.mean(_residual(t, y, p, taus) ** 2)))
 
 
-def _projection(t: np.ndarray, y: np.ndarray):
-    """Variable projection of ``y`` onto the exponential design, as
-    ``fun(u)``, ``jac(u)`` and ``amplitudes(u)`` of u = log(tau).
+def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray):
+    """Variable projection of ``y`` onto the exponential design at each row
+    of a stack ``u`` (S, n) of log time constants, as (residual (S, m),
+    Jacobian (S, m, n), amplitudes (S, n)).
 
-    ``fun`` is y minus its least-squares projection Q Q^T y onto the columns
-    exp(-t / tau_k), where Q holds the left singular vectors of the design
-    above the rank tolerance: a collapsed pair of time constants projects
-    onto one direction, not onto a round-off one.  ``amplitudes`` is the
-    minimum-norm least-squares solution.  ``jac`` is Kaufman's Jacobian
+    The residual is y minus its least-squares projection Q Q^T y onto the
+    columns exp(-t / tau_k), where Q holds the left singular vectors of the
+    design above the rank tolerance: a collapsed pair of time constants
+    projects onto one direction, not onto a round-off one.  The amplitudes
+    are the minimum-norm least-squares solution.  The Jacobian is Kaufman's
     -(I - Q Q^T) (dE/du . p), which omits the term proportional to the
-    residual.  All three share one factorization per u.
+    residual.  Each row is computed on its own, from one stacked SVD.
     """
-    memo = {}
+    taus = np.exp(u)
+    design = _exp_design_matrix(t, taus)
+    left, sv, right = np.linalg.svd(design, full_matrices=False)
+    keep = sv > sv[:, :1] * t.size * np.finfo(float).eps
+    q = left * keep[:, None, :]
+    qt = np.swapaxes(q, 1, 2)
+    qty = qt @ y[:, None]
+    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    p = (np.swapaxes(right, 1, 2) @ (qty * inv_sv[..., None]))[..., 0]
+    resid = y - (q @ qty)[..., 0]
+    dp = design * (t[:, None] * (p / taus)[:, None, :])
+    return resid, q @ (qt @ dp) - dp, p
 
-    def factor(u):
-        key = u.tobytes()
-        if memo.get("key") != key:
-            taus = np.exp(u)
-            design = _exp_design_matrix(t, taus)
-            left, sv, right = np.linalg.svd(design, full_matrices=False)
-            rank = int(np.count_nonzero(sv > sv[0] * t.size * np.finfo(float).eps))
-            q = left[:, :rank]
-            qty = q.T @ y
-            p = right[:rank].T @ (qty / sv[:rank])
-            memo.update(key=key, taus=taus, design=design, q=q, p=p, resid=y - q @ qty)
-        return memo
 
-    def fun(u):
-        return factor(u)["resid"]
+# The batched search over log time constants: Marquardt's damping factor,
+# its range and its change per step, the iteration cap, and least_squares'
+# default ftol and xtol as stopping rules.
+_LAMBDA_START = 1e-3
+_LAMBDA_MIN = 1e-12
+_LAMBDA_MAX = 1e16
+_LAMBDA_STEP = 10.0
+_SEARCH_MAX_ITER = 200
+_SEARCH_FTOL = 1e-8
+_SEARCH_XTOL = 1e-8
 
-    def jac(u):
-        f = factor(u)
-        dp = f["design"] * (t[:, None] * (f["p"] / f["taus"]))
-        return f["q"] @ (f["q"].T @ dp) - dp
 
-    def amplitudes(u):
-        return factor(u)["p"]
+def _search_log_taus(t, y, u0, lo: float, hi: float) -> np.ndarray:
+    """Levenberg-Marquardt search of the variable-projection residual from
+    every row of ``u0`` (S, n) at once, within [lo, hi]; returns the end
+    points (S, n).
 
-    return fun, jac, amplitudes
+    Each start takes damped Gauss-Newton steps (J^T J + lambda diag(J^T J))
+    d = -J^T r (Levenberg 1944, Marquardt 1963), clipped into the bounds,
+    and accepts a step only if it lowers its cost, so no start ends above
+    its initial cost.  lambda falls tenfold after an accepted step and
+    rises tenfold after a rejected one; the system is solved in the
+    Jacobi-scaled form, whose unit diagonal plus lambda >= 1e-12 keeps it
+    nonsingular.  A start stops when an accepted step lowers its cost by
+    at most ftol of it, when a step moves it by at most xtol (xtol + |u|),
+    or when lambda passes 1e16, where the step no longer depends on J^T J.
+    A start whose system is not finite (data near the end of the double
+    range) takes a zero step, so it stops where it is.  Every row follows
+    its own steps: the stack only shares the calls, and stopped rows leave
+    it.
+    """
+    u = np.array(u0, dtype=float)
+    live = np.arange(len(u))
+    x = u.copy()
+    r, jac, _ = _projection(t, y, x)
+    cost = 0.5 * np.sum(r * r, axis=1)
+    lam = np.full(len(x), _LAMBDA_START)
+    eye = np.eye(u.shape[1])
+    for _ in range(_SEARCH_MAX_ITER):
+        jt = np.swapaxes(jac, 1, 2)
+        jtj = jt @ jac
+        d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+        d = np.where(d > 0.0, d, 1.0)
+        scaled = jtj / d[:, :, None] / d[:, None, :] + lam[:, None, None] * eye
+        rhs = -(jt @ r[..., None]) / d[..., None]
+        stuck = ~(np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
+        scaled[stuck], rhs[stuck] = eye, 0.0
+        z = np.linalg.solve(scaled, rhs)
+        trial = np.clip(x + z[..., 0] / d, lo, hi)
+        r_new, jac_new, _ = _projection(t, y, trial)
+        cost_new = 0.5 * np.sum(r_new * r_new, axis=1)
+        better = cost_new < cost
+        moved = np.linalg.norm(trial - x, axis=1)
+        done = moved <= _SEARCH_XTOL * (_SEARCH_XTOL + np.linalg.norm(x, axis=1))
+        done |= better & (cost - cost_new <= _SEARCH_FTOL * cost)
+        x[better], r[better], jac[better] = trial[better], r_new[better], jac_new[better]
+        cost[better] = cost_new[better]
+        lam = np.where(better, np.maximum(lam / _LAMBDA_STEP, _LAMBDA_MIN), lam * _LAMBDA_STEP)
+        done |= lam > _LAMBDA_MAX
+        u[live] = x
+        go = ~done
+        live, x, r, jac, cost, lam = live[go], x[go], r[go], jac[go], cost[go], lam[go]
+        if not live.size:
+            break
+    return u
 
 
 def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float, **tolerances):
@@ -230,15 +290,17 @@ def fit_short_time(
     ``n_random_starts`` seeded random ones) searches the time constants
     only: bounded least squares over u = log(tau) of the variable-projection
     residual, which solves the amplitudes linearly at every step (Golub &
-    Pereyra 1973), with Kaufman's Jacobian (1975).  The best start then gets
-    one joint bounded polish of amplitudes in [-0.5, 0.5] and time constants
-    in [tau_lo, tau_hi], with analytic derivatives.  A start whose search
-    ends with amplitudes outside [-0.5, 0.5] is instead fitted jointly
-    within those bounds from its initial time constants.  Time constants
-    are reported ascending.
+    Pereyra 1973), with Kaufman's Jacobian (1975).  All starts run together
+    in one Levenberg-Marquardt search, each on its own steps.  The best
+    start then gets one joint bounded polish of amplitudes in [-0.5, 0.5]
+    and time constants in [tau_lo, tau_hi], with analytic derivatives.  A
+    start whose search ends with amplitudes outside [-0.5, 0.5] is instead
+    fitted jointly within those bounds from its initial time constants.
+    Time constants are reported ascending.
 
     The diagnostics trace holds the best residual RMS after each start; the
     last entry, like ``residual_rms``, is that of the returned model.
+    ``n_joint_refits`` counts the starts sent to the joint fit.
 
     Raises DegenerateFitError if two fitted time constants collapse within
     5% of each other, and FitFailedError if the relative residual RMS
@@ -273,21 +335,24 @@ def fit_short_time(
         lo, hi = np.log(tau_lo * 2), np.log(span)
         starts.append(np.exp(np.sort(rng.uniform(lo, hi, n_terms))))
 
-    fun, jac, amplitudes = _projection(t, y)
-    u_bounds = (np.full(n_terms, np.log(tau_lo)), np.full(n_terms, np.log(tau_hi)))
+    u0 = np.log(starts)
+    u_end = _search_log_taus(t, y, u0, np.log(tau_lo), np.log(tau_hi))
+    _, _, p_end = _projection(t, y, u_end)
     best = None
     trace = []
-    for taus0 in starts:
-        try:
-            u = least_squares(fun, np.log(taus0), jac=jac, bounds=u_bounds, method="trf").x
-            p, taus = amplitudes(u), np.clip(np.exp(u), tau_lo, tau_hi)
-            if np.max(np.abs(p)) > 0.5:
-                # The projection leaves the amplitudes unbounded: two merging
-                # time constants with large opposite amplitudes mimic a
-                # t exp(-t/tau) term.  Redo this start inside the bounds.
-                p, taus = _joint_fit(t, y, amplitudes(np.log(taus0)), taus0, tau_lo, tau_hi)
-        except ValueError:
-            continue
+    n_joint_refits = 0
+    for k, taus0 in enumerate(starts):
+        p, taus = p_end[k], np.clip(np.exp(u_end[k]), tau_lo, tau_hi)
+        if np.max(np.abs(p)) > 0.5:
+            # The projection leaves the amplitudes unbounded: two merging
+            # time constants with large opposite amplitudes mimic a
+            # t exp(-t/tau) term.  Redo this start inside the bounds.
+            n_joint_refits += 1
+            p0 = _projection(t, y, u0[k : k + 1])[2][0]
+            try:
+                p, taus = _joint_fit(t, y, p0, taus0, tau_lo, tau_hi)
+            except ValueError:
+                continue
         cost = _rms(t, y, p, taus)
         if best is None or cost < best[0]:
             best = (cost, p, taus)
@@ -324,7 +389,7 @@ def fit_short_time(
             f"{rms_threshold * scale:.3g}"
         )
     model = ShortTimeModel.from_arrays(p, taus)
-    diag = FitDiagnostics(tuple(trace), rms, len(starts))
+    diag = FitDiagnostics(tuple(trace), rms, len(starts), n_joint_refits=n_joint_refits)
     return (model, diag) if full_output else model
 
 

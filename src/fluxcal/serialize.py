@@ -16,6 +16,7 @@ bodies only it parses correctly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -84,9 +85,14 @@ def dump_json(obj, fh) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` to a new file at ``path`` in the deterministic layout."""
+    """Write ``obj`` to a new file at ``path`` in the deterministic layout.
+    The text is built before the file is opened, so an object that cannot
+    be written (a nan, say) raises and leaves no file behind.  It goes
+    through ``dump_json``, the JSON layer that ``perfbench`` traces."""
+    text = io.StringIO()
+    dump_json(obj, text)
     with open(path, "w") as fh:
-        dump_json(obj, fh)
+        fh.write(text.getvalue())
 
 
 def load_json(path) -> dict:

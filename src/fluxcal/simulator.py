@@ -548,11 +548,15 @@ class SimulationReport:
 
 
 def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
-    """Vertex of the parabola through points k-1, k, k+1."""
-    a, b, c = np.polyfit(x[k - 1 : k + 2], y[k - 1 : k + 2], 2)
-    if a == 0:
+    """Vertex of the parabola through points k-1, k, k+1, in closed form;
+    x[k] if the three points are collinear."""
+    dl, dr = x[k] - x[k - 1], x[k] - x[k + 1]
+    fl, fr = y[k] - y[k - 1], y[k] - y[k + 1]
+    # dl dr (x[k+1] - x[k-1]) times the leading coefficient of the parabola
+    den = dl * fr - dr * fl
+    if den == 0:
         return float(x[k])
-    return float(-b / (2.0 * a))
+    return float(x[k] - 0.5 * (dl * dl * fr - dr * dr * fl) / den)
 
 
 def _probe_delay(params, drive, t_nodes, h, zpa_nodes, offsets):

@@ -46,6 +46,7 @@ def test_fit_short_recovers_preset_terms(tmp_path, flipchip_run_csv):
         assert term["tau_ns"] == pytest.approx(tau_ref, rel=0.01)
     assert model["meta"]["provenance"]["version"]
     assert model["meta"]["residual_rms"] < 1e-9
+    assert model["meta"]["n_starts"] == 10 and model["meta"]["n_joint_refits"] == 0
 
 
 def test_fit_long_recovers_preset_settling(tmp_path):
@@ -116,6 +117,27 @@ def test_non_finite_field_is_one_line_usage_error(tmp_path, capsys, command, hea
     column = header.split(",")[1]
     err = capsys.readouterr().err
     assert err == f"fluxcal {command}: {data}, line 3: {column} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-exp", "0", "--n-exp: expected an integer from 1 to 6, got 0"),
+    ("--n-exp", "7", "--n-exp: expected an integer from 1 to 6, got 7"),
+    ("--rms-threshold", "0", "--rms-threshold: expected a finite number > 0, got 0.0"),
+    ("--rms-threshold", "-1", "--rms-threshold: expected a finite number > 0, got -1.0"),
+    ("--rms-threshold", "nan", "--rms-threshold: expected a finite number > 0, got nan"),
+    ("--rms-threshold", "inf", "--rms-threshold: expected a finite number > 0, got inf"),
+])
+def test_fit_option_out_of_range_is_one_line_usage_error(
+    tmp_path, capsys, flipchip_run_csv, flag, value, message
+):
+    out = tmp_path / "model.json"
+    code = main([
+        "fit", str(flipchip_run_csv), "--regime", "short", "--v-step", "0.3",
+        flag, value, "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"fluxcal fit: {message}\n"
+    assert not out.exists()
 
 
 def test_fit_seed_env_override(tmp_path, flipchip_run_csv, monkeypatch):

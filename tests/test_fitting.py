@@ -194,21 +194,49 @@ def test_long_fit_rejects_wrong_regime():
 
 
 def test_fit_short_time_skips_only_optimizer_value_errors(monkeypatch):
-    run = synthesize_calibration_run(
-        short_channel(FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS), np.geomspace(2.0, 4000.0, 60), "short"
+    # One term of amplitude 0.8: every search ends outside the amplitude
+    # bounds, so every start is refitted by the bounded joint fit, which
+    # is where an optimizer can fail per start.
+    t = np.geomspace(2.0, 400.0, 40)
+    run = CalibrationRun(
+        delays_ns=t, compensation=-0.3 * 0.8 * np.exp(-t / 50.0), v_step=0.3, regime="short"
     )
+    model, diag = fit_short_time(run, n_terms=1, rms_threshold=1.0, full_output=True)
+    assert diag.n_joint_refits == diag.n_starts == len(diag.residual_trace) == 10
+    real = fitting.least_squares
 
-    def raise_(exc):
+    def fail_on(calls, exc):
+        count = []
+
         def fake(*args, **kwargs):
-            raise exc
+            count.append(1)
+            if len(count) in calls:
+                raise exc
+            return real(*args, **kwargs)
 
         return fake
 
-    monkeypatch.setattr(fitting, "least_squares", raise_(TypeError("bug")))
+    monkeypatch.setattr(fitting, "least_squares", fail_on({1}, TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
-        fit_short_time(run, n_terms=2)
-    monkeypatch.setattr(fitting, "least_squares", raise_(ValueError("x0 is infeasible")))
+        fit_short_time(run, n_terms=1, rms_threshold=1.0)
+    monkeypatch.setattr(fitting, "least_squares", fail_on({3}, ValueError("x0 is infeasible")))
+    skipped, diag = fit_short_time(run, n_terms=1, rms_threshold=1.0, full_output=True)
+    assert len(diag.residual_trace) == 9 and diag.n_joint_refits == 10
+    np.testing.assert_allclose(skipped.taus_ns, model.taus_ns, rtol=1e-9)
+    monkeypatch.setattr(fitting, "least_squares", fail_on(range(1, 12), ValueError("x0 is infeasible")))
     with pytest.raises(FitFailedError, match="no optimizer start converged"):
+        fit_short_time(run, n_terms=1, rms_threshold=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_short_fit_near_the_double_range_fails_as_a_fit():
+    # The search's normal equations overflow; each start stops where it is
+    # and the fit fails on its residual, not inside a linear solver.
+    t = np.geomspace(2.0, 2000.0, 30)
+    run = CalibrationRun(
+        delays_ns=t, compensation=1e200 * np.exp(-t / 50.0), v_step=0.3, regime="short"
+    )
+    with pytest.raises(FitFailedError, match="residual RMS"):
         fit_short_time(run, n_terms=2)
 
 
@@ -280,48 +308,48 @@ def test_kaufman_jacobian_against_central_differences():
     t = np.geomspace(2.0, 5000.0, 60)
     resp = short_channel(PLANAR_AMPLITUDES, PLANAR_TAUS)
     y = -synthesize_calibration_run(resp, t, "short").compensation
-    fun, jac, amplitudes = fitting._projection(t, y)
-
-    def central_differences(u, h=1e-5):
-        return np.column_stack([
-            (fun(u + h * e) - fun(u - h * e)) / (2 * h) for e in np.eye(u.size)
-        ])
+    # The generating constants first, then two points off the optimum.
+    u = np.log([PLANAR_TAUS, [10.0, 90.0, 2000.0], [30.0, 200.0, 800.0]])
+    resid, jac, amplitudes = fitting._projection(t, y, u)
+    h = 1e-5
+    fd = np.stack([
+        (fitting._projection(t, y, u + h * e)[0] - fitting._projection(t, y, u - h * e)[0]) / (2 * h)
+        for e in np.eye(3)
+    ], axis=2)
 
     # At the generating constants the residual vanishes, and with it the
     # term Kaufman's Jacobian omits.
-    u = np.log(PLANAR_TAUS)
-    assert np.max(np.abs(fun(u))) < 1e-12
-    scale = np.max(np.abs(jac(u)))
-    np.testing.assert_allclose(jac(u), central_differences(u), rtol=0, atol=1e-8 * scale)
+    assert np.max(np.abs(resid[0])) < 1e-12
+    scale = np.max(np.abs(jac[0]))
+    np.testing.assert_allclose(jac[0], fd[0], rtol=0, atol=1e-8 * scale)
 
     # Elsewhere the exact Jacobian adds -pinv(E)[k] (dE_k/du_k . r) to
     # column k (Golub & Pereyra); both parts are checked.
-    for u in (np.log([10.0, 90.0, 2000.0]), np.log([30.0, 200.0, 800.0])):
-        taus = np.exp(u)
+    for k in (1, 2):
+        taus = np.exp(u[k])
         design = fitting._exp_design_matrix(t, taus)
-        r = fun(u)
-        omitted = -np.linalg.pinv(design).T * ((design * (t[:, None] / taus)).T @ r)
-        exact = jac(u) + omitted
-        fd = central_differences(u)
-        scale = np.max(np.abs(fd))
-        np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-7 * scale)
+        omitted = -np.linalg.pinv(design).T * ((design * (t[:, None] / taus)).T @ resid[k])
+        scale = np.max(np.abs(fd[k]))
+        np.testing.assert_allclose(jac[k] + omitted, fd[k], rtol=0, atol=1e-7 * scale)
         assert np.max(np.abs(omitted)) > 1e-3 * scale
-        np.testing.assert_allclose(amplitudes(u), np.linalg.lstsq(design, y, rcond=None)[0],
+        np.testing.assert_allclose(amplitudes[k], np.linalg.lstsq(design, y, rcond=None)[0],
                                    rtol=1e-9)
 
 
 def test_projection_drops_a_collapsed_column():
     # A 3000 ns term outside the design keeps the residual off zero, so a
     # projection onto a spurious round-off direction would shrink it.
+    # Every row holds the 300 ns constant twice, in a different place.
     t = np.geomspace(2.0, 2000.0, 40)
     y = 0.02 * np.exp(-t / 30.0) - 0.01 * np.exp(-t / 300.0) + 0.005 * np.exp(-t / 3000.0)
-    fun, jac, amplitudes = fitting._projection(t, y)
-    fun_one, _, amplitudes_one = fitting._projection(t, y)
-    u_pair, u_one = np.log([30.0, 300.0, 300.0]), np.log([30.0, 300.0])
-    np.testing.assert_allclose(fun(u_pair), fun_one(u_one), rtol=0, atol=1e-15)
-    p, p_one = amplitudes(u_pair), amplitudes_one(u_one)
-    assert np.all(np.isfinite(jac(u_pair)))
-    np.testing.assert_allclose([p[0], p[1] + p[2]], p_one, rtol=1e-9)
+    u_pair = np.log([[30.0, 300.0, 300.0], [300.0, 30.0, 300.0], [300.0, 300.0, 30.0]])
+    resid, jac, p = fitting._projection(t, y, u_pair)
+    resid_one, _, p_one = fitting._projection(t, y, np.log([[30.0, 300.0]]))
+    assert np.all(np.isfinite(jac))
+    for k, row in enumerate(u_pair):
+        np.testing.assert_allclose(resid[k], resid_one[0], rtol=0, atol=1e-15)
+        single = row == np.log(30.0)
+        np.testing.assert_allclose([p[k][single].sum(), p[k][~single].sum()], p_one[0], rtol=1e-9)
 
 
 def test_short_fit_keeps_amplitude_bounds_with_too_many_terms(monkeypatch):
@@ -341,6 +369,21 @@ def test_short_fit_keeps_amplitude_bounds_with_too_many_terms(monkeypatch):
         y = -run.compensation / run.v_step
         rms = fitting._rms(run.delays_ns, y, model.amplitudes, model.taus_ns)
         assert diag.residual_rms == pytest.approx(rms, rel=1e-12)
+
+
+def test_short_fit_counts_joint_refits(monkeypatch):
+    # Four terms on two-term data send merging searches to the joint fit;
+    # two terms on the same data send none.
+    monkeypatch.setattr(fitting, "TAU_COLLAPSE_REL", 0.0)
+    resp = short_channel(FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS)
+    run = synthesize_calibration_run(
+        resp, np.geomspace(2.0, 2000.0, 40), "short",
+        noise_sigma=1e-4, rng=np.random.default_rng(0),
+    )
+    _, diag = fit_short_time(run, n_terms=2, full_output=True)
+    assert diag.n_joint_refits == 0
+    _, diag = fit_short_time(run, n_terms=4, full_output=True)
+    assert diag.n_joint_refits > 0
 
 
 @st.composite
@@ -370,6 +413,30 @@ def test_short_fit_recovers_random_noiseless_models(model, seed):
     fitted = fit_short_time(run, n_terms=len(taus), seed=seed)
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    short_models(), st.integers(1, 4), st.integers(2, 6), st.integers(13, 61),
+    st.integers(0, 2**31 - 1),
+)
+def test_search_starts_do_not_couple(model, n_terms, n_starts, n_points, seed):
+    # Each start of a stack ends exactly where it ends when searched alone,
+    # and no start ends above its initial cost.  Starts are drawn over the
+    # whole box, some on its edges, so some hold equal constants; an odd
+    # point count puts the rows of the stack at odd memory offsets.
+    amplitudes, taus = model
+    rng = np.random.default_rng(seed)
+    t = np.geomspace(2.0, 4 * taus[-1], n_points)
+    y = np.exp(-t[:, None] / np.asarray(taus)) @ amplitudes + 1e-4 * rng.normal(size=t.size)
+    lo, hi = np.log(np.min(np.diff(t))), np.log(10 * (t[-1] - t[0]))
+    u0 = np.sort(np.clip(rng.uniform(lo - 1.0, hi + 1.0, (n_starts, n_terms)), lo, hi), axis=1)
+    u = fitting._search_log_taus(t, y, u0, lo, hi)
+    for k in range(n_starts):
+        np.testing.assert_array_equal(u[k], fitting._search_log_taus(t, y, u0[k : k + 1], lo, hi)[0])
+    assert np.all((u >= lo) & (u <= hi))
+    cost0 = np.sum(fitting._projection(t, y, u0)[0] ** 2, axis=1)
+    assert np.all(np.sum(fitting._projection(t, y, u)[0] ** 2, axis=1) <= cost0)
 
 
 def make_anticrossing(g_ghz, k_eff, b_eff, k_c, b_c, n=15):

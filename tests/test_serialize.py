@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fluxcal.analysis import read_decay_csv
 from fluxcal.errors import FluxcalError
 from fluxcal.fitting import read_anticrossing_csv, read_calibration_csv
-from fluxcal.serialize import read_csv_table, write_csv_table
+from fluxcal.serialize import read_csv_table, write_csv_table, write_json
 from fluxcal.signal import read_waveform_csv
 
 # reader, header, one well-formed data row
@@ -297,3 +297,10 @@ def test_reader_rejects_field_over_csv_size_limit_in_one_line(tmp_path):
         read_csv_table(path, ("t_ns", "amplitude"))
     assert str(info.value).startswith(f"{path}, line 3: field larger than field limit")
     assert "\n" not in str(info.value)
+
+
+def test_write_json_of_a_non_finite_value_leaves_no_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(FluxcalError, match="cannot serialize non-finite value nan"):
+        write_json(path, {"x": float("nan")})
+    assert not path.exists()

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -29,6 +31,7 @@ from fluxcal.simulator import (
     _cf4_exponents,
     _evolve,
     _propagate,
+    _quadratic_peak,
     _step_unitaries,
 )
 
@@ -574,3 +577,35 @@ def test_step_unitaries_match_expm(entries, h):
     hamiltonian = np.array([[0.0, c, 0.0], [c, a, g], [0.0, g, b]])
     np.testing.assert_allclose(u, expm(-1j * np.pi * h * hamiltonian), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(3), rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(-4.0, 1.0), st.floats(0.25, 1.0), st.floats(0.25, 1.0), st.floats(-3.0, 3.0),
+    st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.1, 1.0),
+)
+def test_quadratic_peak_is_the_vertex_of_the_three_point_parabola(
+    log_h, gap_left, gap_right, start, where, curvature, height
+):
+    # Non-uniform triples around a peak, as the sweep's argmax gives them:
+    # a concave parabola through three offsets, the middle one highest.
+    h = 10.0**log_h
+    x = start * h + np.array([0.0, gap_left * h, (gap_left + gap_right) * h])
+    vertex = x[0] + where * (x[2] - x[0])
+    y = height * (1.0 - curvature * ((x - vertex) / h) ** 2)
+    assume(np.argmax(y) == 1)
+    got = _quadratic_peak(x, y, 1)
+    scale = abs(got) + x[2] - x[0]
+    a, b, _ = np.polyfit(x, y, 2)
+    assert abs(got + b / (2.0 * a)) <= 1e-12 * scale
+    # Exact rational arithmetic on the same floats.
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    dl, dr, fl, fr = xs[1] - xs[0], xs[1] - xs[2], ys[1] - ys[0], ys[1] - ys[2]
+    exact = xs[1] - (dl * dl * fr - dr * dr * fl) / (2 * (dl * fr - dr * fl))
+    assert abs(got - float(exact)) <= 1e-15 * scale
+
+
+def test_quadratic_peak_of_collinear_points_is_the_middle_point():
+    x = np.array([0.1, 0.25, 0.3])
+    assert _quadratic_peak(x, np.full(3, 0.7), 1) == 0.25
+    assert _quadratic_peak(x, 2.0 * x, 1) == 0.25
