@@ -6,8 +6,12 @@ interleaved depolarization parameters combine into a gate fidelity
 
     F_gate = 1 - (1 - p_gate / p_ref) * (D - 1) / D
 
-with D the Hilbert space dimension (4 for a two-qubit gate).  Standard
-errors propagate to first order through the exact partial derivatives.
+with D the Hilbert space dimension (4 for a two-qubit gate).  The decay
+fit is linear in A and B, so it searches the decay constant alone by the
+variable projection of ``fitting``, with no scipy optimizer; the standard
+error of p follows ``scipy.optimize.curve_fit``'s covariance rule on the
+analytic Jacobian.  Standard errors propagate to first order through the
+exact partial derivatives.
 For cross-entropy benchmarking the reference is built from simultaneous
 single-qubit decays, combined as p = (p1 + p2 + 3 p1 p2) / 5 before the
 same fidelity formula applies.
@@ -20,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-from .errors import DegenerateFitError, FitFailedError, InvalidArgumentError
+from .errors import DegenerateFitError, InvalidArgumentError
+from .fitting import _fit_exp_offset
 from .serialize import _finite_columns, read_csv_table, write_csv_table
 
 SCHEMES = ("rb", "xeb")
@@ -66,17 +70,25 @@ class FidelityEstimate:
             raise InvalidArgumentError("dimension must be >= 2")
 
 
-def _decay(n, amplitude, p, offset):
-    return amplitude * np.power(p, n) + offset
+# The decay rate as a time constant in sequence lengths, p = exp(-1 / tau):
+# p = 1e-9 is tau = 1 / ln 1e9.
+_DECAY_TAU_LO = 1.0 / math.log(1e9)
 
 
 def fit_decay(lengths, fidelities) -> DecayFit:
     """Fit F(n) = A p^n + B to sequence fidelities.
 
     Requires at least five distinct sequence lengths and fidelities in
-    [0, 1].  The decay rate is bounded to (0, 1]; the amplitude and offset
-    are unconstrained, with a warning if they land outside [0, 1].
-    ``sigma_p`` is the one-standard-error from the fit covariance.
+    [0, 1].  With p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
+    in A and B, so the fit runs the variable-projection search over log tau
+    with a constant column (``fitting._fit_exp_offset``) from the endpoint
+    guess of p; no scipy optimizer is called.  The decay rate is bounded to
+    (0, 1]; the amplitude and offset are unconstrained, with a warning if
+    they land outside [0, 1].  ``sigma_p`` is the one-standard-error of p by
+    ``curve_fit``'s rule: the SVD pseudo-inverse of J^T J for the analytic
+    Jacobian J = [p^n, A n p^(n-1), 1], singular values at or below
+    eps max(m, 3) times the largest dropped, scaled by the residual sum of
+    squares over m - 3, for m points.
     """
     n = np.asarray(lengths, dtype=float)
     f = np.asarray(fidelities, dtype=float)
@@ -93,6 +105,10 @@ def fit_decay(lengths, fidelities) -> DecayFit:
     if np.ptp(f) < 1e-12:
         raise DegenerateFitError("constant fidelities: decay rate is unidentifiable")
 
+    # In order of length (then fidelity), so the start and the fit do not
+    # depend on the order of the rows.
+    order = np.lexsort((f, n))
+    n, f = n[order], f[order]
     offset0 = float(f[-1])
     amp0 = float(f[0] - offset0)
     if amp0 == 0.0:
@@ -102,19 +118,21 @@ def fit_decay(lengths, fidelities) -> DecayFit:
     mid = float(np.interp(0.5 * (n[0] + n[-1]), n, f))
     ratio = abs((mid - offset0) / amp0) if amp0 != 0.0 else 0.5
     p0 = min(max(ratio ** (2.0 / span), 0.5), 0.999)
-    try:
-        popt, pcov = curve_fit(
-            _decay,
-            n,
-            f,
-            p0=(amp0, p0, offset0),
-            bounds=([-np.inf, 1e-9, -np.inf], [np.inf, 1.0, np.inf]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitFailedError(f"decay fit did not converge: {exc}") from None
-    amplitude, p, offset = (float(v) for v in popt)
-    sigma_p = float(np.sqrt(pcov[1, 1]))
+    # p = 1 is tau = inf.  Above max(n) / sqrt(eps) the decay is a straight
+    # line over the measured lengths to within the projection's round-off,
+    # and 1 - p is no longer resolved, so the search stops there.
+    tau_hi = float(n[-1]) / math.sqrt(np.finfo(float).eps)
+    amplitude, offset, tau = _fit_exp_offset(n, f, -1.0 / math.log(p0), _DECAY_TAU_LO, tau_hi)
+    p = math.exp(-1.0 / tau)
+
+    m = n.size
+    p_n = np.power(p, n)
+    jac = np.column_stack([p_n, n * np.power(p, n - 1.0) * amplitude, np.ones(m)])
+    resid = amplitude * p_n + offset - f
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(m, 3) * sv[0]
+    var_p = float(np.sum((vt[keep, 1] / sv[keep]) ** 2)) * float(resid @ resid) / (m - 3)
+    sigma_p = math.sqrt(var_p)
     if not math.isfinite(sigma_p):
         raise DegenerateFitError("decay rate uncertainty is unbounded")
     if not (0.0 <= amplitude <= 1.0 and 0.0 <= offset <= 1.0):

@@ -14,16 +14,17 @@ form: a nan or inf CSV field, a CSV time column out of order, a scenario or
 model object with an unknown key, a JSON field that is not a finite number
 where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
 an integer in range, an ``--rms-threshold`` that is not a finite number
-above 0, a decay file that breaks the decay fit's rules), 2 numerical
-failure (a well-formed input on which the computation fails, including
-floating-point overflow).  The ``FLUXCAL_SEED`` environment variable
-overrides any ``--seed`` flag.  ``simulate`` and ``roundtrip`` run each
-sweep in this process.
+above 0, a ``--dimension`` below 2, a decay file that breaks the decay
+fit's rules), 2 numerical failure (a well-formed input on which the
+computation fails, including floating-point overflow).  The
+``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
+``simulate`` and ``roundtrip`` run each sweep in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -350,6 +351,8 @@ def _fit_decay_file(path):
 
 
 def cmd_analyze(args) -> int:
+    if args.dimension < 2:
+        raise ValueError(f"--dimension: expected an integer >= 2, got {args.dimension}")
     if args.scheme == "rb" and len(args.reference) != 1:
         raise ValueError("rb takes exactly one reference decay file")
     if args.scheme == "xeb" and len(args.reference) not in (1, 2):
@@ -450,7 +453,10 @@ def cmd_roundtrip(args) -> int:
     return 0 if result.passed else NUMERICAL_EXIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every call of ``main`` shares it."""
     parser = _Parser(
         prog="fluxcal",
         description="Flux-pulse distortion calibration and predistortion toolkit.",

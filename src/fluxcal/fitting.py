@@ -5,7 +5,9 @@ Covers the three fits the calibration workflow needs:
 * multi-exponential fits of short-time compensation sweeps, a multi-start
   variable-projection search over log time constants whose starts run as
   one batched Levenberg-Marquardt iteration;
-* single-exponential fits of long-time (microsecond) settling sweeps;
+* single-exponential fits of long-time (microsecond) settling sweeps, the
+  same search from one start with a constant column in the design, and a
+  bounded three-parameter fit only when a level leaves LONG_LEVEL_BAND;
 * anti-crossing fits that extract the qubit-coupler coupling strength and
   the Z-line crosstalk coefficient from branch-resolved spectroscopy.
 
@@ -140,7 +142,8 @@ class FitDiagnostics:
     degenerate: bool = False
     messages: tuple[str, ...] = field(default_factory=tuple)
     # Short-time fit: starts refitted jointly because their search ended
-    # with amplitudes outside [-0.5, 0.5].
+    # with amplitudes outside [-0.5, 0.5].  Long-time fit: 1 when the
+    # projected levels left LONG_LEVEL_BAND and the bounded fit ran.
     n_joint_refits: int = 0
 
 
@@ -158,21 +161,24 @@ def _rms(t, y, p, taus) -> float:
     return float(np.sqrt(np.mean(_residual(t, y, p, taus) ** 2)))
 
 
-def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray):
+def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray, offset: bool = False):
     """Variable projection of ``y`` onto the exponential design at each row
     of a stack ``u`` (S, n) of log time constants, as (residual (S, m),
-    Jacobian (S, m, n), amplitudes (S, n)).
+    Jacobian (S, m, n), amplitudes (S, n), or (S, n + 1) with ``offset``).
 
     The residual is y minus its least-squares projection Q Q^T y onto the
-    columns exp(-t / tau_k), where Q holds the left singular vectors of the
-    design above the rank tolerance: a collapsed pair of time constants
-    projects onto one direction, not onto a round-off one.  The amplitudes
-    are the minimum-norm least-squares solution.  The Jacobian is Kaufman's
-    -(I - Q Q^T) (dE/du . p), which omits the term proportional to the
-    residual.  Each row is computed on its own, from one stacked SVD.
+    columns exp(-t / tau_k), plus a column of ones with ``offset``, where Q
+    holds the left singular vectors of the design above the rank tolerance:
+    a collapsed pair of time constants projects onto one direction, not
+    onto a round-off one.  The amplitudes are the minimum-norm
+    least-squares solution, the constant last.  The Jacobian is Kaufman's
+    -(I - Q Q^T) (dE/du . p) over the exponential columns, which omits the
+    term proportional to the residual.  Each row is computed on its own,
+    from one stacked SVD.
     """
     taus = np.exp(u)
-    design = _exp_design_matrix(t, taus)
+    exps = _exp_design_matrix(t, taus)
+    design = np.concatenate([exps, np.ones_like(exps[..., :1])], axis=-1) if offset else exps
     left, sv, right = np.linalg.svd(design, full_matrices=False)
     keep = sv > sv[:, :1] * t.size * np.finfo(float).eps
     q = left * keep[:, None, :]
@@ -181,7 +187,7 @@ def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray):
     inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     p = (np.swapaxes(right, 1, 2) @ (qty * inv_sv[..., None]))[..., 0]
     resid = y - (q @ qty)[..., 0]
-    dp = design * (t[:, None] * (p / taus)[:, None, :])
+    dp = exps * (t[:, None] * (p[:, : u.shape[1]] / taus)[:, None, :])
     return resid, q @ (qt @ dp) - dp, p
 
 
@@ -197,10 +203,10 @@ _SEARCH_FTOL = 1e-8
 _SEARCH_XTOL = 1e-8
 
 
-def _search_log_taus(t, y, u0, lo: float, hi: float) -> np.ndarray:
+def _search_log_taus(t, y, u0, lo: float, hi: float, offset: bool = False) -> np.ndarray:
     """Levenberg-Marquardt search of the variable-projection residual from
     every row of ``u0`` (S, n) at once, within [lo, hi]; returns the end
-    points (S, n).
+    points (S, n).  ``offset`` adds a constant column to the design.
 
     Each start takes damped Gauss-Newton steps (J^T J + lambda diag(J^T J))
     d = -J^T r (Levenberg 1944, Marquardt 1963), clipped into the bounds,
@@ -219,7 +225,7 @@ def _search_log_taus(t, y, u0, lo: float, hi: float) -> np.ndarray:
     u = np.array(u0, dtype=float)
     live = np.arange(len(u))
     x = u.copy()
-    r, jac, _ = _projection(t, y, x)
+    r, jac, _ = _projection(t, y, x, offset)
     cost = 0.5 * np.sum(r * r, axis=1)
     lam = np.full(len(x), _LAMBDA_START)
     eye = np.eye(u.shape[1])
@@ -234,7 +240,7 @@ def _search_log_taus(t, y, u0, lo: float, hi: float) -> np.ndarray:
         scaled[stuck], rhs[stuck] = eye, 0.0
         z = np.linalg.solve(scaled, rhs)
         trial = np.clip(x + z[..., 0] / d, lo, hi)
-        r_new, jac_new, _ = _projection(t, y, trial)
+        r_new, jac_new, _ = _projection(t, y, trial, offset)
         cost_new = 0.5 * np.sum(r_new * r_new, axis=1)
         better = cost_new < cost
         moved = np.linalg.norm(trial - x, axis=1)
@@ -250,6 +256,14 @@ def _search_log_taus(t, y, u0, lo: float, hi: float) -> np.ndarray:
         if not live.size:
             break
     return u
+
+
+def _fit_exp_offset(t, y, tau0: float, tau_lo: float, tau_hi: float):
+    """Least squares of a exp(-t / tau) + b: the variable-projection search
+    over log tau in [tau_lo, tau_hi] from ``tau0``; returns (a, b, tau)."""
+    u = _search_log_taus(t, y, np.log([[tau0]]), np.log(tau_lo), np.log(tau_hi), offset=True)
+    _, _, p = _projection(t, y, u, offset=True)
+    return float(p[0, 0]), float(p[0, 1]), float(np.exp(u[0, 0]))
 
 
 def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float, **tolerances):
@@ -401,9 +415,15 @@ def fit_long_time(
     """Fit the single-exponential settling model to a long-time run.
 
     The target curve is the measured normalized step response
-    1 - compensation / v_step, with delays converted to microseconds.
-    Constant data yields a degenerate fit (settled = initial) and a
-    DegenerateFitWarning, since the time constant is then meaningless.
+    1 - compensation / v_step, with delays converted to microseconds.  It
+    is a exp(-t / tau) + b, linear in a and b, so the variable-projection
+    search adjusts log tau alone, within [tau_lo, 10 x span] from a third
+    of the span, and reads settled = b and initial = a + b.  If either
+    level leaves LONG_LEVEL_BAND, the three parameters are instead fitted
+    within it by bounded least squares from the endpoint levels, and
+    ``n_joint_refits`` is 1.  Constant data yields a degenerate fit
+    (settled = initial) and a DegenerateFitWarning, since the time constant
+    is then meaningless.
     """
     if run.regime != "long":
         raise InvalidArgumentError(f"expected a long-regime run, got {run.regime!r}")
@@ -427,26 +447,27 @@ def fit_long_time(
         return (initial - settled) * np.exp(-t_us / tau) + settled - y
 
     tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
-    theta0 = np.array(
-        [
-            np.clip(y[-1], lo + 1e-6, hi - 1e-6),
-            np.clip(y[0], lo + 1e-6, hi - 1e-6),
-            np.clip(span_us / 3.0, tau_lo * 1.01, 10.0 * span_us * 0.99),
-        ]
-    )
-    sol = least_squares(
-        residuals,
-        theta0,
-        bounds=([lo, lo, tau_lo], [hi, hi, 10.0 * span_us]),
-        method="trf",
-    )
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
+    tau_hi = 10.0 * span_us
+    tau0 = float(np.clip(span_us / 3.0, tau_lo * 1.01, tau_hi * 0.99))
+    step, settled, tau = _fit_exp_offset(t_us, y, tau0, tau_lo, tau_hi)
+    initial = step + settled
+    n_joint_refits = 0
+    if not (lo < settled < hi and lo < initial < hi):
+        # The unconstrained levels leave the band: fit all three within it.
+        n_joint_refits = 1
+        theta0 = np.array(
+            [np.clip(y[-1], lo + 1e-6, hi - 1e-6), np.clip(y[0], lo + 1e-6, hi - 1e-6), tau0]
+        )
+        sol = least_squares(
+            residuals, theta0, bounds=([lo, lo, tau_lo], [hi, hi, tau_hi]), method="trf"
+        )
+        settled, initial, tau = (float(v) for v in sol.x)
+    rms = float(np.sqrt(np.mean(residuals((settled, initial, tau)) ** 2)))
     scale = max(float(np.max(np.abs(y))), 1e-30)
     if rms > rms_threshold * scale:
         raise FitFailedError(
             f"residual RMS {rms:.3g} exceeds {rms_threshold} x max|target|"
         )
-    settled, initial, tau = sol.x
     messages = []
     if span_us < 3.0 * tau:
         messages.append(
@@ -454,8 +475,8 @@ def fit_long_time(
             "the settling constant is weakly constrained"
         )
         warnings.warn(messages[-1], DegenerateFitWarning, stacklevel=2)
-    model = LongTimeModel(settled=float(settled), initial=float(initial), tau_us=float(tau))
-    diag = FitDiagnostics((rms,), rms, 1, messages=tuple(messages))
+    model = LongTimeModel(settled=settled, initial=initial, tau_us=tau)
+    diag = FitDiagnostics((rms,), rms, 1, messages=tuple(messages), n_joint_refits=n_joint_refits)
     return (model, diag) if full_output else model
 
 
@@ -494,7 +515,9 @@ def fit_anticrossing(
     Both branch frequencies satisfy (f - f_q(zpa)) * (f - f_c(zpa)) = g^2
     when f_q and f_c are the correct uncoupled lines, so the fit adjusts
     two lines to make that product constant across all points (minimum
-    standard deviation) and reads g^2 off the product mean.
+    standard deviation) and reads g^2 off the product mean.  Each of the
+    two branch-geometry starts runs Levenberg-Marquardt with the closed-form
+    Jacobian of the mean-removed product.
 
     ``k_q`` is the qubit's direct Z response slope (GHz per zpa unit),
     needed to convert the fitted effective slope into a crosstalk
@@ -512,10 +535,16 @@ def fit_anticrossing(
         prod = products(theta)
         return prod - np.mean(prod)
 
+    def jac(theta):
+        kq_eff, bq_eff, kc, bc = theta
+        gap_q, gap_c = f - (kq_eff * z + bq_eff), f - (kc * z + bc)
+        d_prod = -np.column_stack([z * gap_c, gap_c, z * gap_q, gap_q])
+        return d_prod - np.mean(d_prod, axis=0)
+
     best = None
     trace = []
     for theta0 in _branch_line_inits(data):
-        sol = least_squares(residuals, theta0, method="lm")
+        sol = least_squares(residuals, theta0, jac=jac, method="lm")
         cost = float(np.sqrt(np.mean(sol.fun**2)))
         if best is None or cost < best[0]:
             best = (cost, sol.x)

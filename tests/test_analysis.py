@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fluxcal import analysis, fitting
 from fluxcal.analysis import (
     DecayFit,
     FidelityEstimate,
@@ -38,6 +43,61 @@ def test_fit_decay_noiseless_recovery():
     assert fit.p == pytest.approx(0.99, abs=1e-6)
     assert fit.amplitude == pytest.approx(0.75, abs=1e-6)
     assert fit.offset == pytest.approx(0.25, abs=1e-6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.9, 0.999), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(8, 20))
+def test_fit_decay_recovers_random_noiseless_decays(p, start, end, n_lengths):
+    # Levels F(0) = A + B and B anywhere in [0, 1], at least 0.05 apart;
+    # lengths from 0 to about three decay constants.
+    amplitude, offset = start - end, end
+    if abs(amplitude) < 0.05:
+        amplitude = 0.05 if offset <= 0.5 else -0.05
+    n = np.unique(np.round(np.geomspace(1.0, 3.0 / (1.0 - p), n_lengths)))
+    n = np.concatenate([[0.0], n])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_decay(n, amplitude * p**n + offset)
+    np.testing.assert_allclose([fit.amplitude, fit.p, fit.offset], [amplitude, p, offset],
+                               rtol=0, atol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:decay amplitude:RuntimeWarning")
+@settings(deadline=None, max_examples=40)
+@given(
+    st.floats(0.4, 0.75), st.floats(0.95, 0.995), st.floats(0.2, 0.5),
+    st.integers(0, 2**31 - 1), st.permutations(range(15)),
+)
+def test_fit_decay_does_not_depend_on_row_order(amplitude, p, offset, noise_seed, order):
+    # One length is measured twice, with different fidelities.  The fit
+    # orders the rows by length, then fidelity, so the results are equal.
+    n = np.array([1, 2, 4, 8, 12, 16, 16, 24, 32, 48, 64, 96, 128, 192, 256], dtype=float)
+    rng = np.random.default_rng(noise_seed)
+    f = np.clip(amplitude * p**n + offset + rng.normal(0.0, 0.003, n.size), 0.0, 1.0)
+    assert fit_decay(n[list(order)], f[list(order)]) == fit_decay(n, f)
+
+
+def test_fit_decay_sigma_follows_the_covariance_rule():
+    # sigma_p is sqrt of the (p, p) entry of SSR / (m - 3) (J^T J)^-1 for
+    # the analytic Jacobian [p^n, A n p^(n-1), 1] at the fitted values.
+    n = np.arange(0, 400, 20, dtype=float)
+    rng = np.random.default_rng(3)
+    f = np.clip(0.72 * 0.991**n + 0.26 + rng.normal(0.0, 0.01, n.size), 0.0, 1.0)
+    fit = fit_decay(n, f)
+    jac = np.column_stack([fit.p**n, fit.amplitude * n * fit.p ** (n - 1), np.ones_like(n)])
+    resid = fit.amplitude * fit.p**n + fit.offset - f
+    cov = np.linalg.inv(jac.T @ jac) * (resid @ resid) / (n.size - 3)
+    assert fit.sigma_p == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-9)
+
+
+def test_fit_decay_calls_no_optimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimizer called")
+
+    monkeypatch.setattr(fitting, "least_squares", refuse)
+    assert not hasattr(analysis, "curve_fit")
+    n = np.arange(0, 300, 15)
+    assert fit_decay(n, 0.75 * 0.99**n + 0.25).p == pytest.approx(0.99, abs=1e-9)
 
 
 def test_fit_decay_input_validation():

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 import warnings
@@ -12,9 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fluxcal
 from fluxcal import pipeline, presets
 from fluxcal.analysis import write_decay_csv
-from fluxcal.cli import main
+from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
 from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
@@ -557,6 +561,55 @@ def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, 
     assert main(argv) == code
     assert capsys.readouterr().err == f"fluxcal analyze: {message.format(path=bad)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dimension", ["1", "0", "-3"])
+def test_analyze_dimension_below_2_is_one_line_usage_error(tmp_path, capsys, dimension):
+    # Checked before any file is read: the decay files do not exist.
+    out = tmp_path / "out.json"
+    code = main([
+        "analyze", "--scheme", "rb", "--gate", str(tmp_path / "missing_gate.csv"),
+        "--reference", str(tmp_path / "missing_ref.csv"), "-D", dimension, "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"fluxcal analyze: --dimension: expected an integer >= 2, got {dimension}\n"
+    )
+    assert not out.exists()
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_process(tmp_path, monkeypatch):
+    # One process runs a success, a usage error, --version and the success
+    # again on the one parser it builds; each run must give the exit code,
+    # output and file of the same command in a fresh process.
+    n = np.arange(0, 400, 20)
+    write_decay_csv(tmp_path / "gate.csv", n, 0.75 * 0.99**n + 0.25)
+    write_decay_csv(tmp_path / "ref.csv", n, 0.75 * 0.995**n + 0.25)
+    report = tmp_path / "rb.json"
+    success = ["analyze", "--scheme", "rb", "--gate", str(tmp_path / "gate.csv"),
+               "--reference", str(tmp_path / "ref.csv"), "-o", str(report)]
+    usage_error = ["analyze", "--scheme", "rb", "-o", str(tmp_path / "x.json")]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    env = {**os.environ, "PYTHONPATH": str(Path(fluxcal.__file__).parents[1])}
+    build_parser()
+    misses = build_parser.cache_info().misses
+    for argv, expected in ((success, 0), (usage_error, 1), (["--version"], 0), (success, 0)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        written = report.read_bytes() if argv is success else None
+        fresh = subprocess.run([sys.executable, "-m", "fluxcal.cli", *argv], env=env,
+                               capture_output=True, text=True, cwd=tmp_path)
+        assert code == expected
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+        if argv is success:
+            assert report.read_bytes() == written
+    assert build_parser.cache_info().misses == misses
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -24,7 +24,7 @@ from fluxcal.fitting import (
     write_anticrossing_csv,
     write_calibration_csv,
 )
-from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel
+from fluxcal.models import LONG_LEVEL_BAND, CombinedResponse, LongTimeModel, ShortTimeModel
 
 FLIPCHIP_AMPLITUDES = [-0.019, -0.021]
 FLIPCHIP_TAUS = [47.83, 528.10]
@@ -439,6 +439,108 @@ def test_search_starts_do_not_couple(model, n_terms, n_starts, n_points, seed):
     assert np.all(np.sum(fitting._projection(t, y, u)[0] ** 2, axis=1) <= cost0)
 
 
+@settings(deadline=None, max_examples=400)
+@given(short_models(), st.floats(-1.0, 1.0), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_offset_projection_jacobian_against_central_differences(model, offset, n_rows, seed):
+    # Row 0 holds the generating constants, where the residual vanishes and
+    # Kaufman's Jacobian is the exact one; the other rows are moved off them,
+    # where the exact Jacobian adds -pinv(D)[k] (dE_k/du_k . r) to column k
+    # of the exponentials.  The constant comes back last.
+    amplitudes, taus = model
+    t = np.geomspace(2.0, 4 * taus[-1], 40)
+    y = np.exp(-t[:, None] / np.asarray(taus)) @ amplitudes + offset
+    rng = np.random.default_rng(seed)
+    moves = rng.uniform(-0.3, 0.3, (n_rows - 1, len(taus)))
+    u = np.log(taus) + np.vstack([np.zeros(len(taus)), moves])
+    resid, jac, p = fitting._projection(t, y, u, offset=True)
+    h = 1e-5
+    fd = np.stack([
+        (fitting._projection(t, y, u + h * e, offset=True)[0]
+         - fitting._projection(t, y, u - h * e, offset=True)[0]) / (2 * h)
+        for e in np.eye(len(taus))
+    ], axis=2)
+    assert jac.shape == fd.shape and p.shape == (n_rows, len(taus) + 1)
+    np.testing.assert_allclose(p[0], [*amplitudes, offset], rtol=0, atol=1e-9)
+    for k in range(n_rows):
+        tk = np.exp(u[k])
+        exps = fitting._exp_design_matrix(t, tk)
+        design = np.column_stack([exps, np.ones_like(t)])
+        omitted = -np.linalg.pinv(design).T[:, :-1] * ((exps * (t[:, None] / tk)).T @ resid[k])
+        # Central differences of a residual of y carry round-off of about
+        # m eps max|y| / h, which the offset can make larger than the slopes.
+        scale = np.max(np.abs(fd[k])) + np.max(np.abs(omitted))
+        atol = 1e-7 * scale + 1e-9 * np.max(np.abs(y))
+        np.testing.assert_allclose(jac[k] + omitted, fd[k], rtol=0, atol=atol)
+        np.testing.assert_allclose(p[k], np.linalg.lstsq(design, y, rcond=None)[0],
+                                   rtol=1e-9, atol=1e-12)
+    assert np.max(np.abs(resid[0])) < 1e-12
+
+
+def trf_long_fit(run):
+    """The bounded three-parameter fit of the long-time model from the
+    endpoint levels and a third of the span, by least_squares' TRF."""
+    t_us = run.delays_ns / 1000.0
+    y = 1.0 - run.compensation / run.v_step
+    span_us = float(t_us[-1] - t_us[0])
+    lo, hi = LONG_LEVEL_BAND
+    tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
+
+    def residuals(theta):
+        settled, initial, tau = theta
+        return (initial - settled) * np.exp(-t_us / tau) + settled - y
+
+    theta0 = np.array([
+        np.clip(y[-1], lo + 1e-6, hi - 1e-6),
+        np.clip(y[0], lo + 1e-6, hi - 1e-6),
+        np.clip(span_us / 3.0, tau_lo * 1.01, 10.0 * span_us * 0.99),
+    ])
+    sol = least_squares(
+        residuals, theta0, bounds=([lo, lo, tau_lo], [hi, hi, 10.0 * span_us]), method="trf"
+    )
+    return sol.x
+
+
+@pytest.mark.filterwarnings("ignore::fluxcal.errors.DegenerateFitWarning")
+@settings(deadline=None, max_examples=30)
+@given(
+    st.floats(1.52, 1.7) | st.floats(0.3, 0.48), st.floats(0.7, 1.3), st.floats(3.0, 15.0),
+    st.booleans(), st.integers(0, 2**31 - 1),
+)
+def test_long_fit_falls_back_to_the_bounded_fit_outside_the_level_band(
+    outside, inside, tau_us, outside_is_settled, noise_seed
+):
+    # One true level lies outside LONG_LEVEL_BAND, so the projected levels
+    # leave it and the bounded fit runs instead, exactly as it would alone.
+    settled, initial = (outside, inside) if outside_is_settled else (inside, outside)
+    t_ns = np.linspace(500.0, 60000.0, 40)
+    rng = np.random.default_rng(noise_seed)
+    y = (initial - settled) * np.exp(-t_ns / 1000.0 / tau_us) + settled
+    y += rng.normal(0, 1e-4, t_ns.size)
+    run = CalibrationRun(delays_ns=t_ns, compensation=0.3 * (1.0 - y), v_step=0.3, regime="long")
+    t_us, y_run = t_ns / 1000.0, 1.0 - run.compensation / run.v_step
+    span_us = run.span_ns / 1000.0
+    step, b, _ = fitting._fit_exp_offset(
+        t_us, y_run, span_us / 3.0, np.min(np.diff(t_us)), 10.0 * span_us
+    )
+    lo, hi = LONG_LEVEL_BAND
+    assert not (lo < b < hi and lo < step + b < hi)
+    model, diag = fit_long_time(run, rms_threshold=1.0, full_output=True)
+    assert diag.n_joint_refits == 1
+    np.testing.assert_array_equal([model.settled, model.initial, model.tau_us], trf_long_fit(run))
+
+
+def test_long_fit_inside_the_band_needs_no_bounded_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("least_squares called")
+
+    monkeypatch.setattr(fitting, "least_squares", refuse)
+    resp = CombinedResponse(short=None, long=LongTimeModel(*PLANAR_LONG), v_step=0.25)
+    run = synthesize_calibration_run(resp, np.linspace(4000.0, 70000.0, 40), "long")
+    model, diag = fit_long_time(run, full_output=True)
+    assert diag.n_joint_refits == 0
+    np.testing.assert_allclose([model.settled, model.initial, model.tau_us], PLANAR_LONG, rtol=1e-9)
+
+
 def make_anticrossing(g_ghz, k_eff, b_eff, k_c, b_c, n=15):
     z = np.linspace(0.2, 0.4, n)
     f_q = k_eff * z + b_eff
@@ -542,3 +644,35 @@ def test_anticrossing_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.zpa, data.zpa)
     np.testing.assert_array_equal(back.freq_ghz, data.freq_ghz)
     assert back.branch == data.branch
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.floats(0.03, 0.1), st.floats(0.0, 0.4), st.floats(4.4, 5.0), st.floats(4.0, 6.0),
+    st.floats(0.27, 0.33), st.booleans(), st.integers(0, 2**31 - 1),
+)
+def test_anticrossing_jacobian_against_central_differences(
+    g_ghz, k_eff, b_eff, k_c, z_cross, rising, seed
+):
+    # The Jacobian handed to least_squares, at its starts and at points
+    # moved off them, against central differences of the residuals.
+    k_c = k_c if rising else -k_c
+    data = make_anticrossing(g_ghz, k_eff, b_eff, k_c, (k_eff - k_c) * z_cross + b_eff)
+    calls = []
+
+    def recording(fun, x0, jac, **kwargs):
+        calls.append((fun, jac, np.array(x0)))
+        return least_squares(fun, x0, jac=jac, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "least_squares", recording)
+        fit_anticrossing(data, k_q=4.0)
+    assert len(calls) == 2
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    for fun, jac, theta0 in calls:
+        for theta in (theta0, theta0 + rng.normal(0.0, 0.05, 4)):
+            fd = np.column_stack(
+                [(fun(theta + h * e) - fun(theta - h * e)) / (2 * h) for e in np.eye(4)]
+            )
+            np.testing.assert_allclose(jac(theta), fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)))
