@@ -24,12 +24,7 @@ from .models import (
     step_response_grid,
     write_model_json,
 )
-from .predistort import (
-    apply_channel,
-    full_pipeline,
-    reversed_convolution_o2,
-    spectral_predistort,
-)
+from .predistort import apply_channel, full_pipeline, reversed_convolution_o2
 from .signal import (
     Waveform,
     convolve,
@@ -66,7 +61,6 @@ __all__ = [
     "read_model_json",
     "read_waveform_csv",
     "reversed_convolution_o2",
-    "spectral_predistort",
     "step_response_grid",
     "step_to_impulse",
     "write_model_json",

@@ -31,6 +31,9 @@ from .serialize import _finite_columns, read_csv_table, write_csv_table
 
 SCHEMES = ("rb", "xeb")
 
+# Longest sequence a decay file may hold, far beyond any measured one.
+MAX_SEQUENCE_LENGTH = 10**9
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -78,8 +81,9 @@ _DECAY_TAU_LO = 1.0 / math.log(1e9)
 def fit_decay(lengths, fidelities) -> DecayFit:
     """Fit F(n) = A p^n + B to sequence fidelities.
 
-    Requires at least five distinct sequence lengths and fidelities in
-    [0, 1].  With p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
+    Requires integer sequence lengths from 0 to MAX_SEQUENCE_LENGTH, at
+    least five of them distinct, and fidelities in [0, 1].  With
+    p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
     in A and B, so the fit runs the variable-projection search over log tau
     with a constant column (``fitting._fit_exp_offset``) from the endpoint
     guess of p; no scipy optimizer is called.  The decay rate is bounded to
@@ -96,8 +100,10 @@ def fit_decay(lengths, fidelities) -> DecayFit:
         raise InvalidArgumentError("lengths and fidelities must be matching 1-D arrays")
     if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
         raise InvalidArgumentError("lengths and fidelities must be finite")
-    if np.any(n < 0):
-        raise InvalidArgumentError("sequence lengths must be >= 0")
+    if np.any((n < 0) | (n > MAX_SEQUENCE_LENGTH) | (n != np.round(n))):
+        raise InvalidArgumentError(
+            f"sequence lengths must be integers from 0 to {MAX_SEQUENCE_LENGTH}"
+        )
     if np.unique(n).size < 5:
         raise InvalidArgumentError("need at least 5 distinct sequence lengths")
     if np.any(f < 0) or np.any(f > 1):

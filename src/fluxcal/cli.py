@@ -15,10 +15,10 @@ model object with an unknown key, a JSON field that is not a finite number
 where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
 an integer in range, an ``--rms-threshold`` that is not a finite number
 above 0, a ``--dimension`` below 2, a decay file that breaks the decay
-fit's rules), 2 numerical failure (a well-formed input on which the
+fit's rules, a model, system or drive value that breaks its object's
+own checks), 2 numerical failure (a well-formed input on which the
 computation fails, including floating-point overflow).  The
 ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
-``simulate`` and ``roundtrip`` run each sweep in this process.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .analysis import (
     xeb_fidelity,
     xeb_parallel_combine,
 )
-from .errors import FluxcalError, InvalidArgumentError
+from .errors import FluxcalError
 from .fitting import (
     REGIMES,
     fit_long_time,
@@ -52,7 +52,7 @@ from .fitting import (
 from .models import MAX_SHORT_TERMS, CombinedResponse, model_from_dict, model_to_dict
 from .pipeline import roundtrip
 from .predistort import apply_channel, full_pipeline
-from .serialize import _check_object, _finite_float, load_json, write_json
+from .serialize import _check_object, _finite_float, _usage_error, load_json, write_json
 from .signal import read_waveform_csv, write_waveform_csv
 from .simulator import (
     MAX_STEP_NS,
@@ -165,7 +165,9 @@ def _system_from_spec(spec) -> SystemParams:
         cm = _check_object(spec["coupler"], _COUPLER_KEYS, "system.coupler")
         where = "system.coupler."
         zpa_range = _parse_grid(cm.get("zpa_range", [0.0, 0.5]), f"{where}zpa_range")
-        coupler = CouplerMap(
+        coupler = _usage_error(
+            "system.coupler",
+            CouplerMap,
             f_max_ghz=_number(cm, "f_max_ghz", where=where),
             curvature_ghz=_number(cm, "curvature_ghz", where=where),
             asymmetry=_number(cm, "asymmetry", 0.0, where),
@@ -173,7 +175,9 @@ def _system_from_spec(spec) -> SystemParams:
             flux_offset=_number(cm, "flux_offset", 0.0, where),
             zpa_range=tuple(zpa_range.tolist()),
         )
-        return SystemParams(
+        return _usage_error(
+            "system",
+            SystemParams,
             omega_q_ghz=_number(spec, "omega_q_ghz", where="system."),
             g_qc_ghz=_number(spec, "g_qc_ghz", where="system."),
             coupler=coupler,
@@ -209,7 +213,7 @@ def _schedule_from_spec(spec, keys=("regime", *_SCHEDULE_KEYS)) -> DriveSchedule
     if regime not in REGIMES:
         raise ValueError(f"drive: regime must be one of {REGIMES}, got {regime!r}")
     kwargs = {k: _number(spec, k, where="drive.") for k in _SCHEDULE_KEYS if k in spec}
-    return DriveSchedule(regime=regime, **kwargs)
+    return _usage_error("drive", DriveSchedule, regime=regime, **kwargs)
 
 
 def cmd_fit(args) -> int:
@@ -344,10 +348,7 @@ def cmd_simulate(args) -> int:
 def _fit_decay_file(path):
     """The decay fit of one CSV; a file that breaks the fit's input rules
     is a usage error naming the file."""
-    try:
-        return fit_decay(*read_decay_csv(path))
-    except InvalidArgumentError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _usage_error(path, fit_decay, *read_decay_csv(path))
 
 
 def cmd_analyze(args) -> int:
@@ -485,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulated calibration sweep")
     p_sim.add_argument("scenario", help="scenario JSON")
     p_sim.add_argument("--output-dir", "-o", required=True, dest="output_dir")
-    # --threads is parsed and ignored here and on roundtrip: perfbench still passes it.
-    p_sim.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="compute gate fidelity from decay CSVs")
@@ -504,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rt.add_argument("scenario", help="scenario JSON with system and true channel")
     p_rt.add_argument("--output-dir", "-o", required=True, dest="output_dir")
+    # Parsed and ignored: the sweep runs in this process, and perfbench still passes it.
     p_rt.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.set_defaults(func=cmd_roundtrip)

@@ -22,8 +22,7 @@ class DegenerateFitError(FitFailedError):
 
 
 class IllConditionedChannelError(FluxcalError, ValueError):
-    """A channel's causal inverse is unstable, or its transfer function has
-    spectral nulls the regularization floor would dominate."""
+    """A channel's causal inverse is unstable."""
 
 
 class SweepRangeError(FluxcalError, ValueError):

@@ -6,8 +6,7 @@ Covers the three fits the calibration workflow needs:
   variable-projection search over log time constants whose starts run as
   one batched Levenberg-Marquardt iteration;
 * single-exponential fits of long-time (microsecond) settling sweeps, the
-  same search from one start with a constant column in the design, and a
-  bounded three-parameter fit only when a level leaves LONG_LEVEL_BAND;
+  same search from one start with a constant column in the design;
 * anti-crossing fits that extract the qubit-coupler coupling strength and
   the Z-line crosstalk coefficient from branch-resolved spectroscopy.
 
@@ -30,8 +29,8 @@ from .errors import (
     FitFailedError,
     InvalidArgumentError,
 )
-from .models import LONG_LEVEL_BAND, LongTimeModel, ShortTimeModel
-from .serialize import _finite_columns, read_csv_table, write_csv_table
+from .models import LONG_LEVEL_BAND, MAX_SHORT_TERMS, LongTimeModel, ShortTimeModel
+from .serialize import _finite_columns, _usage_error, read_csv_table, write_csv_table
 from .signal import _as_readonly
 
 REGIMES = ("short", "long")
@@ -40,6 +39,10 @@ REGIMES = ("short", "long")
 TAU_COLLAPSE_REL = 0.05
 
 MIN_POINTS_PER_BRANCH = 8
+
+# Largest standard deviation of the anti-crossing branch product, relative
+# to its mean, for which the two branches count as separated.
+BRANCH_PRODUCT_SPREAD = 0.5
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,8 @@ class FitDiagnostics:
     n_starts: int
     degenerate: bool = False
     messages: tuple[str, ...] = field(default_factory=tuple)
-    # Short-time fit: starts refitted jointly because their search ended
-    # with amplitudes outside [-0.5, 0.5].  Long-time fit: 1 when the
-    # projected levels left LONG_LEVEL_BAND and the bounded fit ran.
+    # Short-time fit only: starts refitted jointly because their search
+    # ended with amplitudes outside [-0.5, 0.5].
     n_joint_refits: int = 0
 
 
@@ -322,8 +324,8 @@ def fit_short_time(
     """
     if run.regime != "short":
         raise InvalidArgumentError(f"expected a short-regime run, got {run.regime!r}")
-    if not 1 <= n_terms <= 6:
-        raise InvalidArgumentError(f"n_terms must be 1..6, got {n_terms}")
+    if not 1 <= n_terms <= MAX_SHORT_TERMS:
+        raise InvalidArgumentError(f"n_terms must be 1..{MAX_SHORT_TERMS}, got {n_terms}")
     t = run.delays_ns
     y = -run.compensation / run.v_step
     if t.size < 2 * n_terms + 1:
@@ -419,11 +421,10 @@ def fit_long_time(
     is a exp(-t / tau) + b, linear in a and b, so the variable-projection
     search adjusts log tau alone, within [tau_lo, 10 x span] from a third
     of the span, and reads settled = b and initial = a + b.  If either
-    level leaves LONG_LEVEL_BAND, the three parameters are instead fitted
-    within it by bounded least squares from the endpoint levels, and
-    ``n_joint_refits`` is 1.  Constant data yields a degenerate fit
-    (settled = initial) and a DegenerateFitWarning, since the time constant
-    is then meaningless.
+    level leaves LONG_LEVEL_BAND, the data are mis-scaled or hold no
+    settling of this form, and the fit fails.  Constant data yields a
+    degenerate fit (settled = initial) and a DegenerateFitWarning, since
+    the time constant is then meaningless.
     """
     if run.regime != "long":
         raise InvalidArgumentError(f"expected a long-regime run, got {run.regime!r}")
@@ -442,27 +443,17 @@ def fit_long_time(
         diag = FitDiagnostics((0.0,), 0.0, 1, degenerate=True)
         return (model, diag) if full_output else model
 
-    def residuals(theta):
-        settled, initial, tau = theta
-        return (initial - settled) * np.exp(-t_us / tau) + settled - y
-
     tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
     tau_hi = 10.0 * span_us
     tau0 = float(np.clip(span_us / 3.0, tau_lo * 1.01, tau_hi * 0.99))
     step, settled, tau = _fit_exp_offset(t_us, y, tau0, tau_lo, tau_hi)
     initial = step + settled
-    n_joint_refits = 0
     if not (lo < settled < hi and lo < initial < hi):
-        # The unconstrained levels leave the band: fit all three within it.
-        n_joint_refits = 1
-        theta0 = np.array(
-            [np.clip(y[-1], lo + 1e-6, hi - 1e-6), np.clip(y[0], lo + 1e-6, hi - 1e-6), tau0]
+        raise FitFailedError(
+            f"fitted levels settled {settled:.6g} and initial {initial:.6g} leave the "
+            f"plausibility band {LONG_LEVEL_BAND}; check v_step and the run's scale"
         )
-        sol = least_squares(
-            residuals, theta0, bounds=([lo, lo, tau_lo], [hi, hi, tau_hi]), method="trf"
-        )
-        settled, initial, tau = (float(v) for v in sol.x)
-    rms = float(np.sqrt(np.mean(residuals((settled, initial, tau)) ** 2)))
+    rms = float(np.sqrt(np.mean(((initial - settled) * np.exp(-t_us / tau) + settled - y) ** 2)))
     scale = max(float(np.max(np.abs(y))), 1e-30)
     if rms > rms_threshold * scale:
         raise FitFailedError(
@@ -476,7 +467,7 @@ def fit_long_time(
         )
         warnings.warn(messages[-1], DegenerateFitWarning, stacklevel=2)
     model = LongTimeModel(settled=settled, initial=initial, tau_us=tau)
-    diag = FitDiagnostics((rms,), rms, 1, messages=tuple(messages), n_joint_refits=n_joint_refits)
+    diag = FitDiagnostics((rms,), rms, 1, messages=tuple(messages))
     return (model, diag) if full_output else model
 
 
@@ -507,7 +498,6 @@ def _branch_line_inits(data: AnticrossingData):
 def fit_anticrossing(
     data: AnticrossingData,
     k_q: float,
-    rel_std_threshold: float = 0.5,
     full_output: bool = False,
 ):
     """Extract coupling strength and crosstalk from anti-crossing branches.
@@ -562,10 +552,10 @@ def fit_anticrossing(
         raise DegenerateFitError(
             "branch product is not positive: branches touch or cross (g = 0?)"
         )
-    if std_prod > rel_std_threshold * mean_prod:
+    if std_prod > BRANCH_PRODUCT_SPREAD * mean_prod:
         raise FitFailedError(
             f"branch product spread {std_prod:.3g} exceeds "
-            f"{rel_std_threshold} x mean {mean_prod:.3g}; branches not separable"
+            f"{BRANCH_PRODUCT_SPREAD} x mean {mean_prod:.3g}; branches not separable"
         )
     g_ghz = float(np.sqrt(mean_prod))
     kq_eff, bq_eff, kc, bc = (float(v) for v in theta)
@@ -635,12 +625,8 @@ def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
     delays, compensation = _finite_columns(path, header, read_csv_table(path, header))
     if len(delays) < 2:
         raise ValueError(f"{path}: need at least two rows")
-    try:
-        return CalibrationRun(
-            delays_ns=delays, compensation=compensation, v_step=v_step, regime=regime
-        )
-    except InvalidArgumentError as exc:  # the delay rule, or v_step and regime
-        raise ValueError(f"{path}: {exc}") from None
+    # the delay rule, or v_step and regime
+    return _usage_error(path, CalibrationRun, delays, compensation, v_step, regime)
 
 
 def write_anticrossing_csv(path, data: AnticrossingData) -> None:

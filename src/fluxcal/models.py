@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .serialize import _check_object, _finite_float, load_json, write_json
+from .serialize import _check_object, _finite_float, _usage_error, load_json, write_json
 from .signal import Waveform
 
 MAX_SHORT_TERMS = 6
@@ -183,29 +183,31 @@ def model_to_dict(resp: CombinedResponse) -> dict:
 def model_from_dict(data: dict, name: str = "model") -> CombinedResponse:
     """The model held by a dict in the layout of ``model_to_dict``, which
     may also carry a ``meta`` entry (as ``fluxcal fit`` writes).  An
-    object with a key outside that layout, or a field that is no finite
-    number, raises ValueError naming it, as ``name.long.tau_us``."""
+    object with a key outside that layout, a field that is no finite
+    number, or a value that breaks the model's own checks raises
+    ValueError naming it, as ``name.long.tau_us`` or ``name.short[0]``."""
     _check_object(data, ("short", "long", "v_step", "meta"), name)
     short = None
     if "short" in data:
         if not isinstance(data["short"], list):
             raise ValueError(f"{name}.short: expected a list of terms")
-        amplitudes, taus = [], []
+        terms = []
         for k, term in enumerate(data["short"]):
             where = f"{name}.short[{k}]"
             _check_object(term, ("p", "tau_ns"), where)
-            amplitudes.append(_finite_float(term["p"], f"{where}.p"))
-            taus.append(_finite_float(term["tau_ns"], f"{where}.tau_ns"))
-        short = ShortTimeModel.from_arrays(amplitudes, taus)
+            p, tau = (_finite_float(term[key], f"{where}.{key}") for key in ("p", "tau_ns"))
+            terms.append(_usage_error(where, ExpTerm, p, tau))
+        terms.sort(key=lambda term: term.tau_ns)
+        short = _usage_error(f"{name}.short", ShortTimeModel, terms)
     long_part = None
     if "long" in data:
         entry = _check_object(data["long"], ("A", "B", "tau_us"), f"{name}.long")
         settled, initial, tau_us = (
             _finite_float(entry[key], f"{name}.long.{key}") for key in ("A", "B", "tau_us")
         )
-        long_part = LongTimeModel(settled=settled, initial=initial, tau_us=tau_us)
+        long_part = _usage_error(f"{name}.long", LongTimeModel, settled, initial, tau_us)
     v_step = _finite_float(data.get("v_step", 1.0), f"{name}.v_step")
-    return CombinedResponse(short=short, long=long_part, v_step=v_step)
+    return _usage_error(name, CombinedResponse, short, long_part, v_step)
 
 
 def write_model_json(path, resp: CombinedResponse) -> None:

@@ -3,12 +3,9 @@
 ``full_pipeline`` convolves the target with the exact causal inverse of the
 sampled channel, which is rational in z because the step response is a sum
 of exponentials, so ``apply_channel`` of its output returns the target to
-round-off.  Two approximate inverses remain for comparison:
-
-* ``reversed_convolution_o2``, the series 1 + R + R^2 in R = 1 - H, whose
-  residual shrinks with the cube of the distortion amplitude;
-* ``spectral_predistort``, the FFT division by the transfer function with
-  Tikhonov-style regularization.
+round-off.  ``reversed_convolution_o2`` is the approximate inverse it
+replaces, the series 1 + R + R^2 in R = 1 - H, whose residual shrinks with
+the cube of the distortion amplitude.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ChannelApproximationWarning, IllConditionedChannelError, InvalidArgumentError
+from .errors import ChannelApproximationWarning, IllConditionedChannelError
 from .models import CombinedResponse, step_response_grid
 from .signal import Waveform, convolve, require_same_grid, step_to_impulse
 
@@ -49,53 +46,6 @@ def reversed_convolution_o2(target: Waveform, kernel: Waveform) -> Waveform:
         dt_ns=target.dt_ns,
         samples=target.samples + first.samples + second.samples,
     )
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
-def spectral_predistort(
-    target: Waveform,
-    kernel: Waveform,
-    regularization: float = 1e-6,
-) -> Waveform:
-    """Frequency-domain inverse of a channel applied to ``target``.
-
-    The FFT grid is a power of two at least twice the target length.  The
-    target sits in its middle: leading zeros supply the causal silence
-    before the pulse (so the turn-on edge is visible to the division) and
-    a trailing edge-hold extension gives the channel room to settle before
-    the grid wraps around.  The division uses
-
-        X = Y * conj(H) / (|H|^2 + eps^2),  eps = regularization * max|H|
-
-    so spectral regions where the channel vanishes are floored instead of
-    amplified.  Channels with nulls deeper than the floor are rejected.
-    """
-    require_same_grid(target, kernel)
-    if not (0 < regularization < 1):
-        raise InvalidArgumentError("regularization must be in (0, 1)")
-    n = len(target)
-    nfft = _next_pow2(2 * n)
-    front = (nfft - n) // 2
-    padded = np.zeros(nfft)
-    padded[front : front + n] = target.samples
-    padded[front + n :] = target.samples[-1]
-    transfer = np.fft.rfft(kernel.samples[:nfft], nfft)
-    eps = regularization * np.max(np.abs(transfer))
-    if np.min(np.abs(transfer)) < eps:
-        raise IllConditionedChannelError(
-            "channel transfer function has nulls below the regularization "
-            f"floor {eps:.3g}; its inverse is not meaningful"
-        )
-    spectrum = np.fft.rfft(padded)
-    inverted = spectrum * np.conj(transfer) / (np.abs(transfer) ** 2 + eps**2)
-    out = np.fft.irfft(inverted, n=nfft)[front : front + n]
-    return Waveform(dt_ns=target.dt_ns, samples=out)
 
 
 def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> Waveform:

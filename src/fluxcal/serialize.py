@@ -130,6 +130,16 @@ def _finite_float(value, name: str) -> float:
     return number
 
 
+def _usage_error(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose InvalidArgumentError (an input
+    value that breaks the checks of what it builds) becomes a ValueError
+    naming ``name``: a usage error, not a numerical failure."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidArgumentError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def write_csv_table(path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header``: floats with 17
     significant digits, integers and text with ``str``.

@@ -123,18 +123,6 @@ def step_to_impulse(step: Waveform) -> Waveform:
     return Waveform(dt_ns=step.dt_ns, samples=np.diff(step.samples, prepend=0.0))
 
 
-def negate_compensation(waveform: Waveform, v_step: float) -> Waveform:
-    """Convert measured compensation amplitudes into a distortion curve.
-
-    The compensation offsets cancel the distortion, so the underlying
-    distortion is -V(t)/V_step.  With v_step = 1 the operation is its own
-    inverse.
-    """
-    if v_step == 0 or not np.isfinite(v_step):
-        raise InvalidArgumentError("v_step must be finite and nonzero")
-    return Waveform(dt_ns=waveform.dt_ns, samples=-waveform.samples / v_step)
-
-
 def write_waveform_csv(path, waveform: Waveform) -> None:
     """Write ``t_ns,amplitude`` rows with 17 significant digits."""
     write_csv_table(path, ("t_ns", "amplitude"), (waveform.times_ns, waveform.samples))

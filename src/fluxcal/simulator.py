@@ -51,6 +51,10 @@ ENVELOPE_TRUNC_SIGMAS = 2.0
 
 NORM_DRIFT_LIMIT = 1e-8
 
+# The spectator transition is negligible while Omega+/2 stays below this
+# fraction of the dressed splitting.
+RWA_MARGIN = 0.1
+
 # Largest integration step, and the default one, sized by the compensation
 # the loop reads: CF4 is fourth order, and at 2 ns the compensation of every
 # default roundtrip stage is within 1.7e-6 of v_step of a 0.05 ns run on
@@ -234,21 +238,21 @@ class RwaCheck:
     margin_factor: float
 
 
-def check_rwa(pair: DressedPair, omega_plus_rabi_mhz: float, margin_factor: float = 0.1) -> RwaCheck:
+def check_rwa(pair: DressedPair, omega_plus_rabi_mhz: float) -> RwaCheck:
     """Check Omega+/2 << dressed splitting.
 
     The spectator transition |00> -> |phi+> is driven at Omega+; treating
-    it as negligible is valid while Omega+/2 stays below ``margin_factor``
-    times the splitting.  Returns the ratio so callers can report margins.
+    it as negligible is valid while Omega+/2 stays below RWA_MARGIN times
+    the splitting.  Returns the ratio so callers can report margins.
     """
     half_rabi_ghz = 0.5 * abs(omega_plus_rabi_mhz) * 1e-3
     split = pair.splitting_ghz
     if half_rabi_ghz == 0.0:
-        return RwaCheck(passed=True, ratio=0.0, margin_factor=margin_factor)
+        return RwaCheck(passed=True, ratio=0.0, margin_factor=RWA_MARGIN)
     if split <= 0.0:
-        return RwaCheck(passed=False, ratio=math.inf, margin_factor=margin_factor)
+        return RwaCheck(passed=False, ratio=math.inf, margin_factor=RWA_MARGIN)
     ratio = half_rabi_ghz / split
-    return RwaCheck(passed=ratio <= margin_factor, ratio=ratio, margin_factor=margin_factor)
+    return RwaCheck(passed=ratio <= RWA_MARGIN, ratio=ratio, margin_factor=RWA_MARGIN)
 
 
 @dataclass(frozen=True)

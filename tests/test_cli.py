@@ -22,7 +22,7 @@ from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
 from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
-from fluxcal.serialize import dumps_json, write_json
+from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
 from fluxcal.simulator import MAX_STEP_NS
 
@@ -211,6 +211,13 @@ def test_predistort_takes_a_fit_output_as_model(tmp_path, flipchip_run_csv):
     ({"long": {"A": 1.01, "B": 0.99, "tau_us": "9 us"}, "v_step": 0.3},
      "model.long.tau_us: expected a finite number, got '9 us'"),
     ({"short": {"p": -0.02, "tau_ns": 50.0}, "v_step": 0.3}, "model.short: expected a list of terms"),
+    # values that break the model's own checks are usage errors too
+    ({"short": [{"p": 1.5, "tau_ns": 50.0}], "v_step": 0.3},
+     "model.short[0]: term amplitude must satisfy |p| < 1, got 1.5"),
+    ({"short": [{"p": -0.02, "tau_ns": 50.0}, {"p": -0.01, "tau_ns": -10}], "v_step": 0.3},
+     "model.short[1]: tau_ns must be finite and > 0, got -10.0"),
+    ({"long": {"A": 2.0, "B": 0.99, "tau_us": 9.0}, "v_step": 0.3},
+     "model.long: settled level 2.0 outside the plausibility band (0.5, 1.5)"),
 ])
 def test_predistort_malformed_model_is_one_line_usage_error(tmp_path, capsys, model, message):
     target = tmp_path / "step.csv"
@@ -410,6 +417,10 @@ EXPLICIT_FLIPCHIP = {
      "delays_ns: at most 1000 values, got 1001"),
     ("roundtrip", {"n_exp": 2.9}, "n_exp: expected an integer from 1 to 6, got 2.9"),
     ("roundtrip", {"n_exp": 7}, "n_exp: expected an integer from 1 to 6, got 7"),
+    ("simulate", {"system": {**EXPLICIT_FLIPCHIP, "g_qc_ghz": 2}},
+     "system: g_qc_ghz must be in (0, 1) GHz"),
+    ("simulate", {"drive": {"t_pi_min_ns": 10}}, "drive: need 30 <= t_pi_min <= t_pi_max <= 200 ns"),
+    ("roundtrip", {"drive": {"t_pi_min_ns": 10}}, "drive: need 30 <= t_pi_min <= t_pi_max <= 200 ns"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -544,18 +555,24 @@ def test_analyze_rb_rejects_two_references(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+LENGTH_RULE = "{path}: sequence lengths must be integers from 0 to 1000000000"
+
+
 @pytest.mark.parametrize("n, fidelity, code, message", [
-    ([-1, 20, 40, 60, 80], [0.9, 0.8, 0.7, 0.65, 0.6], 1, "{path}: sequence lengths must be >= 0"),
+    ([-1, 20, 40, 60, 80], [0.9, 0.8, 0.7, 0.65, 0.6], 1, LENGTH_RULE),
+    ([0, 2.5, 40, 60, 80], [0.9, 0.8, 0.7, 0.65, 0.6], 1, LENGTH_RULE),
+    ([0, 20, 40, 60, 1e300], [0.9, 0.8, 0.7, 0.65, 0.6], 1, LENGTH_RULE),
     ([0, 20, 40, 60, 80], [0.9, 0.8, 1.2, 0.65, 0.6], 1, "{path}: fidelities must lie in [0, 1]"),
     ([0, 20, 40, 40, 80], [0.9, 0.8, 0.7, 0.7, 0.6], 1,
      "{path}: need at least 5 distinct sequence lengths"),
     # well-formed, but the decay rate cannot be fitted: a numerical failure
     ([0, 20, 40, 60, 80], [0.7] * 5, 2, "constant fidelities: decay rate is unidentifiable"),
-], ids=["negative-n", "fidelity-above-1", "four-lengths", "constant"])
+], ids=["negative-n", "fractional-n", "huge-n", "fidelity-above-1", "four-lengths", "constant"])
 def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, message):
     good, bad = tmp_path / "gate.csv", tmp_path / "ref.csv"
     write_decay_csv(good, np.arange(0, 400, 20), 0.75 * 0.99 ** np.arange(0, 400, 20) + 0.25)
-    write_decay_csv(bad, n, fidelity)
+    # written as floats: write_decay_csv would round the lengths to integers
+    write_csv_table(bad, ("n", "fidelity"), (np.asarray(n, float), np.asarray(fidelity, float)))
     out = tmp_path / "out.json"
     argv = ["analyze", "--scheme", "rb", "--gate", str(good), "--reference", str(bad), "-o", str(out)]
     assert main(argv) == code

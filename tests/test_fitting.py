@@ -476,41 +476,21 @@ def test_offset_projection_jacobian_against_central_differences(model, offset, n
     assert np.max(np.abs(resid[0])) < 1e-12
 
 
-def trf_long_fit(run):
-    """The bounded three-parameter fit of the long-time model from the
-    endpoint levels and a third of the span, by least_squares' TRF."""
-    t_us = run.delays_ns / 1000.0
-    y = 1.0 - run.compensation / run.v_step
-    span_us = float(t_us[-1] - t_us[0])
-    lo, hi = LONG_LEVEL_BAND
-    tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
-
-    def residuals(theta):
-        settled, initial, tau = theta
-        return (initial - settled) * np.exp(-t_us / tau) + settled - y
-
-    theta0 = np.array([
-        np.clip(y[-1], lo + 1e-6, hi - 1e-6),
-        np.clip(y[0], lo + 1e-6, hi - 1e-6),
-        np.clip(span_us / 3.0, tau_lo * 1.01, 10.0 * span_us * 0.99),
-    ])
-    sol = least_squares(
-        residuals, theta0, bounds=([lo, lo, tau_lo], [hi, hi, 10.0 * span_us]), method="trf"
-    )
-    return sol.x
+def refuse_least_squares(*args, **kwargs):
+    raise AssertionError("least_squares called")
 
 
-@pytest.mark.filterwarnings("ignore::fluxcal.errors.DegenerateFitWarning")
 @settings(deadline=None, max_examples=30)
 @given(
     st.floats(1.52, 1.7) | st.floats(0.3, 0.48), st.floats(0.7, 1.3), st.floats(3.0, 15.0),
     st.booleans(), st.integers(0, 2**31 - 1),
 )
-def test_long_fit_falls_back_to_the_bounded_fit_outside_the_level_band(
+def test_long_fit_fails_outside_the_level_band(
     outside, inside, tau_us, outside_is_settled, noise_seed
 ):
     # One true level lies outside LONG_LEVEL_BAND, so the projected levels
-    # leave it and the bounded fit runs instead, exactly as it would alone.
+    # leave it: the fit fails naming both levels and the band, and calls
+    # no optimizer on the way.
     settled, initial = (outside, inside) if outside_is_settled else (inside, outside)
     t_ns = np.linspace(500.0, 60000.0, 40)
     rng = np.random.default_rng(noise_seed)
@@ -524,16 +504,17 @@ def test_long_fit_falls_back_to_the_bounded_fit_outside_the_level_band(
     )
     lo, hi = LONG_LEVEL_BAND
     assert not (lo < b < hi and lo < step + b < hi)
-    model, diag = fit_long_time(run, rms_threshold=1.0, full_output=True)
-    assert diag.n_joint_refits == 1
-    np.testing.assert_array_equal([model.settled, model.initial, model.tau_us], trf_long_fit(run))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "least_squares", refuse_least_squares)
+        with pytest.raises(FitFailedError, match="plausibility band") as info:
+            fit_long_time(run, rms_threshold=1.0)
+    message = str(info.value)
+    assert f"settled {b:.6g} and initial {step + b:.6g}" in message
+    assert str(LONG_LEVEL_BAND) in message
 
 
 def test_long_fit_inside_the_band_needs_no_bounded_fit(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("least_squares called")
-
-    monkeypatch.setattr(fitting, "least_squares", refuse)
+    monkeypatch.setattr(fitting, "least_squares", refuse_least_squares)
     resp = CombinedResponse(short=None, long=LongTimeModel(*PLANAR_LONG), v_step=0.25)
     run = synthesize_calibration_run(resp, np.linspace(4000.0, 70000.0, 40), "long")
     model, diag = fit_long_time(run, full_output=True)

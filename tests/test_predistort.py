@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from fluxcal.errors import ChannelApproximationWarning, IllConditionedChannelError
 from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel, step_response_grid
-from fluxcal.predistort import (
-    apply_channel,
-    full_pipeline,
-    reversed_convolution_o2,
-    spectral_predistort,
-)
+from fluxcal.predistort import apply_channel, full_pipeline, reversed_convolution_o2
 from fluxcal.signal import Waveform, convolve, heaviside_step, identity_kernel, step_to_impulse
 
 FLIPCHIP = CombinedResponse(
@@ -72,30 +67,6 @@ def test_reversed_convolution_warns_outside_perturbative_regime():
     target = heaviside_step(1.0, 400.0, 1.0)
     with pytest.warns(ChannelApproximationWarning):
         reversed_convolution_o2(target, kernel)
-
-
-def test_spectral_predistort_inverts_the_channel():
-    kernel, _ = single_exp_kernel(-0.04, 200.0, 4000.0, 1.0)
-    target = heaviside_step(0.3, 3000.0, 1.0)
-    pre = spectral_predistort(target, kernel)
-    check = convolve(pre, kernel)
-    dev = np.abs(check.samples - target.samples) / 0.3
-    assert np.max(dev[2:]) < 1e-6
-
-
-def test_spectral_predistort_identity_kernel_is_noop():
-    target = heaviside_step(1.0, 200.0, 0.5)
-    out = spectral_predistort(target, identity_kernel(0.5, 32))
-    # the default regularization biases the inverse by ~(1e-6)^2
-    np.testing.assert_allclose(out.samples, target.samples, rtol=0.0, atol=1e-11)
-
-
-def test_spectral_predistort_rejects_nulled_channel():
-    # A differencing kernel has zero DC response: nothing can restore it.
-    kernel = Waveform(1.0, np.array([1.0, -1.0]))
-    target = heaviside_step(1.0, 64.0, 1.0)
-    with pytest.raises(IllConditionedChannelError):
-        spectral_predistort(target, kernel)
 
 
 @pytest.mark.parametrize("resp, grid_ns", [(FLIPCHIP, 5000.0), (PLANAR, 40000.0)])

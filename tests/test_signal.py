@@ -11,7 +11,6 @@ from fluxcal.signal import (
     convolve,
     heaviside_step,
     identity_kernel,
-    negate_compensation,
     read_waveform_csv,
     require_same_grid,
     step_to_impulse,
@@ -135,14 +134,6 @@ def test_step_to_impulse_reconstructs_step_exactly():
     resp = step_to_impulse(step)
     rebuilt = convolve(heaviside_step(1.0, 100.0, 0.5), resp)
     np.testing.assert_allclose(rebuilt.samples, settle, rtol=0.0, atol=1e-13)
-
-
-def test_negate_compensation_scales_and_flips():
-    wf = Waveform(1.0, np.array([0.02, -0.01, 0.0]))
-    out = negate_compensation(wf, v_step=0.5)
-    np.testing.assert_allclose(out.samples, [-0.04, 0.02, 0.0], atol=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        negate_compensation(wf, v_step=0.0)
 
 
 def test_waveform_csv_roundtrip_is_byte_identical(tmp_path):

@@ -135,9 +135,10 @@ def test_effective_rabi_at_resonance_splits_evenly():
 def test_check_rwa_boundaries():
     pair = dressed_from_frequencies(4.6, 4.9, 0.08)
     split_mhz = pair.splitting_ghz * 1e3
-    under = check_rwa(pair, omega_plus_rabi_mhz=0.198 * split_mhz, margin_factor=0.1)
+    under = check_rwa(pair, omega_plus_rabi_mhz=0.198 * split_mhz)
     assert under.passed and under.ratio == pytest.approx(0.099, rel=1e-12)
-    over = check_rwa(pair, omega_plus_rabi_mhz=0.21 * split_mhz, margin_factor=0.1)
+    assert under.margin_factor == 0.1
+    over = check_rwa(pair, omega_plus_rabi_mhz=0.21 * split_mhz)
     assert not over.passed
     silent = check_rwa(pair, omega_plus_rabi_mhz=0.0)
     assert silent.passed and silent.ratio == 0.0
