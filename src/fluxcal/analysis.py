@@ -86,7 +86,8 @@ def fit_decay(lengths, fidelities) -> DecayFit:
     p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
     in A and B, so the fit runs the variable-projection search over log tau
     with a constant column (``fitting._fit_exp_offset``) from the endpoint
-    guess of p; no scipy optimizer is called.  The decay rate is bounded to
+    guess of p, its time constant clipped to the search range; no scipy
+    optimizer is called.  The decay rate is bounded to
     (0, 1]; the amplitude and offset are unconstrained, with a warning if
     they land outside [0, 1].  ``sigma_p`` is the one-standard-error of p by
     ``curve_fit``'s rule: the SVD pseudo-inverse of J^T J for the analytic
@@ -119,16 +120,18 @@ def fit_decay(lengths, fidelities) -> DecayFit:
     amp0 = float(f[0] - offset0)
     if amp0 == 0.0:
         amp0 = float(np.ptp(f))
-    # crude rate guess from the endpoint decay, kept inside the bounds
-    span = float(n[-1] - n[0]) if n[-1] > n[0] else 1.0
-    mid = float(np.interp(0.5 * (n[0] + n[-1]), n, f))
-    ratio = abs((mid - offset0) / amp0) if amp0 != 0.0 else 0.5
-    p0 = min(max(ratio ** (2.0 / span), 0.5), 0.999)
     # p = 1 is tau = inf.  Above max(n) / sqrt(eps) the decay is a straight
     # line over the measured lengths to within the projection's round-off,
     # and 1 - p is no longer resolved, so the search stops there.
     tau_hi = float(n[-1]) / math.sqrt(np.finfo(float).eps)
-    amplitude, offset, tau = _fit_exp_offset(n, f, -1.0 / math.log(p0), _DECAY_TAU_LO, tau_hi)
+    # crude rate guess from the endpoint decay, on the lengths' own scale:
+    # p0 is kept inside (0, 1) and its time constant inside the search range
+    span = float(n[-1] - n[0]) if n[-1] > n[0] else 1.0
+    mid = float(np.interp(0.5 * (n[0] + n[-1]), n, f))
+    ratio = abs((mid - offset0) / amp0) if amp0 != 0.0 else 0.5
+    p0 = min(max(ratio ** (2.0 / span), np.finfo(float).tiny), math.nextafter(1.0, 0.0))
+    tau0 = min(max(-1.0 / math.log(p0), _DECAY_TAU_LO), tau_hi)
+    amplitude, offset, tau = _fit_exp_offset(n, f, tau0, _DECAY_TAU_LO, tau_hi)
     p = math.exp(-1.0 / tau)
 
     m = n.size

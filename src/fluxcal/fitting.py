@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     DegenerateFitError,
@@ -258,6 +257,14 @@ def _search_log_taus(t, y, u0, lo: float, hi: float, offset: bool = False) -> np
         if not live.size:
             break
     return u
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call, so that
+    the commands that fit nothing with it never load scipy.optimize."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def _fit_exp_offset(t, y, tau0: float, tau_lo: float, tau_hi: float):
@@ -574,25 +581,6 @@ def fit_anticrossing(
     )
     diag = FitDiagnostics(tuple(trace), best[0], len(trace))
     return (fit, diag) if full_output else fit
-
-
-def estimate_kq(zpa, freq_ghz, coeff_zxtalk: float) -> float:
-    """Direct qubit Z slope from a qubit-frequency-vs-coupler-zpa scan.
-
-    Uses the endpoint frequencies of the scan: the observed shift divided
-    by the crosstalk coefficient and the zpa span.
-    """
-    if coeff_zxtalk == 0 or not np.isfinite(coeff_zxtalk):
-        raise InvalidArgumentError("coeff_zxtalk must be finite and nonzero")
-    z = np.asarray(zpa, dtype=float)
-    f = np.asarray(freq_ghz, dtype=float)
-    if z.ndim != 1 or z.size < 2 or f.shape != z.shape:
-        raise InvalidArgumentError("need matching 1-D arrays with >= 2 points")
-    imin, imax = int(np.argmin(z)), int(np.argmax(z))
-    dz = z[imax] - z[imin]
-    if dz == 0:
-        raise InvalidArgumentError("zpa scan has zero span")
-    return float((f[imax] - f[imin]) / (coeff_zxtalk * dz))
 
 
 def synthesize_calibration_run(

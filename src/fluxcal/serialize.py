@@ -7,10 +7,11 @@ interpreter's repr heuristics.
 CSV tables use the ``csv`` module's default dialect (CRLF rows).  Readers
 check the leading header names, ignore extra trailing columns and blank rows,
 and reject a row with fewer fields than the header.  The codec handles a
-table whole, not row by row: the writer formats it with one ``%`` operation
-and the reader splits it with ``str`` methods, producing the bytes and values
-of ``csv.writer`` and ``csv.reader``; the reader leaves to ``csv.reader`` the
-bodies only it parses correctly.
+table whole, not row by row: the writer formats it with one ``%`` operation,
+producing the bytes of ``csv.writer``, and the reader parses a table of
+floats with numpy's tokenizer (``np.loadtxt``), producing the values of
+``csv.reader`` and ``float``.  Tables with a text column, and the tables
+numpy refuses or may read differently, go through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ import io
 import json
 import math
 import re
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Characters numpy's tokenizer may read otherwise than csv.reader and float: a
+# quote, a NUL, and the separators \x1c-\x1f, which numpy strips as
+# whitespace and float does not.
+_CSV_READER_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
 
 def format_float(x: float) -> str:
@@ -172,18 +177,23 @@ def _text_cells(values, alone: bool) -> list[str]:
     ]
 
 
-def read_csv_table(path, header, converters=None) -> list[list]:
-    """Read the columns named by ``header``, one list per column, each field
-    parsed by its column's converter (``float`` by default).
+def read_csv_table(path, header, converters=None) -> list:
+    """Read the columns named by ``header``, each field parsed by its
+    column's converter (``float`` by default): one float array per column
+    when numpy's tokenizer parsed the table (every converter ``float``),
+    otherwise one list per column.
 
     A bad header raises ValueError naming the file; a short or unparseable
     row, or one ``csv.reader`` rejects, raises ValueError naming the file
     and line.
     """
     converters = converters or (float,) * len(header)
-    names, columns = _split_table(path, len(converters)) or _csv_table(path, len(converters))
+    table = _float_table(path, len(converters)) if set(converters) == {float} else None
+    names, columns = table or _csv_table(path, len(converters))
     if names is None or [h.strip() for h in names[: len(header)]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}'")
+    if table is not None:
+        return columns
     if columns is not None:
         try:
             return [list(map(convert, column)) for convert, column in zip(converters, columns)]
@@ -216,35 +226,41 @@ def _data_row_location(path, row: int) -> str:
         return f"{path}, line {reader.line_num}"
 
 
-def _split_table(path, width: int):
-    """The header fields and the first ``width`` columns of ``path``, split
-    with ``str`` methods; None where only ``csv.reader`` parses the file
-    correctly: a quote, a NUL, a lone CR line end, a line longer than the
-    field size limit, or text the locale encoding cannot decode.  Blank rows
-    are skipped; the columns are None when a row has fewer than ``width``
-    fields."""
+def _float_table(path, width: int):
+    """The header fields and the first ``width`` columns of ``path`` as float
+    arrays, parsed by ``np.loadtxt``; None where ``csv.reader`` and ``float``
+    may read the file differently or numpy refuses it: a character of
+    ``_CSV_READER_ONLY``, a lone CR line end, a line longer than the field
+    size limit, text the locale encoding cannot decode, or a field numpy
+    cannot parse (a short row, underscores or non-ASCII digits among them).
+    Blank rows are skipped."""
     try:
         with open(path, newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    if any(c in text for c in _CSV_READER_ONLY) or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    names, rows = lines[0].split(","), list(filter(None, lines[1:]))
-    commas = list(map(str.count, rows, repeat(",")))
-    if min(commas, default=width) < width - 1:
-        return names, None
-    if max(commas, default=0) >= width:
-        rows = [",".join(row.split(",")[:width]) for row in rows]
-    fields = ",".join(rows).split(",") if rows else []
-    return names, [fields[i::width] for i in range(width)]
+    rows = list(filter(None, lines[1:]))
+    try:
+        # no rows: no call, which would warn that the input holds no data
+        table = (
+            np.loadtxt(rows, delimiter=",", comments=None, usecols=range(width), ndmin=2)
+            if rows
+            else np.empty((0, width))
+        )
+    except ValueError:
+        return None
+    return lines[0].split(","), list(table.T.copy())
 
 
 def _csv_table(path, width: int):
-    """``_split_table`` through ``csv.reader``, for any file; a row the
+    """The header fields and the first ``width`` columns of ``path`` as text,
+    through ``csv.reader``, for any file; the columns are None when a row
+    has fewer than ``width`` fields.  Blank rows are skipped; a row the
     reader rejects raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     IntegrationError,
@@ -511,15 +510,19 @@ def find_working_point(params: SystemParams, repulsion_ghz: float = 0.050) -> fl
     delta_target = (g**2 - repulsion_ghz**2) / repulsion_ghz
 
     def gap(z):
-        return float(params.coupler_freq_ghz(z) - params.qubit_freq_ghz(z)) - delta_target
+        return params.coupler_freq_ghz(z) - params.qubit_freq_ghz(z) - delta_target
 
+    # One array call over the grid gives the bracket by its sign pattern
+    # alone; brentq refines it on scalar calls.
     lo, hi = params.coupler.zpa_range
     grid = np.linspace(lo, hi, 512)
-    vals = np.array([gap(z) for z in grid])
+    vals = gap(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if vals[0] <= 0 or sign_change.size == 0:
         raise SweepRangeError("zpa_range does not bracket the requested working point")
     i = int(sign_change[0])
+    from scipy.optimize import brentq
+
     return float(brentq(gap, grid[i], grid[i + 1], xtol=1e-12))
 
 

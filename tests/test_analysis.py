@@ -45,6 +45,19 @@ def test_fit_decay_noiseless_recovery():
     assert fit.offset == pytest.approx(0.25, abs=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e7, 1e8])
+def test_fit_decay_recovers_decays_on_long_length_scales(scale):
+    # Lengths up to four decay constants of p = exp(-1 / scale): the start
+    # comes from the lengths' own scale, so the design is not all zero
+    # past n = 0 and p is not stuck at a clipped start.
+    n = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0]) * scale / 4.0
+    p = np.exp(-1.0 / scale)
+    fit = fit_decay(n, 0.7 * p**n + 0.25)
+    assert (1.0 - fit.p) == pytest.approx(1.0 - p, rel=1e-6)
+    assert fit.amplitude == pytest.approx(0.7, abs=1e-9)
+    assert fit.offset == pytest.approx(0.25, abs=1e-9)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.floats(0.9, 0.999), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(8, 20))
 def test_fit_decay_recovers_random_noiseless_decays(p, start, end, n_lengths):

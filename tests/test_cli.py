@@ -629,6 +629,52 @@ def test_reused_parser_gives_the_output_of_a_fresh_process(tmp_path, monkeypatch
     assert build_parser.cache_info().misses == misses
 
 
+# Runs one command through ``fluxcal.cli.main`` (none: only the import) and
+# prints its exit code and whether any scipy.optimize module was loaded.
+_IMPORT_PROBE = """
+import sys
+import fluxcal.cli
+code = fluxcal.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, any(name.split(".")[:2] == ["scipy", "optimize"] for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_optimize",
+    [("import", False), ("predistort", False), ("analyze", False), ("fit_long", False),
+     ("fit_short", True)],
+)
+def test_only_the_optimizer_fits_load_scipy_optimize(tmp_path, flipchip_run_csv, command, loads_optimize):
+    # scipy.optimize is imported where least_squares or brentq first runs.
+    model = tmp_path / "model.json"
+    write_json(model, model_to_dict(presets.flipchip_channel(v_step=0.3)))
+    target = tmp_path / "target.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 1000.0, 1.0))
+    n = np.arange(0, 400, 20)
+    write_decay_csv(tmp_path / "gate.csv", n, 0.75 * 0.99**n + 0.25)
+    write_decay_csv(tmp_path / "ref.csv", n, 0.75 * 0.995**n + 0.25)
+    long_only = CombinedResponse(short=None, long=presets.planar_channel(v_step=0.25).long, v_step=0.25)
+    long_run = tmp_path / "long.csv"
+    write_calibration_csv(
+        long_run, synthesize_calibration_run(long_only, np.linspace(100.0, 80000.0, 40), "long")
+    )
+    argv = {
+        "import": [],
+        "predistort": ["predistort", target, "--model", model, "-o", tmp_path / "shaped.csv"],
+        "analyze": ["analyze", "--scheme", "rb", "--gate", tmp_path / "gate.csv",
+                    "--reference", tmp_path / "ref.csv", "-o", tmp_path / "rb.json"],
+        "fit_long": ["fit", long_run, "--regime", "long", "--v-step", "0.25",
+                     "-o", tmp_path / "long_model.json"],
+        "fit_short": ["fit", flipchip_run_csv, "--regime", "short", "--n-exp", "2",
+                      "--v-step", "0.3", "-o", tmp_path / "short_model.json"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(fluxcal.__file__).parents[1])}
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)], env=env,
+                           capture_output=True, text=True, cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1].split() == ["0", str(loads_optimize)]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

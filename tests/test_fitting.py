@@ -14,7 +14,6 @@ from fluxcal.fitting import (
     AnticrossingData,
     CalibrationRun,
     CrosstalkModel,
-    estimate_kq,
     fit_anticrossing,
     fit_long_time,
     fit_short_time,
@@ -574,16 +573,6 @@ def test_anticrossing_data_needs_both_branches():
 def test_crosstalk_model_sanity_band():
     with pytest.raises(InvalidArgumentError):
         CrosstalkModel(k_q=4.0, k_eff=0.6, b_eff=4.5, coeff_zxtalk=0.15)
-
-
-def test_estimate_kq_endpoint_formula():
-    z = np.linspace(0.0, 0.4, 9)
-    f = 4.578 + 4.0 * 0.0375 * z
-    assert estimate_kq(z, f, 0.0375) == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        estimate_kq(z, f, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        estimate_kq(np.full(5, 0.2), np.full(5, 4.6), 0.0375)
 
 
 def test_synthesize_noise_is_seed_deterministic():

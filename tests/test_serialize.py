@@ -63,7 +63,10 @@ def test_csv_readers_reject_bad_header_and_empty_file(tmp_path, reader, kind):
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-@pytest.mark.parametrize("field, shown", [("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf")])
+@pytest.mark.parametrize(
+    "field, shown",
+    [("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf"), ("infinity", "inf"), ("-Infinity", "-inf")],
+)
 def test_csv_readers_reject_non_finite_field(tmp_path, reader, end, field, shown):
     read, header, good_row = READERS[reader]
     fields = good_row.split(",")
@@ -147,9 +150,13 @@ def reference_read(path, header, converters):
 
 def outcome(read, *args):
     """What a reader returns, with floats by repr so that -0.0 and NaN
-    compare exactly, or the type and message of what it raises."""
+    compare exactly (a float array as its list of Python floats), or the
+    type and message of what it raises."""
     try:
-        return [[repr(value) for value in column] for column in read(*args)]
+        return [
+            [repr(value) for value in (c.tolist() if isinstance(c, np.ndarray) else c)]
+            for c in read(*args)
+        ]
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -223,9 +230,16 @@ HEADERS = {
 numbers = st.one_of(
     st.floats(allow_nan=False).map("{:.17g}".format), st.integers(-(10**6), 10**6).map(str)
 )
-oddities = st.sampled_from(
-    ["", " ", " 1 ", "1_0", "_1", "\u0661\u0662", "\uff13", "nan", "-inf", "1e999", "0x1", "#",
-     "# note", "x", "lower", '"1"', '"1,5"', '"2', 'a"b', '""', "\x00", "\t2\x0c"]
+# Fields numpy's tokenizer and ``float`` may read differently: padding
+# ``str.strip`` removes (and \x1c-\x1f, which it removes and float does
+# not), underscores, non-ASCII digits, spellings of inf.
+unquoted_oddities = st.sampled_from(
+    ["", " ", " 1 ", "1_0", "_1", "\u0661\u0662", "\u0663", "\uff13", "nan", "-inf", "1e999",
+     "infinity", "-Infinity", "+1", ".5", "1.", "0x1", "#", "# note", "x", "lower", "\t2\x0c",
+     "\xa01\xa0", "\t1\t", "\x1c1", "1\x1f", "\u20281", "1\x85", "\u30001"]
+)
+oddities = st.one_of(
+    unquoted_oddities, st.sampled_from(['"1"', '"1,5"', '"2', 'a"b', '""', "\x00"])
 )
 fields = st.one_of(numbers, numbers, numbers, numbers, oddities)
 line_ends = st.sampled_from(["\n", "\r\n", "\r"])
@@ -242,18 +256,22 @@ def fuzzed_files(draw):
              ",".join(header[:-1]), names.replace(",", ";"), "", "# " + names]
         )
     )
-    # Half the files hold only numbers and LF or CRLF line ends, the bodies
-    # the str-method split takes; the rest carry quotes, lone CRs and junk.
-    clean = draw(st.booleans())
+    # A third of the files hold only numbers and LF or CRLF line ends, and a
+    # third add unquoted oddities and blank or whitespace rows: the bodies
+    # numpy's tokenizer takes or refuses.  The rest carry quotes, NULs,
+    # lone CRs and junk, which go to csv.reader.
+    kind = draw(st.sampled_from(["clean", "unquoted", "junk"]))
+    cells_of = {"clean": numbers, "unquoted": st.one_of(numbers, unquoted_oddities)}
+    junk_rows = {"unquoted": ["", " ", "\t", "#", ","], "junk": ["", " ", "\t", "#", ",", '"', '"a\nb",1']}
     lines = [names]
     for _ in range(draw(st.integers(0, 8))):
-        if not clean and draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", " ", "\t", "#", ",", '"', '"a\nb",1'])))
+        if kind != "clean" and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(junk_rows[kind])))
         else:
             count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1, width + 2, 1]))
-            cells = st.lists(numbers if clean else fields, min_size=count, max_size=count)
+            cells = st.lists(cells_of.get(kind, fields), min_size=count, max_size=count)
             lines.append(",".join(draw(cells)))
-    ends = st.sampled_from(["\n", "\r\n"]) if clean else line_ends
+    ends = line_ends if kind == "junk" else st.sampled_from(["\n", "\r\n"])
     # one line end for the whole file, or a mix
     end = draw(st.one_of(ends.map(st.just), st.just(ends)))
     text = "".join(line + draw(end) for line in lines)
@@ -274,13 +292,28 @@ def test_reader_matches_csv_reader_on_fuzzed_files(case):
         assert outcome(read_csv_table, path, header, converters) == expected
 
 
+# Bodies free of quotes, NULs and lone CRs reach numpy's tokenizer first.
+FLOAT_BODIES = {
+    "underscore": "1_0,2\n", "arabic_digit": "\u0663,2\n", "nbsp_padding": "\xa01\xa0,2\n",
+    "tab_padding": "\t1\t,\t2\n", "whitespace_row": "1,2\n \n3,4\n", "tab_row": "1,2\n\t\n",
+    "trailing_comma": "1,2,\n", "extra_columns": "1,2,3,x\n3,4\n",
+    "blank_crlf_rows": "1,2\r\n\r\n\r\n", "inf_spellings": "1e999,infinity\n",
+    "empty_field": "1,\n", "short_row": "1\n", "file_separator": "\x1c1,2\n",
+    "unit_separator": "1,2\x1f\n", "no_data_rows": "",
+    # every field within csv's size limit, the line over it
+    "long_line": f"0,1\n{'1' * (csv.field_size_limit() - 5)},{'2' * 10}\n",
+}
+
+
+# No warning may escape, not even numpy's for a table without data.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "text",
     [
         "", "t_ns,amplitude", "t_ns,amplitude\r\n", "\nt_ns,amplitude\n1,2\n",
         "t_ns,amplitude\r1,2\r\r3,4",
-    ],
-    ids=["empty", "header_only", "header_only_crlf", "blank_first_line", "lone_cr"],
+    ] + ["t_ns,amplitude\n" + body for body in FLOAT_BODIES.values()],
+    ids=["empty", "header_only", "header_only_crlf", "blank_first_line", "lone_cr", *FLOAT_BODIES],
 )
 def test_reader_matches_csv_reader_on_edge_files(tmp_path, text):
     path = tmp_path / "edge.csv"
@@ -288,6 +321,15 @@ def test_reader_matches_csv_reader_on_edge_files(tmp_path, text):
     header, converters = HEADERS[2]
     expected = outcome(reference_read, path, header, converters)
     assert outcome(read_csv_table, path, header, converters) == expected
+
+
+def test_reader_parses_written_float_tables_with_numpy(tmp_path):
+    # The writer's own tables of floats take the tokenizer, not csv.reader.
+    path = tmp_path / "wave.csv"
+    write_csv_table(path, ("t_ns", "amplitude"), (np.arange(3.0), np.array([5e-324, -0.0, 1 / 3])))
+    columns = read_csv_table(path, ("t_ns", "amplitude"))
+    assert all(isinstance(column, np.ndarray) for column in columns)
+    assert [c.tolist() for c in columns] == [[0.0, 1.0, 2.0], [5e-324, -0.0, 1 / 3]]
 
 
 def test_reader_rejects_field_over_csv_size_limit_in_one_line(tmp_path):

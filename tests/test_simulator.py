@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from fluxcal import presets, simulator
 from fluxcal.errors import IntegrationError, InvalidArgumentError, SweepRangeError
@@ -174,6 +175,28 @@ def test_find_working_point_hits_requested_repulsion(make_params):
     pair = dressed_energies(params, z)
     repulsion = params.qubit_freq_ghz(z) - pair.omega_minus_ghz
     assert repulsion == pytest.approx(0.050, abs=1e-9)
+
+
+def scalar_scan_working_point(params, repulsion_ghz):
+    # The bracket from one scalar gap evaluation per grid point, refined by
+    # brentq on the same scalar gap.
+    g = params.g_qc_ghz
+    delta_target = (g**2 - repulsion_ghz**2) / repulsion_ghz
+
+    def gap(z):
+        return float(params.coupler_freq_ghz(z) - params.qubit_freq_ghz(z)) - delta_target
+
+    grid = np.linspace(*params.coupler.zpa_range, 512)
+    vals = np.array([gap(z) for z in grid])
+    i = int(np.nonzero(np.diff(np.sign(vals)) != 0)[0][0])
+    return float(brentq(gap, grid[i], grid[i + 1], xtol=1e-12))
+
+
+@pytest.mark.parametrize("make_params", [presets.planar_system, presets.flipchip_system, small_system])
+@pytest.mark.parametrize("repulsion_ghz", [0.02, 0.03, 0.05])
+def test_find_working_point_matches_the_scalar_scan(make_params, repulsion_ghz):
+    params = make_params()
+    assert find_working_point(params, repulsion_ghz) == scalar_scan_working_point(params, repulsion_ghz)
 
 
 def test_find_working_point_range_errors():
