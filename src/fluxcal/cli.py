@@ -244,7 +244,7 @@ def cmd_fit(args) -> int:
         "regime": args.regime,
         "residual_rms": diag.residual_rms,
         "n_starts": diag.n_starts,
-        "n_joint_refits": diag.n_joint_refits,
+        "n_dropped_starts": diag.n_dropped_starts,
         "degenerate": diag.degenerate,
         "messages": list(diag.messages),
         "provenance": _provenance(

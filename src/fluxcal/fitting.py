@@ -143,9 +143,9 @@ class FitDiagnostics:
     n_starts: int
     degenerate: bool = False
     messages: tuple[str, ...] = field(default_factory=tuple)
-    # Short-time fit only: starts refitted jointly because their search
-    # ended with amplitudes outside [-0.5, 0.5].
-    n_joint_refits: int = 0
+    # Short-time fit only: starts dropped because their search ended with
+    # amplitudes outside [-0.5, 0.5].
+    n_dropped_starts: int = 0
 
 
 def _exp_design_matrix(t: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -275,11 +275,12 @@ def _fit_exp_offset(t, y, tau0: float, tau_lo: float, tau_hi: float):
     return float(p[0, 0]), float(p[0, 1]), float(np.exp(u[0, 0]))
 
 
-def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float, **tolerances):
+def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float):
     """Joint bounded least squares of amplitudes in [-0.5, 0.5] and time
-    constants in [tau_lo, tau_hi], from p (clipped into its bounds) and
-    ``taus`` (within theirs), with the analytic Jacobian
-    [E, E . t p / tau^2]; ``tolerances`` go to least_squares."""
+    constants in [tau_lo, tau_hi], from ``p`` and ``taus`` within them, with
+    the analytic Jacobian [E, E . t p / tau^2].  gtol bounds the gradient
+    itself: on data the model fits exactly, a search can stop 1e-6 short of
+    the optimum with a gradient far below 1e-12."""
     n = p.size
 
     def residuals(theta):
@@ -289,11 +290,10 @@ def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float, **tolerances):
         design = _exp_design_matrix(t, theta[n:])
         return np.hstack([design, design * (t[:, None] * (theta[:n] / theta[n:] ** 2))])
 
-    theta0 = np.concatenate([np.clip(p, -0.5, 0.5), taus])
-    lower = np.concatenate([np.full(n, -0.5), np.full(n, tau_lo)])
-    upper = np.concatenate([np.full(n, 0.5), np.full(n, tau_hi)])
+    bounds = np.repeat([[-0.5, tau_lo], [0.5, tau_hi]], n, axis=1)
     sol = least_squares(
-        residuals, theta0, jac=jac, bounds=(lower, upper), method="trf", **tolerances
+        residuals, np.concatenate([p, taus]), jac=jac, bounds=bounds, method="trf",
+        ftol=1e-12, xtol=1e-12, gtol=1e-15,
     )
     return sol.x[:n], sol.x[n:]
 
@@ -314,20 +314,19 @@ def fit_short_time(
     only: bounded least squares over u = log(tau) of the variable-projection
     residual, which solves the amplitudes linearly at every step (Golub &
     Pereyra 1973), with Kaufman's Jacobian (1975).  All starts run together
-    in one Levenberg-Marquardt search, each on its own steps.  The best
-    start then gets one joint bounded polish of amplitudes in [-0.5, 0.5]
-    and time constants in [tau_lo, tau_hi], with analytic derivatives.  A
-    start whose search ends with amplitudes outside [-0.5, 0.5] is instead
-    fitted jointly within those bounds from its initial time constants.
-    Time constants are reported ascending.
+    in one Levenberg-Marquardt search, each on its own steps.  A start
+    whose search ends with an amplitude outside [-0.5, 0.5] is dropped; the
+    best of the rest gets one joint bounded polish of amplitudes in
+    [-0.5, 0.5] and time constants in [tau_lo, tau_hi], with analytic
+    derivatives.  Time constants are reported ascending.
 
-    The diagnostics trace holds the best residual RMS after each start; the
-    last entry, like ``residual_rms``, is that of the returned model.
-    ``n_joint_refits`` counts the starts sent to the joint fit.
+    The diagnostics trace holds the best residual RMS after each kept
+    start; the last entry, like ``residual_rms``, is that of the returned
+    model.  ``n_dropped_starts`` counts the dropped starts.
 
-    Raises DegenerateFitError if two fitted time constants collapse within
-    5% of each other, and FitFailedError if the relative residual RMS
-    exceeds ``rms_threshold``.
+    Raises FitFailedError if every start is dropped or the relative residual
+    RMS exceeds ``rms_threshold``, and DegenerateFitError if two fitted time
+    constants collapse within 5% of each other.
     """
     if run.regime != "short":
         raise InvalidArgumentError(f"expected a short-regime run, got {run.regime!r}")
@@ -358,37 +357,30 @@ def fit_short_time(
         lo, hi = np.log(tau_lo * 2), np.log(span)
         starts.append(np.exp(np.sort(rng.uniform(lo, hi, n_terms))))
 
-    u0 = np.log(starts)
-    u_end = _search_log_taus(t, y, u0, np.log(tau_lo), np.log(tau_hi))
+    u_end = _search_log_taus(t, y, np.log(starts), np.log(tau_lo), np.log(tau_hi))
     _, _, p_end = _projection(t, y, u_end)
     best = None
     trace = []
-    n_joint_refits = 0
-    for k, taus0 in enumerate(starts):
-        p, taus = p_end[k], np.clip(np.exp(u_end[k]), tau_lo, tau_hi)
+    for p, u in zip(p_end, u_end):
         if np.max(np.abs(p)) > 0.5:
             # The projection leaves the amplitudes unbounded: two merging
             # time constants with large opposite amplitudes mimic a
-            # t exp(-t/tau) term.  Redo this start inside the bounds.
-            n_joint_refits += 1
-            p0 = _projection(t, y, u0[k : k + 1])[2][0]
-            try:
-                p, taus = _joint_fit(t, y, p0, taus0, tau_lo, tau_hi)
-            except ValueError:
-                continue
+            # t exp(-t/tau) term.  Drop this start.
+            continue
+        taus = np.clip(np.exp(u), tau_lo, tau_hi)
         cost = _rms(t, y, p, taus)
         if best is None or cost < best[0]:
             best = (cost, p, taus)
         trace.append(best[0])
     if best is None:
-        raise FitFailedError("no optimizer start converged")
+        raise FitFailedError(
+            f"every start ends outside the amplitude bound [-0.5, 0.5]; "
+            f"lower n_terms (now {n_terms}) or check v_step"
+        )
 
-    # One joint polish of the best start.  gtol bounds the gradient itself,
-    # not relative to the residual: on data the model fits exactly, a search
-    # can stop 1e-6 short of the optimum with a gradient far below 1e-12.
     rms, p, taus = best
     try:
-        polished = _joint_fit(t, y, p, taus, tau_lo, tau_hi, ftol=1e-12, xtol=1e-12, gtol=1e-15)
+        polished = _joint_fit(t, y, p, taus, tau_lo, tau_hi)
     except ValueError:
         pass
     else:
@@ -412,7 +404,7 @@ def fit_short_time(
             f"{rms_threshold * scale:.3g}"
         )
     model = ShortTimeModel.from_arrays(p, taus)
-    diag = FitDiagnostics(tuple(trace), rms, len(starts), n_joint_refits=n_joint_refits)
+    diag = FitDiagnostics(tuple(trace), rms, len(starts), n_dropped_starts=len(starts) - len(trace))
     return (model, diag) if full_output else model
 
 

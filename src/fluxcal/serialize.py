@@ -184,12 +184,13 @@ def read_csv_table(path, header, converters=None) -> list:
     otherwise one list per column.
 
     A bad header raises ValueError naming the file; a short or unparseable
-    row, or one ``csv.reader`` rejects, raises ValueError naming the file
-    and line.
+    row, one ``csv.reader`` rejects, or a byte the locale encoding cannot
+    decode raises ValueError naming the file and line.
     """
     converters = converters or (float,) * len(header)
-    table = _float_table(path, len(converters)) if set(converters) == {float} else None
-    names, columns = table or _csv_table(path, len(converters))
+    text = _read_text(path)
+    table = _float_table(text, len(converters)) if set(converters) == {float} else None
+    names, columns = table or _csv_table(path, text, len(converters))
     if names is None or [h.strip() for h in names[: len(header)]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}'")
     if table is not None:
@@ -199,7 +200,7 @@ def read_csv_table(path, header, converters=None) -> list:
             return [list(map(convert, column)) for convert, column in zip(converters, columns)]
         except ValueError:
             pass
-    raise _bad_row_error(path, converters)
+    raise _bad_row_error(path, text, converters)
 
 
 def _finite_columns(path, header, columns) -> list[np.ndarray]:
@@ -217,28 +218,35 @@ def _finite_columns(path, header, columns) -> list[np.ndarray]:
 
 def _data_row_location(path, row: int) -> str:
     """``path, line N`` of data row ``row`` (0-based, blank rows skipped)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for k, _ in enumerate(filter(None, reader)):
-            if k == row:
-                break
-        return f"{path}, line {reader.line_num}"
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    next(reader)
+    for k, _ in enumerate(filter(None, reader)):
+        if k == row:
+            break
+    return f"{path}, line {reader.line_num}"
 
 
-def _float_table(path, width: int):
-    """The header fields and the first ``width`` columns of ``path`` as float
-    arrays, parsed by ``np.loadtxt``; None where ``csv.reader`` and ``float``
-    may read the file differently or numpy refuses it: a character of
-    ``_CSV_READER_ONLY``, a lone CR line end, a line longer than the field
-    size limit, text the locale encoding cannot decode, or a field numpy
-    cannot parse (a short row, underscores or non-ASCII digits among them).
-    Blank rows are skipped."""
+def _read_text(path) -> str:
+    """The text of ``path``, line ends as they are: the one place the CSV
+    readers open a file.  A byte the locale encoding cannot decode raises
+    ValueError naming the file and the line of the first."""
     try:
         with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call: exc.object is all of it
+        line = len(re.findall(rb"\r\n?|\n", exc.object[: exc.start])) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+
+
+def _float_table(text: str, width: int):
+    """The header fields and the first ``width`` columns of a file's
+    ``text`` as float arrays, parsed by ``np.loadtxt``; None where
+    ``csv.reader`` and ``float`` may read the text differently or numpy
+    refuses it: a character of ``_CSV_READER_ONLY``, a lone CR line end, a
+    line longer than the field size limit, or a field numpy cannot parse (a
+    short row, underscores or non-ASCII digits among them).  Blank rows are
+    skipped."""
     if any(c in text for c in _CSV_READER_ONLY) or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
@@ -257,35 +265,34 @@ def _float_table(path, width: int):
     return lines[0].split(","), list(table.T.copy())
 
 
-def _csv_table(path, width: int):
-    """The header fields and the first ``width`` columns of ``path`` as text,
-    through ``csv.reader``, for any file; the columns are None when a row
-    has fewer than ``width`` fields.  Blank rows are skipped; a row the
-    reader rejects raises ValueError naming the file and line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader, None)
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+def _csv_table(path, text: str, width: int):
+    """The header fields and the first ``width`` columns of ``path``'s
+    ``text`` as strings, through ``csv.reader``, for any file; the columns
+    are None when a row has fewer than ``width`` fields.  Blank rows are
+    skipped; a row the reader rejects raises ValueError naming the file and
+    line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        names = next(reader, None)
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if min(map(len, rows), default=width) < width:
         return names, None
     return names, [[row[i] for row in rows] for i in range(width)]
 
 
-def _bad_row_error(path, converters) -> ValueError:
+def _bad_row_error(path, text: str, converters) -> ValueError:
     """The error for the first short or unparseable data row of ``path``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in filter(None, reader):
-            where = f"{path}, line {reader.line_num}"
-            if len(row) < len(converters):
-                return ValueError(f"{where}: expected {len(converters)} fields, got {len(row)}")
-            try:
-                for convert, field in zip(converters, row):
-                    convert(field)
-            except ValueError as exc:
-                return ValueError(f"{where}: {exc}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for row in filter(None, reader):
+        where = f"{path}, line {reader.line_num}"
+        if len(row) < len(converters):
+            return ValueError(f"{where}: expected {len(converters)} fields, got {len(row)}")
+        try:
+            for convert, field in zip(converters, row):
+                convert(field)
+        except ValueError as exc:
+            return ValueError(f"{where}: {exc}")
     return ValueError(f"{path}: malformed data row")

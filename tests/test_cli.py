@@ -20,7 +20,7 @@ from fluxcal import pipeline, presets
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
-from fluxcal.fitting import synthesize_calibration_run, write_calibration_csv
+from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
@@ -50,7 +50,7 @@ def test_fit_short_recovers_preset_terms(tmp_path, flipchip_run_csv):
         assert term["tau_ns"] == pytest.approx(tau_ref, rel=0.01)
     assert model["meta"]["provenance"]["version"]
     assert model["meta"]["residual_rms"] < 1e-9
-    assert model["meta"]["n_starts"] == 10 and model["meta"]["n_joint_refits"] == 0
+    assert model["meta"]["n_starts"] == 10 and model["meta"]["n_dropped_starts"] == 0
 
 
 def test_fit_long_recovers_preset_settling(tmp_path):
@@ -100,6 +100,27 @@ def test_fit_overflow_is_one_line_numerical_failure(tmp_path, capsys):
         ])
     assert code == 2
     assert capsys.readouterr().err == "fluxcal fit: floating-point overflow encountered in divide\n"
+
+
+def test_fit_with_every_start_outside_the_amplitude_bound_fails_in_one_line(tmp_path, capsys):
+    # One term of amplitude 0.8: every start's search ends outside the
+    # amplitude bound and is dropped, so the fit fails (exit 2), no model.
+    t = np.geomspace(2.0, 400.0, 40)
+    path = tmp_path / "run.csv"
+    write_calibration_csv(path, CalibrationRun(t, -0.3 * 0.8 * np.exp(-t / 50.0), 0.3, "short"))
+    out = tmp_path / "model.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "fit", str(path), "--regime", "short", "--n-exp", "1", "--v-step", "0.3",
+            "-o", str(out),
+        ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "fluxcal fit: every start ends outside the amplitude bound [-0.5, 0.5]; "
+        "lower n_terms (now 1) or check v_step\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, header", [

@@ -46,6 +46,23 @@ def test_csv_readers_reject_malformed_row(tmp_path, reader, bad_row, message):
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_csv_readers_name_the_line_of_an_undecodable_byte(tmp_path, reader, end):
+    # 0xff decodes in neither UTF-8 nor ASCII: one line naming the file and
+    # the line, for the float tables and for the one with a text column.
+    read, header, good_row = READERS[reader]
+    path = tmp_path / "bad.csv"
+    rows = [header, good_row, "", good_row]
+    path.write_bytes(end.join(rows).encode() + end.encode() + b"\xff" + good_row.encode())
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert not isinstance(info.value, FluxcalError)
+    text = str(info.value)
+    assert text.startswith(f"{path}, line 5: ") and "byte 0xff" in text
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("kind", ["wrong_header", "no_data_rows"])
 def test_csv_readers_reject_bad_header_and_empty_file(tmp_path, reader, kind):
     read, header, good_row = READERS[reader]
