@@ -16,7 +16,8 @@ where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
 an integer in range, an ``--rms-threshold`` that is not a finite number
 above 0, a ``--dimension`` below 2, a decay file that breaks the decay
 fit's rules, a model, system or drive value that breaks its object's
-own checks), 2 numerical failure (a well-formed input on which the
+own checks, a ``predistort`` output whose .json sidecar would overwrite
+the output or an input), 2 numerical failure (a well-formed input on which the
 computation fails, including floating-point overflow).  The
 ``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
 """
@@ -264,6 +265,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predistort(args) -> int:
+    sidecar_path = Path(args.output).with_suffix(".json")
+    for role, path in (("output", args.output), ("target", args.input), ("model", args.model)):
+        if sidecar_path.resolve() == Path(path).resolve():
+            raise ValueError(
+                f"the sidecar {sidecar_path} would overwrite the {role} file; "
+                "give --output a name whose .json twin is free"
+            )
     target = read_waveform_csv(args.input)
     resp = model_from_dict(load_json(args.model), "model")
     out = full_pipeline(target, resp)
@@ -283,7 +291,7 @@ def cmd_predistort(args) -> int:
         },
         "provenance": _provenance({"target": args.input, "model": args.model}, {}),
     }
-    write_json(Path(args.output).with_suffix(".json"), sidecar)
+    write_json(sidecar_path, sidecar)
     print(f"wrote {args.output} (forward-check residual {max_residual:.3g} of v_step)")
     return 0
 

@@ -8,7 +8,13 @@ Covers the three fits the calibration workflow needs:
 * single-exponential fits of long-time (microsecond) settling sweeps, the
   same search from one start with a constant column in the design;
 * anti-crossing fits that extract the qubit-coupler coupling strength and
-  the Z-line crosstalk coefficient from branch-resolved spectroscopy.
+  the Z-line crosstalk coefficient from branch-resolved spectroscopy, the
+  same search over two branch lines from two starts.
+
+One search, ``_search``, fits them all: a stacked Levenberg-Marquardt
+iteration over any model that returns the residuals and Jacobians of a
+stack of points, which holds a coordinate on a bound whose descent points
+out of the box.  No other optimizer is called.
 
 Compensation data convention: a run stores the offset V(t) that maximizes
 the excited-state population at each delay.  The underlying distortion is
@@ -154,12 +160,8 @@ def _exp_design_matrix(t: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.exp(-t[:, None] / taus[..., None, :])
 
 
-def _residual(t, y, p, taus) -> np.ndarray:
-    return _exp_design_matrix(t, taus) @ p - y
-
-
 def _rms(t, y, p, taus) -> float:
-    return float(np.sqrt(np.mean(_residual(t, y, p, taus) ** 2)))
+    return float(np.sqrt(np.mean((_exp_design_matrix(t, taus) @ p - y) ** 2)))
 
 
 def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray, offset: bool = False):
@@ -192,41 +194,47 @@ def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray, offset: bool = Fals
     return resid, q @ (qt @ dp) - dp, p
 
 
-# The batched search over log time constants: Marquardt's damping factor,
-# its range and its change per step, the iteration cap, and least_squares'
-# default ftol and xtol as stopping rules.
+# The batched Levenberg-Marquardt search: Marquardt's damping factor, its
+# range and its change per step, the iteration cap, MINPACK's customary
+# ftol and xtol as the stopping tolerance, and the tolerance at which the
+# short fit continues its best start.
 _LAMBDA_START = 1e-3
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e16
 _LAMBDA_STEP = 10.0
 _SEARCH_MAX_ITER = 200
-_SEARCH_FTOL = 1e-8
-_SEARCH_XTOL = 1e-8
+_SEARCH_TOL = 1e-8
+_FINAL_TOL = 1e-12
 
 
-def _search_log_taus(t, y, u0, lo: float, hi: float, offset: bool = False) -> np.ndarray:
-    """Levenberg-Marquardt search of the variable-projection residual from
-    every row of ``u0`` (S, n) at once, within [lo, hi]; returns the end
-    points (S, n).  ``offset`` adds a constant column to the design.
+def _search(model, x0, lo: float = -np.inf, hi: float = np.inf, tol: float = _SEARCH_TOL):
+    """Levenberg-Marquardt search of ``model`` from every row of ``x0``
+    (S, n) at once, within [lo, hi]; returns the end points (S, n).
+    ``model`` maps a stack of points (S, n) to their residuals (S, m) and
+    Jacobians (S, m, n).
 
     Each start takes damped Gauss-Newton steps (J^T J + lambda diag(J^T J))
     d = -J^T r (Levenberg 1944, Marquardt 1963), clipped into the bounds,
     and accepts a step only if it lowers its cost, so no start ends above
-    its initial cost.  lambda falls tenfold after an accepted step and
-    rises tenfold after a rejected one; the system is solved in the
-    Jacobi-scaled form, whose unit diagonal plus lambda >= 1e-12 keeps it
-    nonsingular.  A start stops when an accepted step lowers its cost by
-    at most ftol of it, when a step moves it by at most xtol (xtol + |u|),
-    or when lambda passes 1e16, where the step no longer depends on J^T J.
-    A start whose system is not finite (data near the end of the double
-    range) takes a zero step, so it stops where it is.  Every row follows
-    its own steps: the stack only shares the calls, and stopped rows leave
-    it.
+    its initial cost.  A coordinate on a bound whose descent direction
+    -J^T r points out of the box is held for the step, as in TRF: its row
+    and column of the system are those of the identity and its right-hand
+    side is 0, so the other coordinates take the step of the problem
+    without it, not a step that the clip bends.  lambda falls tenfold
+    after an accepted step and rises tenfold after a rejected one; the
+    system is solved in the Jacobi-scaled form, whose unit diagonal plus
+    lambda >= 1e-12 keeps it nonsingular.  A start stops when an accepted
+    step lowers its cost by at most ``tol`` of it, when a step moves it by
+    at most tol (tol + |x|), or when lambda passes 1e16, where the step no
+    longer depends on J^T J.  A start whose system is not finite (data near
+    the end of the double range) takes a zero step, so it stops where it
+    is.  Every row follows its own steps: the stack only shares the calls,
+    and stopped rows leave it.
     """
-    u = np.array(u0, dtype=float)
+    u = np.array(x0, dtype=float)
     live = np.arange(len(u))
     x = u.copy()
-    r, jac, _ = _projection(t, y, x, offset)
+    r, jac = model(x)
     cost = 0.5 * np.sum(r * r, axis=1)
     lam = np.full(len(x), _LAMBDA_START)
     eye = np.eye(u.shape[1])
@@ -237,16 +245,19 @@ def _search_log_taus(t, y, u0, lo: float, hi: float, offset: bool = False) -> np
         d = np.where(d > 0.0, d, 1.0)
         scaled = jtj / d[:, :, None] / d[:, None, :] + lam[:, None, None] * eye
         rhs = -(jt @ r[..., None]) / d[..., None]
+        held = ((x <= lo) & (rhs[..., 0] < 0.0)) | ((x >= hi) & (rhs[..., 0] > 0.0))
+        scaled = np.where(held[:, :, None] | held[:, None, :], eye, scaled)
+        rhs[held] = 0.0
         stuck = ~(np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
         scaled[stuck], rhs[stuck] = eye, 0.0
         z = np.linalg.solve(scaled, rhs)
         trial = np.clip(x + z[..., 0] / d, lo, hi)
-        r_new, jac_new, _ = _projection(t, y, trial, offset)
+        r_new, jac_new = model(trial)
         cost_new = 0.5 * np.sum(r_new * r_new, axis=1)
         better = cost_new < cost
         moved = np.linalg.norm(trial - x, axis=1)
-        done = moved <= _SEARCH_XTOL * (_SEARCH_XTOL + np.linalg.norm(x, axis=1))
-        done |= better & (cost - cost_new <= _SEARCH_FTOL * cost)
+        done = moved <= tol * (tol + np.linalg.norm(x, axis=1))
+        done |= better & (cost - cost_new <= tol * cost)
         x[better], r[better], jac[better] = trial[better], r_new[better], jac_new[better]
         cost[better] = cost_new[better]
         lam = np.where(better, np.maximum(lam / _LAMBDA_STEP, _LAMBDA_MIN), lam * _LAMBDA_STEP)
@@ -259,43 +270,15 @@ def _search_log_taus(t, y, u0, lo: float, hi: float, offset: bool = False) -> np
     return u
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first call, so that
-    the commands that fit nothing with it never load scipy.optimize."""
-    from scipy.optimize import least_squares as solve
-
-    return solve(*args, **kwargs)
-
-
 def _fit_exp_offset(t, y, tau0: float, tau_lo: float, tau_hi: float):
     """Least squares of a exp(-t / tau) + b: the variable-projection search
     over log tau in [tau_lo, tau_hi] from ``tau0``; returns (a, b, tau)."""
-    u = _search_log_taus(t, y, np.log([[tau0]]), np.log(tau_lo), np.log(tau_hi), offset=True)
+    u = _search(
+        lambda u: _projection(t, y, u, offset=True)[:2],
+        np.log([[tau0]]), np.log(tau_lo), np.log(tau_hi),
+    )
     _, _, p = _projection(t, y, u, offset=True)
     return float(p[0, 0]), float(p[0, 1]), float(np.exp(u[0, 0]))
-
-
-def _joint_fit(t, y, p, taus, tau_lo: float, tau_hi: float):
-    """Joint bounded least squares of amplitudes in [-0.5, 0.5] and time
-    constants in [tau_lo, tau_hi], from ``p`` and ``taus`` within them, with
-    the analytic Jacobian [E, E . t p / tau^2].  gtol bounds the gradient
-    itself: on data the model fits exactly, a search can stop 1e-6 short of
-    the optimum with a gradient far below 1e-12."""
-    n = p.size
-
-    def residuals(theta):
-        return _residual(t, y, theta[:n], theta[n:])
-
-    def jac(theta):
-        design = _exp_design_matrix(t, theta[n:])
-        return np.hstack([design, design * (t[:, None] * (theta[:n] / theta[n:] ** 2))])
-
-    bounds = np.repeat([[-0.5, tau_lo], [0.5, tau_hi]], n, axis=1)
-    sol = least_squares(
-        residuals, np.concatenate([p, taus]), jac=jac, bounds=bounds, method="trf",
-        ftol=1e-12, xtol=1e-12, gtol=1e-15,
-    )
-    return sol.x[:n], sol.x[n:]
 
 
 def fit_short_time(
@@ -314,17 +297,19 @@ def fit_short_time(
     only: bounded least squares over u = log(tau) of the variable-projection
     residual, which solves the amplitudes linearly at every step (Golub &
     Pereyra 1973), with Kaufman's Jacobian (1975).  All starts run together
-    in one Levenberg-Marquardt search, each on its own steps.  A start
-    whose search ends with an amplitude outside [-0.5, 0.5] is dropped; the
-    best of the rest gets one joint bounded polish of amplitudes in
-    [-0.5, 0.5] and time constants in [tau_lo, tau_hi], with analytic
-    derivatives.  Time constants are reported ascending.
+    in one Levenberg-Marquardt search, each on its own steps, with time
+    constants in [tau_lo, tau_hi].  A start whose search ends with an
+    amplitude outside [-0.5, 0.5] is dropped; the search of the best of the
+    rest continues at a tolerance of 1e-12, and the fit fails if its
+    amplitudes then leave [-0.5, 0.5].  Time constants are reported
+    ascending.
 
     The diagnostics trace holds the best residual RMS after each kept
     start; the last entry, like ``residual_rms``, is that of the returned
     model.  ``n_dropped_starts`` counts the dropped starts.
 
-    Raises FitFailedError if every start is dropped or the relative residual
+    Raises FitFailedError if every start is dropped, the best one's
+    continued search leaves the amplitude bound, or the relative residual
     RMS exceeds ``rms_threshold``, and DegenerateFitError if two fitted time
     constants collapse within 5% of each other.
     """
@@ -357,7 +342,11 @@ def fit_short_time(
         lo, hi = np.log(tau_lo * 2), np.log(span)
         starts.append(np.exp(np.sort(rng.uniform(lo, hi, n_terms))))
 
-    u_end = _search_log_taus(t, y, np.log(starts), np.log(tau_lo), np.log(tau_hi))
+    def projection(u):
+        return _projection(t, y, u)[:2]
+
+    u_lo, u_hi = np.log(tau_lo), np.log(tau_hi)
+    u_end = _search(projection, np.log(starts), u_lo, u_hi)
     _, _, p_end = _projection(t, y, u_end)
     best = None
     trace = []
@@ -367,10 +356,9 @@ def fit_short_time(
             # time constants with large opposite amplitudes mimic a
             # t exp(-t/tau) term.  Drop this start.
             continue
-        taus = np.clip(np.exp(u), tau_lo, tau_hi)
-        cost = _rms(t, y, p, taus)
+        cost = _rms(t, y, p, np.clip(np.exp(u), tau_lo, tau_hi))
         if best is None or cost < best[0]:
-            best = (cost, p, taus)
+            best = (cost, u)
         trace.append(best[0])
     if best is None:
         raise FitFailedError(
@@ -378,18 +366,15 @@ def fit_short_time(
             f"lower n_terms (now {n_terms}) or check v_step"
         )
 
-    rms, p, taus = best
-    try:
-        polished = _joint_fit(t, y, p, taus, tau_lo, tau_hi)
-    except ValueError:
-        pass
-    else:
-        # The polish moves a start on a bound inside first, so it can end a
-        # round-off above it; keep whichever is lower.
-        polished_rms = _rms(t, y, *polished)
-        if polished_rms < rms:
-            (p, taus), rms = polished, polished_rms
-            trace[-1] = rms
+    u = _search(projection, best[1][None], u_lo, u_hi, tol=_FINAL_TOL)
+    _, _, p = _projection(t, y, u)
+    p, taus = p[0], np.clip(np.exp(u[0]), tau_lo, tau_hi)
+    if np.max(np.abs(p)) > 0.5:
+        raise FitFailedError(
+            f"the best start's search leaves the amplitude bound [-0.5, 0.5]; "
+            f"lower n_terms (now {n_terms}) or check v_step"
+        )
+    rms = trace[-1] = _rms(t, y, p, taus)
     order = np.argsort(taus)
     p, taus = p[order], taus[order]
     for a, b in zip(taus, taus[1:]):
@@ -494,6 +479,17 @@ def _branch_line_inits(data: AnticrossingData):
     return inits
 
 
+def _branch_products(z, f, theta):
+    """Mean-removed branch products (f - f_q(z)) (f - f_c(z)) for each row
+    (k_q_eff, b_q_eff, k_c, b_c) of a stack ``theta`` (S, 4) of line pairs,
+    as (residuals (S, m), Jacobian (S, m, 4)) in closed form."""
+    gap_q = f - (theta[:, :1] * z + theta[:, 1:2])
+    gap_c = f - (theta[:, 2:3] * z + theta[:, 3:])
+    prod = gap_q * gap_c
+    d_prod = -np.stack([z * gap_c, gap_c, z * gap_q, gap_q], axis=-1)
+    return prod - prod.mean(axis=1, keepdims=True), d_prod - d_prod.mean(axis=1, keepdims=True)
+
+
 def fit_anticrossing(
     data: AnticrossingData,
     k_q: float,
@@ -504,9 +500,9 @@ def fit_anticrossing(
     Both branch frequencies satisfy (f - f_q(zpa)) * (f - f_c(zpa)) = g^2
     when f_q and f_c are the correct uncoupled lines, so the fit adjusts
     two lines to make that product constant across all points (minimum
-    standard deviation) and reads g^2 off the product mean.  Each of the
-    two branch-geometry starts runs Levenberg-Marquardt with the closed-form
-    Jacobian of the mean-removed product.
+    standard deviation) and reads g^2 off the product mean.  The two
+    branch-geometry starts run as one stacked Levenberg-Marquardt search
+    with the closed-form Jacobian of the mean-removed product.
 
     ``k_q`` is the qubit's direct Z response slope (GHz per zpa unit),
     needed to convert the fitted effective slope into a crosstalk
@@ -516,35 +512,16 @@ def fit_anticrossing(
         raise InvalidArgumentError("k_q must be finite and nonzero")
     z, f = data.zpa, data.freq_ghz
 
-    def products(theta):
-        kq_eff, bq_eff, kc, bc = theta
-        return (f - (kq_eff * z + bq_eff)) * (f - (kc * z + bc))
-
-    def residuals(theta):
-        prod = products(theta)
-        return prod - np.mean(prod)
-
-    def jac(theta):
-        kq_eff, bq_eff, kc, bc = theta
-        gap_q, gap_c = f - (kq_eff * z + bq_eff), f - (kc * z + bc)
-        d_prod = -np.column_stack([z * gap_c, gap_c, z * gap_q, gap_q])
-        return d_prod - np.mean(d_prod, axis=0)
-
-    best = None
-    trace = []
-    for theta0 in _branch_line_inits(data):
-        sol = least_squares(residuals, theta0, jac=jac, method="lm")
-        cost = float(np.sqrt(np.mean(sol.fun**2)))
-        if best is None or cost < best[0]:
-            best = (cost, sol.x)
-        trace.append(best[0])
-
-    _, theta = best
+    ends = _search(lambda theta: _branch_products(z, f, theta), np.array(_branch_line_inits(data)))
+    costs = np.sqrt(np.mean(_branch_products(z, f, ends)[0] ** 2, axis=1))
+    best = int(np.argmin(costs))
+    trace = tuple(float(c) for c in np.minimum.accumulate(costs))
+    theta = ends[best]
     # The product form is symmetric in the two lines; the qubit line is the
     # flat one (it moves only through crosstalk), so order by slope.
     if abs(theta[0]) > abs(theta[2]):
         theta = np.array([theta[2], theta[3], theta[0], theta[1]])
-    prod = products(theta)
+    prod = (f - (theta[0] * z + theta[1])) * (f - (theta[2] * z + theta[3]))
     mean_prod = float(np.mean(prod))
     std_prod = float(np.std(prod))
     if mean_prod <= 0:
@@ -571,7 +548,7 @@ def fit_anticrossing(
         crosstalk=crosstalk,
         residual_std=std_prod,
     )
-    diag = FitDiagnostics(tuple(trace), best[0], len(trace))
+    diag = FitDiagnostics(trace, trace[-1], len(trace))
     return (fit, diag) if full_output else fit
 
 

@@ -124,10 +124,11 @@ def _check_object(obj, accepted, name: str) -> dict:
 
 
 def _finite_float(value, name: str) -> float:
-    """A JSON value as a finite float (``float`` also parses numeric text);
-    otherwise ValueError naming the field ``name``."""
+    """A JSON value as a finite float (``float`` also parses numeric text,
+    but a JSON true or false is not a number); otherwise ValueError naming
+    the field ``name``."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):

@@ -20,7 +20,13 @@ from fluxcal import pipeline, presets
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
-from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_calibration_csv
+from fluxcal.fitting import (
+    AnticrossingData,
+    CalibrationRun,
+    synthesize_calibration_run,
+    write_anticrossing_csv,
+    write_calibration_csv,
+)
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
@@ -239,6 +245,8 @@ def test_predistort_takes_a_fit_output_as_model(tmp_path, flipchip_run_csv):
      "model.short[1]: tau_ns must be finite and > 0, got -10.0"),
     ({"long": {"A": 2.0, "B": 0.99, "tau_us": 9.0}, "v_step": 0.3},
      "model.long: settled level 2.0 outside the plausibility band (0.5, 1.5)"),
+    ({"long": {"A": 1.01, "B": True, "tau_us": 9.0}, "v_step": 0.3},
+     "model.long.B: expected a finite number, got True"),
 ])
 def test_predistort_malformed_model_is_one_line_usage_error(tmp_path, capsys, model, message):
     target = tmp_path / "step.csv"
@@ -249,6 +257,28 @@ def test_predistort_malformed_model_is_one_line_usage_error(tmp_path, capsys, mo
     assert main(["predistort", str(target), "--model", str(path), "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"fluxcal predistort: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output, model_name, role", [
+    ("shaped.json", "model.json", "output"),
+    ("m.csv", "m.json", "model"),
+])
+def test_predistort_sidecar_that_would_overwrite_a_file_is_usage_error(
+    tmp_path, capsys, output, model_name, role
+):
+    # The sidecar is the output path with a .json suffix: it must not land
+    # on the shaped waveform or on an input, and nothing is written.
+    target = tmp_path / "step.csv"
+    write_waveform_csv(target, heaviside_step(0.3, 100.0, 1.0))
+    model = tmp_path / model_name
+    write_json(model, {"v_step": 0.3})
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    out = tmp_path / output
+    assert main(["predistort", str(target), "--model", str(model), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fluxcal predistort: the sidecar ") and err.count("\n") == 1
+    assert f"would overwrite the {role} file" in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_predistort_sidecar_parses_for_a_target_name_with_a_tab(tmp_path):
@@ -442,6 +472,8 @@ EXPLICIT_FLIPCHIP = {
      "system: g_qc_ghz must be in (0, 1) GHz"),
     ("simulate", {"drive": {"t_pi_min_ns": 10}}, "drive: need 30 <= t_pi_min <= t_pi_max <= 200 ns"),
     ("roundtrip", {"drive": {"t_pi_min_ns": 10}}, "drive: need 30 <= t_pi_min <= t_pi_max <= 200 ns"),
+    # A JSON boolean is not a number.
+    ("roundtrip", {"threshold": True}, "threshold: expected a finite number, got True"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -650,12 +682,22 @@ def test_reused_parser_gives_the_output_of_a_fresh_process(tmp_path, monkeypatch
     assert build_parser.cache_info().misses == misses
 
 
-# Runs one command through ``fluxcal.cli.main`` (none: only the import) and
-# prints its exit code and whether any scipy.optimize module was loaded.
+# Runs one command through ``fluxcal.cli.main`` (none: only the import;
+# ``anticrossing FILE``: the library's anti-crossing fit of FILE;
+# ``working_point``: the library's working-point search on the flip-chip
+# preset) and prints its exit code and whether any scipy.optimize module
+# was loaded.
 _IMPORT_PROBE = """
 import sys
 import fluxcal.cli
-code = fluxcal.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+from fluxcal import fitting, presets, simulator
+if sys.argv[1:2] == ["anticrossing"]:
+    data = fitting.read_anticrossing_csv(sys.argv[2])
+    code = int(not fitting.fit_anticrossing(data, k_q=4.0).g_qc_mhz > 0)
+elif sys.argv[1:2] == ["working_point"]:
+    code = int(not simulator.find_working_point(presets.flipchip_system()) > 0)
+else:
+    code = fluxcal.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, any(name.split(".")[:2] == ["scipy", "optimize"] for name in sys.modules))
 """
 
@@ -663,10 +705,11 @@ print(code, any(name.split(".")[:2] == ["scipy", "optimize"] for name in sys.mod
 @pytest.mark.parametrize(
     "command, loads_optimize",
     [("import", False), ("predistort", False), ("analyze", False), ("fit_long", False),
-     ("fit_short", True)],
+     ("fit_short", False), ("anticrossing", False), ("working_point", True)],
 )
 def test_only_the_optimizer_fits_load_scipy_optimize(tmp_path, flipchip_run_csv, command, loads_optimize):
-    # scipy.optimize is imported where least_squares or brentq first runs.
+    # No fit loads scipy.optimize: it is imported only where the working-point
+    # search first runs brentq.
     model = tmp_path / "model.json"
     write_json(model, model_to_dict(presets.flipchip_channel(v_step=0.3)))
     target = tmp_path / "target.csv"
@@ -679,6 +722,14 @@ def test_only_the_optimizer_fits_load_scipy_optimize(tmp_path, flipchip_run_csv,
     write_calibration_csv(
         long_run, synthesize_calibration_run(long_only, np.linspace(100.0, 80000.0, 40), "long")
     )
+    z = np.linspace(0.2, 0.4, 15)
+    f_q, f_c = 0.15 * z + 4.578, -5.0 * z + 6.123
+    split = np.hypot(f_c - f_q, 2 * 0.0789)
+    write_anticrossing_csv(tmp_path / "spect.csv", AnticrossingData(
+        zpa=np.concatenate([z, z]),
+        freq_ghz=np.concatenate([(f_q + f_c - split) / 2, (f_q + f_c + split) / 2]),
+        branch=("lower",) * 15 + ("upper",) * 15,
+    ))
     argv = {
         "import": [],
         "predistort": ["predistort", target, "--model", model, "-o", tmp_path / "shaped.csv"],
@@ -688,6 +739,8 @@ def test_only_the_optimizer_fits_load_scipy_optimize(tmp_path, flipchip_run_csv,
                      "-o", tmp_path / "long_model.json"],
         "fit_short": ["fit", flipchip_run_csv, "--regime", "short", "--n-exp", "2",
                       "--v-step", "0.3", "-o", tmp_path / "short_model.json"],
+        "anticrossing": ["anticrossing", tmp_path / "spect.csv"],
+        "working_point": ["working_point"],
     }[command]
     env = {**os.environ, "PYTHONPATH": str(Path(fluxcal.__file__).parents[1])}
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)], env=env,

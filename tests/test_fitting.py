@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from fluxcal import fitting
+from fluxcal import fitting, pipeline, presets
 from fluxcal.errors import (
     DegenerateFitWarning,
     FitFailedError,
@@ -192,48 +192,15 @@ def test_long_fit_rejects_wrong_regime():
         fit_long_time(run)
 
 
-def test_fit_short_time_skips_only_optimizer_value_errors(monkeypatch):
+def test_short_fit_fails_when_every_start_is_dropped():
     # One term of amplitude 0.8: every search ends outside the amplitude
-    # bound, so every start is dropped and the fit fails in one message,
-    # before any optimizer call.
+    # bound, so every start is dropped and the fit fails in one message.
     t = np.geomspace(2.0, 400.0, 40)
     run = CalibrationRun(
         delays_ns=t, compensation=-0.3 * 0.8 * np.exp(-t / 50.0), v_step=0.3, regime="short"
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares", refuse_least_squares)
-        with pytest.raises(FitFailedError, match=r"amplitude bound \[-0.5, 0.5\]; lower n_terms"):
-            fit_short_time(run, n_terms=1, rms_threshold=1.0)
-
-    # On in-bound data the polish is the one optimizer call.  A ValueError
-    # from it leaves the best start unpolished; any other error propagates.
-    run = synthesize_calibration_run(
-        short_channel(FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS), np.geomspace(2.0, 2000.0, 40),
-        "short", noise_sigma=1e-4, rng=np.random.default_rng(0),
-    )
-    _, polished = fit_short_time(run, n_terms=2, full_output=True)
-    polish_starts = []
-
-    def fail_with(exc):
-        def fake(fun, x0, **kwargs):
-            polish_starts.append(np.array(x0))
-            raise exc
-
-        return fake
-
-    monkeypatch.setattr(fitting, "least_squares", fail_with(TypeError("bug")))
-    with pytest.raises(TypeError, match="bug"):
-        fit_short_time(run, n_terms=2)
-    monkeypatch.setattr(fitting, "least_squares", fail_with(ValueError("x0 is infeasible")))
-    model, diag = fit_short_time(run, n_terms=2, full_output=True)
-    assert len(polish_starts) == 2
-    p, taus = polish_starts[-1][:2], polish_starts[-1][2:]
-    order = np.argsort(taus)
-    np.testing.assert_array_equal(model.amplitudes, p[order])
-    np.testing.assert_array_equal(model.taus_ns, taus[order])
-    rms = fitting._rms(run.delays_ns, -run.compensation / run.v_step, p, taus)
-    assert diag.residual_rms == diag.residual_trace[-1] == rms
-    assert polished.residual_rms <= rms
+    with pytest.raises(FitFailedError, match=r"amplitude bound \[-0.5, 0.5\]; lower n_terms"):
+        fit_short_time(run, n_terms=1, rms_threshold=1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -382,25 +349,26 @@ def test_short_fit_keeps_amplitude_bounds_with_too_many_terms(monkeypatch):
 
 def test_short_fit_counts_dropped_starts(monkeypatch):
     # Four terms on two-term data drop the merging searches; two terms on
-    # the same data drop none.  Either way no start is refitted: the polish
-    # is the fit's one least_squares call.
+    # the same data drop none.  Either way no start is refitted: the fit
+    # runs one search of every start and one continuation of the best.
     monkeypatch.setattr(fitting, "TAU_COLLAPSE_REL", 0.0)
     calls = []
+    search = fitting._search
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return least_squares(*args, **kwargs)
+    def counting(model, x0, *args, **kwargs):
+        calls.append(len(x0))
+        return search(model, x0, *args, **kwargs)
 
-    monkeypatch.setattr(fitting, "least_squares", counting)
+    monkeypatch.setattr(fitting, "_search", counting)
     resp = short_channel(FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS)
     run = synthesize_calibration_run(
         resp, np.geomspace(2.0, 2000.0, 40), "short",
         noise_sigma=1e-4, rng=np.random.default_rng(0),
     )
     _, diag = fit_short_time(run, n_terms=2, full_output=True)
-    assert diag.n_dropped_starts == 0 and len(calls) == 1
+    assert diag.n_dropped_starts == 0 and calls == [10, 1]
     _, diag = fit_short_time(run, n_terms=4, full_output=True)
-    assert diag.n_dropped_starts > 0 and len(calls) == 2
+    assert diag.n_dropped_starts > 0 and calls == [10, 1, 10, 1]
     assert len(diag.residual_trace) == diag.n_starts - diag.n_dropped_starts
 
 
@@ -416,21 +384,53 @@ def short_models(draw):
     return amplitudes, taus
 
 
+def noiseless_run(amplitudes, taus):
+    resp = short_channel(amplitudes, taus, v_step=0.3)
+    return synthesize_calibration_run(resp, np.geomspace(2.0, 4 * taus[-1], 60), "short")
+
+
 @settings(deadline=None, max_examples=40)
 @given(short_models(), st.integers(0, 2**31 - 1))
-# Every search of this draw ends on a merged pair near 21 ns with amplitudes
-# near +-300; only the bounded joint fit of those starts finds the model.
+# Eight of this draw's ten searches end on a merged pair near 21 ns with
+# amplitudes of +-90 to +-150 and are dropped; a kept one recovers the model.
 @example(([0.04921109, -0.01895044, 0.03836234], [37.51935078, 293.15514125, 894.21495377]), 638)
-# The best search ends 1e-6 short with a gradient below 1e-12; the polish
-# must not stop on gtol there.
+# Three of this draw's searches end on a merged pair near 30 ns with
+# amplitudes near +-2e4; the kept ones must reach the model, not stop short.
 @example(([-0.033203125, 0.005, -0.0078125], [43.0, 430.0, 1290.0]), 3)
 def test_short_fit_recovers_random_noiseless_models(model, seed):
     amplitudes, taus = model
-    resp = short_channel(amplitudes, taus, v_step=0.3)
-    run = synthesize_calibration_run(resp, np.geomspace(2.0, 4 * taus[-1], 60), "short")
-    fitted = fit_short_time(run, n_terms=len(taus), seed=seed)
+    fitted = fit_short_time(noiseless_run(amplitudes, taus), n_terms=len(taus), seed=seed)
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=FitFailedError,
+                   reason="known defect, ROADMAP open item 2: searches end on a merged pair")
+def test_short_fit_recovers_a_merged_pair_draw():
+    # A draw of short_models() on which all ten searches end on one merged
+    # pair at 2.686 ns with amplitudes of +-145 to +-243, so every start is
+    # dropped and the fit fails on the amplitude bound.  The bounded joint
+    # oracle recovers the model.
+    amplitudes, taus = [-0.0390625, 0.005], [5.0, 15.0]
+    run = noiseless_run(amplitudes, taus)
+    _, oracle_p, oracle_taus = joint_multistart_oracle(run, 2, seed=88884763)
+    np.testing.assert_allclose(oracle_p, amplitudes, rtol=1e-6)
+    np.testing.assert_allclose(oracle_taus, taus, rtol=1e-6)
+    fitted = fit_short_time(run, n_terms=2, seed=88884763)
+    np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
+    np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
+
+
+def test_short_fit_holds_a_time_constant_on_its_bound():
+    # On the flip-chip preset's short run (the seed-7 roundtrip's) at n = 4
+    # the slowest time constant ends on its upper bound, 10x the delay span.
+    # The search holds it there and moves the others, so it reaches the
+    # joint oracle's RMS; a search that only clips its steps stalls above.
+    run = pipeline.roundtrip(presets.flipchip_system(), presets.flipchip_channel(), seed=7).short_run
+    model, diag = fit_short_time(run, n_terms=4, seed=7, full_output=True)
+    assert model.taus_ns[-1] == pytest.approx(10.0 * run.span_ns, rel=1e-12)
+    oracle_rms, _, _ = joint_multistart_oracle(run, 4, seed=7)
+    assert diag.residual_rms <= oracle_rms * (1 + 1e-9)
 
 
 @settings(deadline=None, max_examples=40)
@@ -449,9 +449,13 @@ def test_search_starts_do_not_couple(model, n_terms, n_starts, n_points, seed):
     y = np.exp(-t[:, None] / np.asarray(taus)) @ amplitudes + 1e-4 * rng.normal(size=t.size)
     lo, hi = np.log(np.min(np.diff(t))), np.log(10 * (t[-1] - t[0]))
     u0 = np.sort(np.clip(rng.uniform(lo - 1.0, hi + 1.0, (n_starts, n_terms)), lo, hi), axis=1)
-    u = fitting._search_log_taus(t, y, u0, lo, hi)
+
+    def projection(u):
+        return fitting._projection(t, y, u)[:2]
+
+    u = fitting._search(projection, u0, lo, hi)
     for k in range(n_starts):
-        np.testing.assert_array_equal(u[k], fitting._search_log_taus(t, y, u0[k : k + 1], lo, hi)[0])
+        np.testing.assert_array_equal(u[k], fitting._search(projection, u0[k : k + 1], lo, hi)[0])
     assert np.all((u >= lo) & (u <= hi))
     cost0 = np.sum(fitting._projection(t, y, u0)[0] ** 2, axis=1)
     assert np.all(np.sum(fitting._projection(t, y, u)[0] ** 2, axis=1) <= cost0)
@@ -494,10 +498,6 @@ def test_offset_projection_jacobian_against_central_differences(model, offset, n
     assert np.max(np.abs(resid[0])) < 1e-12
 
 
-def refuse_least_squares(*args, **kwargs):
-    raise AssertionError("least_squares called")
-
-
 @settings(deadline=None, max_examples=30)
 @given(
     st.floats(1.52, 1.7) | st.floats(0.3, 0.48), st.floats(0.7, 1.3), st.floats(3.0, 15.0),
@@ -507,8 +507,7 @@ def test_long_fit_fails_outside_the_level_band(
     outside, inside, tau_us, outside_is_settled, noise_seed
 ):
     # One true level lies outside LONG_LEVEL_BAND, so the projected levels
-    # leave it: the fit fails naming both levels and the band, and calls
-    # no optimizer on the way.
+    # leave it: the fit fails naming both levels and the band.
     settled, initial = (outside, inside) if outside_is_settled else (inside, outside)
     t_ns = np.linspace(500.0, 60000.0, 40)
     rng = np.random.default_rng(noise_seed)
@@ -522,17 +521,14 @@ def test_long_fit_fails_outside_the_level_band(
     )
     lo, hi = LONG_LEVEL_BAND
     assert not (lo < b < hi and lo < step + b < hi)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares", refuse_least_squares)
-        with pytest.raises(FitFailedError, match="plausibility band") as info:
-            fit_long_time(run, rms_threshold=1.0)
+    with pytest.raises(FitFailedError, match="plausibility band") as info:
+        fit_long_time(run, rms_threshold=1.0)
     message = str(info.value)
     assert f"settled {b:.6g} and initial {step + b:.6g}" in message
     assert str(LONG_LEVEL_BAND) in message
 
 
-def test_long_fit_inside_the_band_needs_no_bounded_fit(monkeypatch):
-    monkeypatch.setattr(fitting, "least_squares", refuse_least_squares)
+def test_long_fit_inside_the_band_needs_no_bounded_fit():
     resp = CombinedResponse(short=None, long=LongTimeModel(*PLANAR_LONG), v_step=0.25)
     run = synthesize_calibration_run(resp, np.linspace(4000.0, 70000.0, 40), "long")
     model, diag = fit_long_time(run, full_output=True)
@@ -645,25 +641,21 @@ def test_anticrossing_csv_roundtrip(tmp_path):
 def test_anticrossing_jacobian_against_central_differences(
     g_ghz, k_eff, b_eff, k_c, z_cross, rising, seed
 ):
-    # The Jacobian handed to least_squares, at its starts and at points
-    # moved off them, against central differences of the residuals.
+    # The stacked model the search runs on, at both branch-geometry starts
+    # and at points moved off them, against central differences of its
+    # residuals.
     k_c = k_c if rising else -k_c
     data = make_anticrossing(g_ghz, k_eff, b_eff, k_c, (k_eff - k_c) * z_cross + b_eff)
-    calls = []
-
-    def recording(fun, x0, jac, **kwargs):
-        calls.append((fun, jac, np.array(x0)))
-        return least_squares(fun, x0, jac=jac, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares", recording)
-        fit_anticrossing(data, k_q=4.0)
-    assert len(calls) == 2
+    starts = np.array(fitting._branch_line_inits(data))
     rng = np.random.default_rng(seed)
+    theta = np.vstack([starts, starts + rng.normal(0.0, 0.05, starts.shape)])
+    _, jac = fitting._branch_products(data.zpa, data.freq_ghz, theta)
     h = 1e-6
-    for fun, jac, theta0 in calls:
-        for theta in (theta0, theta0 + rng.normal(0.0, 0.05, 4)):
-            fd = np.column_stack(
-                [(fun(theta + h * e) - fun(theta - h * e)) / (2 * h) for e in np.eye(4)]
-            )
-            np.testing.assert_allclose(jac(theta), fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)))
+    fd = np.stack([
+        (fitting._branch_products(data.zpa, data.freq_ghz, theta + h * e)[0]
+         - fitting._branch_products(data.zpa, data.freq_ghz, theta - h * e)[0]) / (2 * h)
+        for e in np.eye(4)
+    ], axis=2)
+    assert jac.shape == fd.shape == (4, data.zpa.size, 4)
+    for k in range(len(theta)):
+        np.testing.assert_allclose(jac[k], fd[k], rtol=0, atol=1e-6 * np.max(np.abs(fd[k])))
