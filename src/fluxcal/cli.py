@@ -13,13 +13,15 @@ Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
 form: a nan or inf CSV field, a CSV time column out of order, a scenario or
 model object with an unknown key, a JSON field that is not a finite number
 where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
-an integer in range, an ``--rms-threshold`` that is not a finite number
-above 0, a ``--dimension`` below 2, a decay file that breaks the decay
-fit's rules, a model, system or drive value that breaks its object's
-own checks, a ``predistort`` output whose .json sidecar would overwrite
-the output or an input), 2 numerical failure (a well-formed input on which the
-computation fails, including floating-point overflow).  The
-``FLUXCAL_SEED`` environment variable overrides any ``--seed`` flag.
+an integer in range, a delay or offset grid that is not increasing or has
+too few points, a ``zpa_range`` that is not a list of two numbers, an
+``--rms-threshold`` that is not a finite number above 0, a ``--dimension``
+below 2, a decay file that breaks the decay fit's rules, a model, system
+or drive value that breaks its object's own checks, a ``predistort``
+output whose .json sidecar would overwrite the output or an input), 2
+numerical failure (a well-formed input on which the computation fails,
+including floating-point overflow).  The ``FLUXCAL_SEED`` environment
+variable overrides any ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .simulator import (
     CouplerMap,
     DriveSchedule,
     SystemParams,
+    _sweep_grid,
     simulate_calibration,
 )
 from . import presets
@@ -165,7 +168,9 @@ def _system_from_spec(spec) -> SystemParams:
         _check_object(spec, _SYSTEM_KEYS, "system")
         cm = _check_object(spec["coupler"], _COUPLER_KEYS, "system.coupler")
         where = "system.coupler."
-        zpa_range = _parse_grid(cm.get("zpa_range", [0.0, 0.5]), f"{where}zpa_range")
+        zpa_range = cm.get("zpa_range", [0.0, 0.5])
+        if not isinstance(zpa_range, list):
+            raise ValueError(f"{where}zpa_range: expected a list of two numbers, got {zpa_range!r}")
         coupler = _usage_error(
             "system.coupler",
             CouplerMap,
@@ -174,7 +179,7 @@ def _system_from_spec(spec) -> SystemParams:
             asymmetry=_number(cm, "asymmetry", 0.0, where),
             zpa_to_flux=_number(cm, "zpa_to_flux", 1.0, where),
             flux_offset=_number(cm, "flux_offset", 0.0, where),
-            zpa_range=tuple(zpa_range.tolist()),
+            zpa_range=tuple(_finite_float(value, f"{where}zpa_range") for value in zpa_range),
         )
         return _usage_error(
             "system",
@@ -197,6 +202,18 @@ _ROUNDTRIP_KEYS = (
     "system", "channel", "drive", "repulsion_mhz", "n_exp", "threshold",
     "dt_integration_ns", "long_stage", "short_stage", "validate",
 )
+
+
+# The sweep grid that each scenario grid key holds.
+_GRID_KINDS = {"delays_ns": "delays", "offsets_rel": "offsets"}
+
+
+def _sweep_grid_spec(spec: dict, key: str, where: str = "") -> np.ndarray:
+    """``spec[key]``, a ``delays_ns`` or ``offsets_rel`` grid, parsed and
+    checked by the sweep's own rule before any sweep runs; ``where``
+    prefixes the field's name."""
+    name = where + key
+    return _usage_error(name, _sweep_grid, _parse_grid(spec[key], name), _GRID_KINDS[key])
 
 
 def _integration_step(scenario: dict) -> float:
@@ -301,8 +318,8 @@ def cmd_simulate(args) -> int:
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = model_from_dict(scenario["channel"], "channel")
     schedule = _schedule_from_spec(scenario.get("drive", {}))
-    delays = _parse_grid(scenario["delays_ns"], "delays_ns")
-    offsets = _parse_grid(scenario["offsets_rel"], "offsets_rel") * channel.v_step
+    delays = _sweep_grid_spec(scenario, "delays_ns")
+    offsets = _sweep_grid_spec(scenario, "offsets_rel") * channel.v_step
     dt_int = _integration_step(scenario)
 
     input_waveform = None
@@ -407,8 +424,8 @@ def cmd_analyze(args) -> int:
 
 
 def _stage_grids(scenario: dict, stage: str) -> dict:
-    spec = _check_object(scenario.get(stage, {}), ("delays_ns", "offsets_rel"), stage)
-    return {key: _parse_grid(value, f"{stage}.{key}") for key, value in spec.items()}
+    spec = _check_object(scenario.get(stage, {}), tuple(_GRID_KINDS), stage)
+    return {key: _sweep_grid_spec(spec, key, f"{stage}.") for key in spec}
 
 
 def cmd_roundtrip(args) -> int:

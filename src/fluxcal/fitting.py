@@ -144,7 +144,6 @@ class AnticrossingFit:
 class FitDiagnostics:
     """Bookkeeping from an iterative fit."""
 
-    residual_trace: tuple[float, ...]
     residual_rms: float
     n_starts: int
     degenerate: bool = False
@@ -304,9 +303,7 @@ def fit_short_time(
     amplitudes then leave [-0.5, 0.5].  Time constants are reported
     ascending.
 
-    The diagnostics trace holds the best residual RMS after each kept
-    start; the last entry, like ``residual_rms``, is that of the returned
-    model.  ``n_dropped_starts`` counts the dropped starts.
+    ``n_dropped_starts`` in the diagnostics counts the dropped starts.
 
     Raises FitFailedError if every start is dropped, the best one's
     continued search leaves the amplitude bound, or the relative residual
@@ -332,7 +329,7 @@ def fit_short_time(
         # Nothing to fit: zero amplitudes on distinct placeholder constants.
         taus = np.geomspace(10 * tau_lo, span, n_terms)
         model = ShortTimeModel.from_arrays(np.zeros(n_terms), taus)
-        diag = FitDiagnostics((0.0,), 0.0, 1)
+        diag = FitDiagnostics(0.0, 1)
         return (model, diag) if full_output else model
 
     rng = np.random.default_rng(seed)
@@ -349,17 +346,17 @@ def fit_short_time(
     u_end = _search(projection, np.log(starts), u_lo, u_hi)
     _, _, p_end = _projection(t, y, u_end)
     best = None
-    trace = []
+    n_dropped = 0
     for p, u in zip(p_end, u_end):
         if np.max(np.abs(p)) > 0.5:
             # The projection leaves the amplitudes unbounded: two merging
             # time constants with large opposite amplitudes mimic a
             # t exp(-t/tau) term.  Drop this start.
+            n_dropped += 1
             continue
         cost = _rms(t, y, p, np.clip(np.exp(u), tau_lo, tau_hi))
         if best is None or cost < best[0]:
             best = (cost, u)
-        trace.append(best[0])
     if best is None:
         raise FitFailedError(
             f"every start ends outside the amplitude bound [-0.5, 0.5]; "
@@ -374,7 +371,7 @@ def fit_short_time(
             f"the best start's search leaves the amplitude bound [-0.5, 0.5]; "
             f"lower n_terms (now {n_terms}) or check v_step"
         )
-    rms = trace[-1] = _rms(t, y, p, taus)
+    rms = _rms(t, y, p, taus)
     order = np.argsort(taus)
     p, taus = p[order], taus[order]
     for a, b in zip(taus, taus[1:]):
@@ -389,7 +386,7 @@ def fit_short_time(
             f"{rms_threshold * scale:.3g}"
         )
     model = ShortTimeModel.from_arrays(p, taus)
-    diag = FitDiagnostics(tuple(trace), rms, len(starts), n_dropped_starts=len(starts) - len(trace))
+    diag = FitDiagnostics(rms, len(starts), n_dropped_starts=n_dropped)
     return (model, diag) if full_output else model
 
 
@@ -424,7 +421,7 @@ def fit_long_time(
             stacklevel=2,
         )
         model = LongTimeModel(settled=level, initial=level, tau_us=span_us / 3.0)
-        diag = FitDiagnostics((0.0,), 0.0, 1, degenerate=True)
+        diag = FitDiagnostics(0.0, 1, degenerate=True)
         return (model, diag) if full_output else model
 
     tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
@@ -451,7 +448,7 @@ def fit_long_time(
         )
         warnings.warn(messages[-1], DegenerateFitWarning, stacklevel=2)
     model = LongTimeModel(settled=settled, initial=initial, tau_us=tau)
-    diag = FitDiagnostics((rms,), rms, 1, messages=tuple(messages))
+    diag = FitDiagnostics(rms, 1, messages=tuple(messages))
     return (model, diag) if full_output else model
 
 
@@ -515,7 +512,6 @@ def fit_anticrossing(
     ends = _search(lambda theta: _branch_products(z, f, theta), np.array(_branch_line_inits(data)))
     costs = np.sqrt(np.mean(_branch_products(z, f, ends)[0] ** 2, axis=1))
     best = int(np.argmin(costs))
-    trace = tuple(float(c) for c in np.minimum.accumulate(costs))
     theta = ends[best]
     # The product form is symmetric in the two lines; the qubit line is the
     # flat one (it moves only through crosstalk), so order by slope.
@@ -548,7 +544,7 @@ def fit_anticrossing(
         crosstalk=crosstalk,
         residual_std=std_prod,
     )
-    diag = FitDiagnostics(trace, trace[-1], len(trace))
+    diag = FitDiagnostics(float(costs[best]), costs.size)
     return (fit, diag) if full_output else fit
 
 

@@ -18,7 +18,7 @@ from .fitting import CalibrationRun, fit_long_time, fit_short_time
 from .models import MAX_SHORT_TERMS, CombinedResponse
 from .predistort import full_pipeline
 from .signal import Waveform, heaviside_step
-from .simulator import (MAX_STEP_NS, DriveSchedule, SystemParams, _sweep_grids,
+from .simulator import (MAX_STEP_NS, DriveSchedule, SystemParams, _sweep_grid,
                         find_working_point, long_time_schedule, simulate_calibration)
 
 
@@ -43,7 +43,8 @@ def _grids(override, delays_ns: np.ndarray, offsets_rel: np.ndarray, v_step: flo
     with ``delays_ns`` and/or ``offsets_rel``) replaces either default."""
     override = override or {}
     offsets = np.asarray(override.get("offsets_rel", offsets_rel), dtype=float) * v_step
-    return _sweep_grids(override.get("delays_ns", delays_ns), offsets)
+    delays = _sweep_grid(override.get("delays_ns", delays_ns), "delays")
+    return delays, _sweep_grid(offsets, "offsets")
 
 
 def roundtrip(

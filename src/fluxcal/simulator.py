@@ -20,6 +20,11 @@ before it acts on the state.  The step is sized by what the calibration
 loop reads, the measured compensation: at the default 2 ns step it is
 within 1e-5 of v_step of a converged run.
 
+The probe addresses the dressed states of the strongly coupled qubit and
+coupler.  ``dressed_states`` diagonalizes their single-excitation block in
+closed form, for any array of coupler biases at once; it gives the drive
+frequency, the pi-pulse amplitude and the rotating-wave check.
+
 The calibration protocol mirrors the hardware sequence: pick the working
 point on the lower dressed branch, calibrate the pi-pulse amplitude there,
 then sweep delay and compensation offset to locate, per delay, the offset
@@ -101,6 +106,10 @@ class CouplerMap:
             raise InvalidArgumentError("zpa_to_flux must be nonzero")
         if self.curvature_ghz < 0:
             raise InvalidArgumentError("curvature_ghz must be >= 0")
+        if np.shape(self.zpa_range) != (2,):
+            raise InvalidArgumentError(
+                f"zpa_range must be two values (lo, hi), got {self.zpa_range!r}"
+            )
         lo, hi = self.zpa_range
         if not lo < hi:
             raise InvalidArgumentError("zpa_range must be an increasing pair")
@@ -150,82 +159,38 @@ class SystemParams:
         return self.coupler.frequency(coupler_zpa)
 
 
-@dataclass(frozen=True)
-class DressedPair:
-    """Single-excitation eigenpair at one bias point.
+def dressed_states(params: SystemParams, coupler_zpa):
+    """Dressed single-excitation states at the coupler biases ``coupler_zpa``.
 
-    Weights are the (|10>, |01>) amplitudes of each dressed state.
+    At each bias the block [[w_q, g], [g, w_c]] of the bare qubit and
+    coupler frequencies, crosstalk shift included, is diagonalized in
+    closed form.  Returns (lower, upper, q_minus, q_plus), arrays of the
+    shape of ``coupler_zpa``: the dressed frequencies in GHz,
+
+        (w_q + w_c)/2 -/+ sqrt((w_c - w_q)^2 + 4 g^2)/2,
+
+    and the |10> (qubit) amplitude of each state, signed so that its |01>
+    amplitude is positive.  The splitting is at least 2 g and exactly 2 g
+    at resonance, where both amplitudes have magnitude 1/sqrt(2);
+    q_minus^2 + q_plus^2 = 1.  A drive of rate Omega on the bare qubit
+    addresses the dressed transitions |00> -> |phi-/+> at Omega q_-/+.
     """
-
-    omega_minus_ghz: float
-    omega_plus_ghz: float
-    weight_minus: tuple[float, float]
-    weight_plus: tuple[float, float]
-
-    def __post_init__(self):
-        if self.omega_plus_ghz < self.omega_minus_ghz:
-            raise InvalidArgumentError("dressed energies out of order")
-        for w in (self.weight_minus, self.weight_plus):
-            if abs(w[0] ** 2 + w[1] ** 2 - 1.0) > 1e-12:
-                raise InvalidArgumentError("dressed-state weights must be normalized")
-
-    @property
-    def splitting_ghz(self) -> float:
-        return self.omega_plus_ghz - self.omega_minus_ghz
-
-
-def dressed_from_frequencies(omega_q_ghz: float, omega_c_ghz: float, g_ghz: float) -> DressedPair:
-    """Diagonalize the single-excitation block for given bare frequencies.
-
-    The dressed energies are (w_q + w_c)/2 -/+ sqrt((w_q - w_c)^2 + 4 g^2)/2;
-    the minimum splitting, reached at resonance, is exactly 2 g.
-    """
-    if g_ghz <= 0:
-        raise InvalidArgumentError("g_ghz must be > 0")
-    delta = omega_c_ghz - omega_q_ghz
-    split = math.hypot(delta, 2.0 * g_ghz)
-    mean = 0.5 * (omega_q_ghz + omega_c_ghz)
-    ratio_minus = -(delta + split) / (2.0 * g_ghz)
-    norm_minus = math.hypot(ratio_minus, 1.0)
-    ratio_plus = -(delta - split) / (2.0 * g_ghz)
-    norm_plus = math.hypot(ratio_plus, 1.0)
-    return DressedPair(
-        omega_minus_ghz=mean - 0.5 * split,
-        omega_plus_ghz=mean + 0.5 * split,
-        weight_minus=(ratio_minus / norm_minus, 1.0 / norm_minus),
-        weight_plus=(ratio_plus / norm_plus, 1.0 / norm_plus),
-    )
-
-
-def dressed_energies(params: SystemParams, coupler_zpa: float) -> DressedPair:
-    """Dressed pair at a coupler bias, crosstalk shift included."""
-    return dressed_from_frequencies(
-        float(params.qubit_freq_ghz(coupler_zpa)),
-        float(params.coupler_freq_ghz(coupler_zpa)),
-        params.g_qc_ghz,
-    )
-
-
-def spectroscopy_branches(params: SystemParams, coupler_zpa) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper dressed branch frequencies over a zpa scan."""
     z = np.asarray(coupler_zpa, dtype=float)
     wq = params.qubit_freq_ghz(z)
     wc = params.coupler_freq_ghz(z)
-    split = np.hypot(wc - wq, 2.0 * params.g_qc_ghz)
+    two_g = 2.0 * params.g_qc_ghz
+    delta = wc - wq
+    split = np.hypot(delta, two_g)
     mean = 0.5 * (wq + wc)
-    return mean - 0.5 * split, mean + 0.5 * split
-
-
-def effective_rabi(params: SystemParams, coupler_zpa: float, rabi_mhz: float) -> tuple[float, float]:
-    """Drive rates of the two dressed transitions for a bare qubit drive.
-
-    A drive of peak rate Omega on the bare qubit addresses the dressed
-    transitions |00> -> |phi-/+> with rates Omega * <10|phi-/+>; at
-    resonance both magnitudes equal Omega / sqrt(2), far off resonance the
-    drive addresses only the qubit-like branch.  Returned in MHz, signed.
-    """
-    pair = dressed_energies(params, coupler_zpa)
-    return (-rabi_mhz * pair.weight_minus[0], -rabi_mhz * pair.weight_plus[0])
+    # Each state is (ratio, 1) / hypot(ratio, 1) in the (|10>, |01>) basis.
+    ratio_minus = -(delta + split) / two_g
+    ratio_plus = -(delta - split) / two_g
+    return (
+        mean - 0.5 * split,
+        mean + 0.5 * split,
+        ratio_minus / np.hypot(ratio_minus, 1.0),
+        ratio_plus / np.hypot(ratio_plus, 1.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -237,20 +202,14 @@ class RwaCheck:
     margin_factor: float
 
 
-def check_rwa(pair: DressedPair, omega_plus_rabi_mhz: float) -> RwaCheck:
-    """Check Omega+/2 << dressed splitting.
+def check_rwa(split_ghz: float, omega_plus_rabi_mhz: float) -> RwaCheck:
+    """Check Omega+/2 << the dressed splitting ``split_ghz``.
 
     The spectator transition |00> -> |phi+> is driven at Omega+; treating
     it as negligible is valid while Omega+/2 stays below RWA_MARGIN times
     the splitting.  Returns the ratio so callers can report margins.
     """
-    half_rabi_ghz = 0.5 * abs(omega_plus_rabi_mhz) * 1e-3
-    split = pair.splitting_ghz
-    if half_rabi_ghz == 0.0:
-        return RwaCheck(passed=True, ratio=0.0, margin_factor=RWA_MARGIN)
-    if split <= 0.0:
-        return RwaCheck(passed=False, ratio=math.inf, margin_factor=RWA_MARGIN)
-    ratio = half_rabi_ghz / split
+    ratio = 0.5 * abs(omega_plus_rabi_mhz) * 1e-3 / split_ghz
     return RwaCheck(passed=ratio <= RWA_MARGIN, ratio=ratio, margin_factor=RWA_MARGIN)
 
 
@@ -529,12 +488,11 @@ def find_working_point(params: SystemParams, repulsion_ghz: float = 0.050) -> fl
 def pi_pulse_rabi_mhz(params: SystemParams, coupler_zpa: float, t_pi_ns: float, sigma_fraction: float = 0.25) -> float:
     """Peak drive rate giving a pi rotation on the lower dressed transition.
 
-    Uses the truncated-Gaussian envelope area and the |10> weight of the
+    Uses the truncated-Gaussian envelope area and the |10> amplitude of the
     lower dressed state at the bias point.  The returned amplitude scales
     as 1/t_pi, so amplitude * t_pi is a sweep invariant.
     """
-    pair = dressed_energies(params, coupler_zpa)
-    weight = abs(pair.weight_minus[0])
+    weight = abs(float(dressed_states(params, coupler_zpa)[2]))
     if weight == 0:
         raise InvalidArgumentError("lower dressed state has no qubit component here")
     sigma = sigma_fraction * t_pi_ns
@@ -566,33 +524,15 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(x[k] - 0.5 * (dl * dl * fr - dr * dr * fl) / den)
 
 
-def _probe_delay(params, drive, t_nodes, h, zpa_nodes, offsets):
-    """One delay of the sweep: P1 over the offset grid and the refined
-    offset of its maximum, as (offset, P1 row).
-
-    ``zpa_nodes`` is the channel's zpa at ``t_nodes`` before any offset.
-    """
-    traces = zpa_nodes[None, :] + offsets[:, None]
-    p1 = _propagate(params, drive, traces, t_nodes, h)
-    k = int(np.argmax(p1))
-    if k == 0 or k == offsets.size - 1:
-        raise SweepRangeError(
-            f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "
-            "widen the offset grid"
-        )
-    return _quadratic_peak(offsets, p1, k), p1
-
-
-def _sweep_grids(delays_ns, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """A sweep's delays and offsets as float arrays, checked: each must be
-    an increasing 1-D array, of >= 2 delays and >= 3 offsets."""
-    delays = np.asarray(delays_ns, dtype=float)
-    offs = np.asarray(offsets, dtype=float)
-    if delays.ndim != 1 or delays.size < 2 or np.any(np.diff(delays) <= 0):
-        raise InvalidArgumentError("delays must be an increasing 1-D array with >= 2 points")
-    if offs.ndim != 1 or offs.size < 3 or np.any(np.diff(offs) <= 0):
-        raise InvalidArgumentError("offsets must be an increasing 1-D array with >= 3 points")
-    return delays, offs
+def _sweep_grid(values, kind: str) -> np.ndarray:
+    """A sweep's delays (``kind`` "delays") or offsets ("offsets") as a
+    float array, checked: an increasing 1-D array of >= 2 delays or >= 3
+    offsets."""
+    grid = np.asarray(values, dtype=float)
+    least = 2 if kind == "delays" else 3
+    if grid.ndim != 1 or grid.size < least or np.any(np.diff(grid) <= 0):
+        raise InvalidArgumentError(f"{kind} must be an increasing 1-D array with >= {least} points")
+    return grid
 
 
 def simulate_calibration(
@@ -623,19 +563,18 @@ def simulate_calibration(
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid.
     """
-    delays, offs = _sweep_grids(delays_ns, offsets)
+    delays, offs = _sweep_grid(delays_ns, "delays"), _sweep_grid(offsets, "offsets")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
 
     v_step = channel.v_step
     z_ref = v_step
-    pair_ref = dressed_energies(params, z_ref)
-    omega_d = pair_ref.omega_minus_ghz
+    lower, upper, _, q_plus = dressed_states(params, z_ref)
+    omega_d = float(lower)
 
     # Worst-case RWA margin occurs at the largest amplitude (shortest pulse).
     rabi_max = pi_pulse_rabi_mhz(params, z_ref, schedule.t_pi_min_ns, schedule.sigma_fraction)
-    rabi_plus = effective_rabi(params, z_ref, rabi_max)[1]
-    rwa = check_rwa(pair_ref, rabi_plus)
+    rwa = check_rwa(float(upper - lower), rabi_max * float(q_plus))
     if not rwa.passed:
         warnings.warn(
             f"RWA margin exceeded at the working point (ratio {rwa.ratio:.3g})",
@@ -655,8 +594,7 @@ def simulate_calibration(
             )
         return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
 
-    t_pis = []
-    jobs = []
+    t_pis, v_oft, p1_rows = [], [], []
     for t_delay in delays:
         t_pi = schedule.t_pi_ns(float(t_delay))
         t_pis.append(t_pi)
@@ -672,9 +610,16 @@ def simulate_calibration(
             sigma_fraction=schedule.sigma_fraction,
         )
         t_nodes, h = drive.step_nodes(dt_integration_ns)
-        jobs.append((params, drive, t_nodes, h, base_zpa(t_nodes), offs))
+        p1 = _propagate(params, drive, base_zpa(t_nodes)[None, :] + offs[:, None], t_nodes, h)
+        k = int(np.argmax(p1))
+        if k == 0 or k == offs.size - 1:
+            raise SweepRangeError(
+                f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "
+                "widen the offset grid"
+            )
+        v_oft.append(_quadratic_peak(offs, p1, k))
+        p1_rows.append(p1)
 
-    v_oft, p1_rows = zip(*(_probe_delay(*job) for job in jobs))
     run = CalibrationRun(
         delays_ns=delays, compensation=np.array(v_oft), v_step=v_step, regime=schedule.regime
     )

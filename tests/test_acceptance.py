@@ -31,12 +31,12 @@ from fluxcal.predistort import (
 from fluxcal.serialize import write_json
 from fluxcal.signal import Waveform, convolve, heaviside_step, step_to_impulse
 from fluxcal.simulator import (
+    CouplerMap,
     DriveParams,
     DriveSchedule,
+    SystemParams,
     check_rwa,
-    dressed_energies,
-    dressed_from_frequencies,
-    effective_rabi,
+    dressed_states,
     evolve_excitation,
     find_working_point,
     long_time_schedule,
@@ -130,24 +130,29 @@ def test_criterion_3_dressed_state_identities(capsys):
     params = presets.flipchip_system()
     g = params.g_qc_ghz
 
-    pair_res = dressed_from_frequencies(4.9, 4.9, g)
-    split_err_res = abs(pair_res.splitting_ghz - 2.0 * g)
+    # Qubit and coupler both at 4.9 GHz: a symmetric coupler with no
+    # curvature sits at f_max at zpa 0.
+    coupler = CouplerMap(f_max_ghz=4.9, curvature_ghz=0.0, asymmetry=0.0, zpa_to_flux=1.0)
+    resonant = SystemParams(omega_q_ghz=4.9, g_qc_ghz=g, coupler=coupler)
+    lower, upper, _, _ = dressed_states(resonant, 0.0)
+    split_err_res = abs((upper - lower) - 2.0 * g)
 
     lo, hi = params.coupler.zpa_range
     z_cross = brentq(
         lambda z: float(params.coupler_freq_ghz(z) - params.qubit_freq_ghz(z)),
         lo + 1e-6, hi, xtol=1e-14,
     )
-    split_err_scan = abs(dressed_energies(params, z_cross).splitting_ghz - 2.0 * g)
+    lower, upper, _, _ = dressed_states(params, z_cross)
+    split_err_scan = abs((upper - lower) - 2.0 * g)
 
     # Drive-frequency scan at the working point: the excitation peak must
     # sit on the lower dressed branch.
     z_work = find_working_point(params)
-    pair = dressed_energies(params, z_work)
+    lower, upper, _, q_plus = dressed_states(params, z_work)
     t_pi = 200.0
     rabi = pi_pulse_rabi_mhz(params, z_work, t_pi)
     trace = Waveform(0.1, np.full(4001, z_work))
-    freqs = pair.omega_minus_ghz + np.linspace(-0.008, 0.008, 33)
+    freqs = lower + np.linspace(-0.008, 0.008, 33)
     p1 = np.array([
         evolve_excitation(
             params,
@@ -159,14 +164,14 @@ def test_criterion_3_dressed_state_identities(capsys):
     k = int(np.argmax(p1))
     assert 0 < k < freqs.size - 1
     a, b, _ = np.polyfit(freqs[k - 1 : k + 2], p1[k - 1 : k + 2], 2)
-    scan_err_mhz = abs(float(-b / (2.0 * a)) - pair.omega_minus_ghz) * 1e3
+    scan_err_mhz = abs(float(-b / (2.0 * a)) - lower) * 1e3
 
     # A 30 ns pi pulse leaves the spectator branch driven well below the
     # dressed splitting, so the rotating-wave treatment holds.
     rabi_30 = pi_pulse_rabi_mhz(params, z_work, 30.0)
-    spectator_mhz = abs(effective_rabi(params, z_work, rabi_30)[1])
-    split_mhz = pair.splitting_ghz * 1e3
-    rwa = check_rwa(pair, spectator_mhz)
+    spectator_mhz = abs(rabi_30 * q_plus)
+    split_mhz = (upper - lower) * 1e3
+    rwa = check_rwa(upper - lower, spectator_mhz)
 
     passed = (
         split_err_res < 1e-9

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxcal
-from fluxcal import pipeline, presets
+from fluxcal import cli, pipeline, presets
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
@@ -474,6 +474,14 @@ EXPLICIT_FLIPCHIP = {
     ("roundtrip", {"drive": {"t_pi_min_ns": 10}}, "drive: need 30 <= t_pi_min <= t_pi_max <= 200 ns"),
     # A JSON boolean is not a number.
     ("roundtrip", {"threshold": True}, "threshold: expected a finite number, got True"),
+    ("simulate", {"system": {**EXPLICIT_FLIPCHIP,
+                             "coupler": {**EXPLICIT_FLIPCHIP["coupler"], "zpa_range": [0.0, 0.2, 0.45]}}},
+     "system.coupler: zpa_range must be two values (lo, hi), got (0.0, 0.2, 0.45)"),
+    # zpa_range is a pair of bounds, not a grid.
+    ("roundtrip", {"system": {**EXPLICIT_FLIPCHIP, "coupler": {
+        **EXPLICIT_FLIPCHIP["coupler"], "zpa_range": {"start": 0.0, "stop": 0.48, "count": 2}}}},
+     "system.coupler.zpa_range: expected a list of two numbers, "
+     "got {'start': 0, 'stop': 0.48, 'count': 2}"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -507,6 +515,34 @@ def test_roundtrip_bad_drive_fails_before_any_sweep(tmp_path, capsys, monkeypatc
     outdir = tmp_path / "rt"
     assert main(["roundtrip", str(path), "-o", str(outdir)]) == 1
     assert capsys.readouterr().err == f"fluxcal roundtrip: {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", {"delays_ns": [300.0, 200.0]},
+     "delays_ns: delays must be an increasing 1-D array with >= 2 points"),
+    ("simulate", {"offsets_rel": [-0.01, 0.01]},
+     "offsets_rel: offsets must be an increasing 1-D array with >= 3 points"),
+    ("roundtrip", {"short_stage": {"delays_ns": [300.0, 200.0]}},
+     "short_stage.delays_ns: delays must be an increasing 1-D array with >= 2 points"),
+    ("roundtrip", {"long_stage": {"delays_ns": [4000.0]}},
+     "long_stage.delays_ns: delays must be an increasing 1-D array with >= 2 points"),
+    ("roundtrip", {"validate": {"offsets_rel": [0.02, 0.0, -0.02]}},
+     "validate.offsets_rel: offsets must be an increasing 1-D array with >= 3 points"),
+])
+def test_sweep_grid_out_of_order_is_usage_error_before_any_sweep(
+    tmp_path, capsys, monkeypatch, command, extra, message
+):
+    monkeypatch.setattr(cli, "simulate_calibration", _no_sweep)
+    monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)
+    scenario = {"system": "planar", "channel": model_to_dict(presets.planar_channel())}
+    if command == "simulate":
+        scenario.update(delays_ns=[60.0, 150.0], offsets_rel=[-0.01, 0.0, 0.01])
+    path = tmp_path / "scenario.json"
+    write_json(path, {**scenario, **extra})
+    outdir = tmp_path / "out"
+    assert main([command, str(path), "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"fluxcal {command}: {message}\n"
     assert not outdir.exists()
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +20,12 @@ from fluxcal.simulator import (
     DriveSchedule,
     SystemParams,
     check_rwa,
-    dressed_energies,
-    dressed_from_frequencies,
-    effective_rabi,
+    dressed_states,
     evolve_excitation,
     find_working_point,
     long_time_schedule,
     pi_pulse_rabi_mhz,
     simulate_calibration,
-    spectroscopy_branches,
     _BLOCK_STEPS,
     _cf4_exponents,
     _evolve,
@@ -66,6 +64,13 @@ def test_coupler_map_rejects_non_monotonic_range():
                    zpa_range=(-0.2, 0.2))
 
 
+@pytest.mark.parametrize("zpa_range", [(0.0, 0.2, 0.45), (0.45,), 0.45])
+def test_coupler_map_needs_two_zpa_bounds(zpa_range):
+    with pytest.raises(InvalidArgumentError, match="zpa_range must be two values"):
+        CouplerMap(f_max_ghz=6.0, curvature_ghz=0.3, asymmetry=0.0, zpa_to_flux=1.0,
+                   zpa_range=zpa_range)
+
+
 def test_system_params_validation():
     cm = CouplerMap(f_max_ghz=6.0, curvature_ghz=0.3, asymmetry=0.0, zpa_to_flux=1.0,
                     zpa_range=(0.0, 0.4))
@@ -75,73 +80,117 @@ def test_system_params_validation():
         SystemParams(omega_q_ghz=4.5, g_qc_ghz=0.08, coupler=cm, coeff_zxtalk=0.2)
 
 
+def bare_pair(omega_q, omega_c, g):
+    """A system whose bare qubit and coupler sit at omega_q and omega_c at
+    zpa 0 (a symmetric coupler with no curvature is at f_max there)."""
+    coupler = CouplerMap(f_max_ghz=omega_c, curvature_ghz=0.0, asymmetry=0.0, zpa_to_flux=1.0,
+                         zpa_range=(0.0, 0.45))
+    return SystemParams(omega_q_ghz=omega_q, g_qc_ghz=g, coupler=coupler)
+
+
+@st.composite
+def systems(draw):
+    """Qubit-coupler pairs: a 4-6 GHz qubit with Z crosstalk, g of 10-200 MHz,
+    and a transmon coupler of 4-7 GHz top frequency over zpa [0, 0.45]."""
+    coupler = CouplerMap(
+        f_max_ghz=draw(st.floats(4.0, 7.0)),
+        curvature_ghz=draw(st.floats(0.0, 0.4)),
+        asymmetry=draw(st.floats(0.0, 0.9)),
+        zpa_to_flux=1.0,
+        zpa_range=(0.0, 0.45),
+    )
+    return SystemParams(
+        omega_q_ghz=draw(st.floats(4.0, 6.0)),
+        g_qc_ghz=draw(st.floats(0.01, 0.2)),
+        coupler=coupler,
+        coeff_zxtalk=draw(st.floats(-0.1, 0.1)),
+        qubit_zpa_slope_ghz=draw(st.floats(-5.0, 5.0)),
+    )
+
+
+zpa_scans = st.lists(st.floats(0.0, 0.45), min_size=1, max_size=20).map(np.array)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_dressed_pair_matches_eigensolver(seed):
     rng = np.random.default_rng(seed)
     omega_q = rng.uniform(4.0, 6.0)
     omega_c = rng.uniform(4.0, 6.0)
     g = rng.uniform(0.01, 0.2)
-    pair = dressed_from_frequencies(omega_q, omega_c, g)
-    h = np.array([[omega_q, g], [g, omega_c]])
+    lower, upper, q_minus, q_plus = dressed_states(bare_pair(omega_q, omega_c, g), 0.0)
+    evals, evecs = np.linalg.eigh(np.array([[omega_q, g], [g, omega_c]]))
+    np.testing.assert_allclose([lower, upper], evals, rtol=0, atol=1e-12)
+    # Each state's |01> amplitude is positive, which fixes the eigenvector sign.
+    np.testing.assert_allclose([q_minus, q_plus], evecs[0] * np.sign(evecs[1]), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), zpa_scans)
+def test_dressed_states_match_eigensolver(params, z):
+    lower, upper, q_minus, q_plus = dressed_states(params, z)
+    h = np.empty(z.shape + (2, 2))
+    h[:, 0, 0], h[:, 1, 1] = params.qubit_freq_ghz(z), params.coupler_freq_ghz(z)
+    h[:, 0, 1] = h[:, 1, 0] = params.g_qc_ghz
     evals, evecs = np.linalg.eigh(h)
-    assert pair.omega_minus_ghz == pytest.approx(evals[0], abs=1e-12)
-    assert pair.omega_plus_ghz == pytest.approx(evals[1], abs=1e-12)
-    for got, ref in ((pair.weight_minus, evecs[:, 0]), (pair.weight_plus, evecs[:, 1])):
-        got = np.asarray(got)
-        if np.sign(got[np.argmax(np.abs(got))]) != np.sign(ref[np.argmax(np.abs(ref))]):
-            ref = -ref
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+    np.testing.assert_allclose(np.stack([lower, upper], axis=-1), evals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(np.stack([q_minus, q_plus], axis=-1)), np.abs(evecs[:, 0, :]),
+                               rtol=0, atol=1e-12)
 
 
-def test_resonant_splitting_is_exactly_twice_g():
-    pair = dressed_from_frequencies(5.0, 5.0, 0.0789)
-    assert pair.splitting_ghz == pytest.approx(2 * 0.0789, abs=1e-12)
-    np.testing.assert_allclose(np.abs(pair.weight_minus), [1 / np.sqrt(2)] * 2, atol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.floats(0.0, 0.45))
+def test_resonant_splitting_is_exactly_twice_g(params, z):
+    # Put the qubit on the coupler at z: the splitting is then 2 g, and the
+    # two states share the qubit equally.
+    params = replace(params, omega_q_ghz=float(params.coupler_freq_ghz(z)), coeff_zxtalk=0.0)
+    lower, upper, q_minus, q_plus = dressed_states(params, z)
+    assert abs((upper - lower) - 2.0 * params.g_qc_ghz) <= 1e-12
+    np.testing.assert_allclose(np.abs([q_minus, q_plus]), 1 / np.sqrt(2), rtol=0, atol=1e-12)
 
 
-def test_dressed_weights_orthonormal():
-    pair = dressed_from_frequencies(4.6, 4.9, 0.08)
-    wm = np.asarray(pair.weight_minus)
-    wp = np.asarray(pair.weight_plus)
-    assert np.dot(wm, wm) == pytest.approx(1.0, abs=1e-12)
-    assert np.dot(wp, wp) == pytest.approx(1.0, abs=1e-12)
-    assert np.dot(wm, wp) == pytest.approx(0.0, abs=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(systems(), zpa_scans)
+def test_dressed_weights_orthonormal(params, z):
+    # The qubit row of the orthogonal eigenvector matrix has unit norm.
+    _, _, q_minus, q_plus = dressed_states(params, z)
+    np.testing.assert_allclose(q_minus**2 + q_plus**2, 1.0, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), zpa_scans)
+def test_dressed_states_array_matches_per_point(params, z):
+    # Not bit for bit: numpy's vectorized loops may round the last bit
+    # differently from a one-element call.
+    for got, points in zip(dressed_states(params, z), zip(*(dressed_states(params, zi) for zi in z))):
+        assert got.shape == z.shape
+        np.testing.assert_allclose(got, points, rtol=0, atol=1e-12)
 
 
 def test_far_detuned_lower_state_is_qubit_like():
-    pair = dressed_from_frequencies(4.5, 6.3, 0.08)
-    assert abs(pair.weight_minus[0]) > 0.999
-    assert pair.omega_minus_ghz == pytest.approx(4.5, abs=0.005)
+    lower, _, q_minus, _ = dressed_states(bare_pair(4.5, 6.3, 0.08), 0.0)
+    assert abs(q_minus) > 0.999
+    assert lower == pytest.approx(4.5, abs=0.005)
 
 
-def test_spectroscopy_branches_track_dressed_energies():
-    params = small_system()
-    z = np.linspace(0.05, 0.4, 9)
-    lower, upper = spectroscopy_branches(params, z)
-    for i, zi in enumerate(z):
-        pair = dressed_energies(params, float(zi))
-        assert lower[i] == pytest.approx(pair.omega_minus_ghz, abs=1e-12)
-        assert upper[i] == pytest.approx(pair.omega_plus_ghz, abs=1e-12)
-
-
-def test_effective_rabi_at_resonance_splits_evenly():
+def test_qubit_amplitudes_split_a_drive_evenly_at_resonance():
     params = small_system()
     # find the resonance point: coupler frequency equals the qubit's
     z_res = find_working_point(params, repulsion_ghz=params.g_qc_ghz * 0.999999)
-    minus, plus = effective_rabi(params, z_res, 10.0)
-    assert abs(minus) == pytest.approx(10.0 / np.sqrt(2), rel=1e-3)
-    assert abs(plus) == pytest.approx(10.0 / np.sqrt(2), rel=1e-3)
+    _, _, q_minus, q_plus = dressed_states(params, z_res)
+    # a 10 MHz bare qubit drive addresses both dressed transitions equally
+    assert abs(10.0 * q_minus) == pytest.approx(10.0 / np.sqrt(2), rel=1e-3)
+    assert abs(10.0 * q_plus) == pytest.approx(10.0 / np.sqrt(2), rel=1e-3)
 
 
 def test_check_rwa_boundaries():
-    pair = dressed_from_frequencies(4.6, 4.9, 0.08)
-    split_mhz = pair.splitting_ghz * 1e3
-    under = check_rwa(pair, omega_plus_rabi_mhz=0.198 * split_mhz)
+    lower, upper, _, _ = dressed_states(bare_pair(4.6, 4.9, 0.08), 0.0)
+    split_mhz = (upper - lower) * 1e3
+    under = check_rwa(upper - lower, omega_plus_rabi_mhz=0.198 * split_mhz)
     assert under.passed and under.ratio == pytest.approx(0.099, rel=1e-12)
     assert under.margin_factor == 0.1
-    over = check_rwa(pair, omega_plus_rabi_mhz=0.21 * split_mhz)
+    over = check_rwa(upper - lower, omega_plus_rabi_mhz=0.21 * split_mhz)
     assert not over.passed
-    silent = check_rwa(pair, omega_plus_rabi_mhz=0.0)
+    silent = check_rwa(upper - lower, omega_plus_rabi_mhz=0.0)
     assert silent.passed and silent.ratio == 0.0
 
 
@@ -172,8 +221,8 @@ def test_drive_schedule_ramp():
 def test_find_working_point_hits_requested_repulsion(make_params):
     params = make_params()
     z = find_working_point(params, repulsion_ghz=0.050)
-    pair = dressed_energies(params, z)
-    repulsion = params.qubit_freq_ghz(z) - pair.omega_minus_ghz
+    lower = dressed_states(params, z)[0]
+    repulsion = params.qubit_freq_ghz(z) - lower
     assert repulsion == pytest.approx(0.050, abs=1e-9)
 
 
@@ -217,9 +266,9 @@ def test_pi_pulse_amplitude_times_length_is_invariant():
 def test_pi_pulse_transfers_lower_branch_population():
     params = small_system()
     z = find_working_point(params, 0.050)
-    pair = dressed_energies(params, z)
+    lower, _, q_minus, _ = dressed_states(params, z)
     drive = DriveParams(
-        omega_d_ghz=pair.omega_minus_ghz,
+        omega_d_ghz=float(lower),
         rabi_mhz=pi_pulse_rabi_mhz(params, z, 40.0),
         t_pi_ns=40.0,
         t_center_ns=50.0,
@@ -228,18 +277,18 @@ def test_pi_pulse_transfers_lower_branch_population():
     p1 = evolve_excitation(params, drive, trace)
     assert 0.0 <= p1 <= 1.0
     # a pi pulse into the lower dressed state leaves the qubit with its
-    # |10> weight squared
-    assert p1 == pytest.approx(pair.weight_minus[0] ** 2, abs=0.01)
+    # |10> amplitude squared
+    assert p1 == pytest.approx(q_minus**2, abs=0.01)
 
 
 def test_pi_area_rule_makes_p1_length_independent():
     params = small_system()
     z = find_working_point(params, 0.050)
-    pair = dressed_energies(params, z)
+    lower = float(dressed_states(params, z)[0])
     p1s = []
     for t_pi in (30.0, 60.0):
         drive = DriveParams(
-            omega_d_ghz=pair.omega_minus_ghz,
+            omega_d_ghz=lower,
             rabi_mhz=pi_pulse_rabi_mhz(params, z, t_pi),
             t_pi_ns=t_pi,
             t_center_ns=60.0,
@@ -412,7 +461,7 @@ def _probe(make_params, t_pi, rabi_mhz=None, sigma_fraction=0.25):
     if rabi_mhz is None:
         rabi_mhz = pi_pulse_rabi_mhz(params, z, t_pi, sigma_fraction)
     drive = DriveParams(
-        omega_d_ghz=dressed_energies(params, z).omega_minus_ghz,
+        omega_d_ghz=float(dressed_states(params, z)[0]),
         rabi_mhz=rabi_mhz,
         t_pi_ns=t_pi,
         t_center_ns=t_pi,
