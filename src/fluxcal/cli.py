@@ -14,11 +14,12 @@ form: a nan or inf CSV field, a CSV time column out of order, a scenario or
 model object with an unknown key, a JSON field that is not a finite number
 where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
 an integer in range, a delay or offset grid that is not increasing or has
-too few points, a ``zpa_range`` that is not a list of two numbers, an
-``--rms-threshold`` that is not a finite number above 0, a ``--dimension``
-below 2, a decay file that breaks the decay fit's rules, a model, system
-or drive value that breaks its object's own checks, a ``predistort``
-output whose .json sidecar would overwrite the output or an input), 2
+too few points, a ``simulate`` channel whose ``v_step`` is negative, a
+``zpa_range`` that is not a list of two numbers, an ``--rms-threshold``
+that is not a finite number above 0, a ``--dimension`` below 2, a decay
+file that breaks the decay fit's rules, a model, system or drive value
+that breaks its object's own checks, a ``predistort`` output whose .json
+sidecar would overwrite the output or an input), 2
 numerical failure (a well-formed input on which the computation fails,
 including floating-point overflow).  The ``FLUXCAL_SEED`` environment
 variable overrides any ``--seed`` flag.
@@ -317,6 +318,11 @@ def cmd_simulate(args) -> int:
     scenario = _check_object(load_json(args.scenario), _SIMULATE_KEYS, "scenario")
     params = _system_from_spec(scenario.get("system", "planar"))
     channel = model_from_dict(scenario["channel"], "channel")
+    if channel.v_step < 0:
+        raise ValueError(
+            f"channel.v_step: the sweep needs v_step > 0 (offsets_rel are fractions of it), "
+            f"got {channel.v_step}"
+        )
     schedule = _schedule_from_spec(scenario.get("drive", {}))
     delays = _sweep_grid_spec(scenario, "delays_ns")
     offsets = _sweep_grid_spec(scenario, "offsets_rel") * channel.v_step

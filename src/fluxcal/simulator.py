@@ -30,6 +30,20 @@ point on the lower dressed branch, calibrate the pi-pulse amplitude there,
 then sweep delay and compensation offset to locate, per delay, the offset
 that restores the working-point flux.  The delays run in order in the
 calling process.
+
+A sweep reads only each delay's P1 peak: its argmax and the two offsets
+beside it.  So, unless the full P1 grid is asked for, it first propagates
+every ``_SEARCH_STRIDE``-th offset, the last one, and the offsets within
+the stride of the previous delay's peak.  While the argmax so far has an
+unpropagated neighbour, it then propagates the missing offsets within the
+stride of that argmax.  Each propagated row is the full grid's to the bit.
+Where a coarse offset lands on the main lobe above every side lobe, the
+argmax is the full grid's, after two propagations at most.  That holds
+while the offset step times the lower branch's slope times t_pi stays
+below about 0.5: the lobe is about 2.2 / t_pi wide in detuning, and the
+default roundtrip grids are at 0.19-0.44.  A coarser grid, or a second
+peak that beats the main lobe's coarse offsets, can end on another peak
+than the full grid's.
 """
 
 from __future__ import annotations
@@ -70,13 +84,18 @@ _BETA_PLUS = 0.5 + math.sqrt(3.0) / 3.0
 _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 
 # Sub-steps (two per CF4 step) per block in _evolve.  A block holds
-# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (0.8 MB for 41 offsets).
-# At the default step the longest window, a 200 ns probe, has 200
-# sub-steps, so it takes two blocks.  Sized for 41 offsets and 800
-# sub-steps (a 200 ns probe at 0.5 ns): 128 took 12% less time than 64 and
-# 5% less than 256, at a 4.3 MB peak allocation against 2.7 and 7.4 MB;
-# 512 took 38% more.
+# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (0.3 MB for the 17 rows
+# of a typical peak-only batch).  At the default step the longest window, a
+# 200 ns probe, has 200 sub-steps, so it takes two blocks.  Measured on the
+# seed-7 default roundtrips of both presets at the 2 ns step (batches of
+# 3-18 rows, process time, median of 5 interleaved runs, 2-vCPU VM): 128
+# took 0.271 s, 64 took 0.296 s, 256 took 0.291 s and 32 took 0.359 s;
+# 32 and 64 change the compensations' last bits.
 _BLOCK_STEPS = 128
+
+# Stride of the peak search's coarse offsets, and the reach of its windows
+# around a peak (see simulate_calibration).
+_SEARCH_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -560,8 +579,17 @@ def simulate_calibration(
     longer than it (see ``_propagate``).  The delays run in order, and
     the first one that fails raises its error.
 
+    Without ``full_output`` each delay propagates only the offsets its
+    peak search needs (see the module docstring): every
+    ``_SEARCH_STRIDE``-th offset, the last one and those around the
+    previous delay's peak, then, if the argmax lacks a neighbour, the
+    missing offsets around it.  Offsets never propagated count as -inf for
+    the argmax, and the edge check and the vertex then run as on the full
+    grid.
+
     Returns a CalibrationRun; with ``full_output=True`` also a
-    SimulationReport carrying the drive settings and the raw P1 grid.
+    SimulationReport carrying the drive settings and the raw P1 grid, for
+    which every offset is propagated in one call per delay.
     """
     delays, offs = _sweep_grid(delays_ns, "delays"), _sweep_grid(offsets, "offsets")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
@@ -594,7 +622,10 @@ def simulate_calibration(
             )
         return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
 
+    coarse = np.zeros(offs.size, dtype=bool)
+    coarse[::_SEARCH_STRIDE] = coarse[-1] = True
     t_pis, v_oft, p1_rows = [], [], []
+    k = None
     for t_delay in delays:
         t_pi = schedule.t_pi_ns(float(t_delay))
         t_pis.append(t_pi)
@@ -610,8 +641,22 @@ def simulate_calibration(
             sigma_fraction=schedule.sigma_fraction,
         )
         t_nodes, h = drive.step_nodes(dt_integration_ns)
-        p1 = _propagate(params, drive, base_zpa(t_nodes)[None, :] + offs[:, None], t_nodes, h)
-        k = int(np.argmax(p1))
+        zpa = base_zpa(t_nodes)
+        # The coarse rows and those around the previous delay's peak k (every
+        # row for the full grid) first.  Rows not propagated count as -inf;
+        # while the argmax has an unpropagated neighbour, the missing rows
+        # within _SEARCH_STRIDE of it follow.
+        todo = np.ones(offs.size, dtype=bool) if full_output else coarse.copy()
+        if k is not None:
+            todo[max(k - _SEARCH_STRIDE, 0) : k + _SEARCH_STRIDE + 1] = True
+        p1 = np.full(offs.size, -np.inf)
+        while todo.any():
+            p1[todo] = _propagate(params, drive, zpa[None, :] + offs[todo, None], t_nodes, h)
+            k = int(np.argmax(p1))
+            todo[:] = False
+            if np.isneginf(p1[max(k - 1, 0) : k + 2]).any():
+                near = slice(max(k - _SEARCH_STRIDE, 0), k + _SEARCH_STRIDE + 1)
+                todo[near] = np.isneginf(p1[near])
         if k == 0 or k == offs.size - 1:
             raise SweepRangeError(
                 f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "

@@ -546,6 +546,28 @@ def test_sweep_grid_out_of_order_is_usage_error_before_any_sweep(
     assert not outdir.exists()
 
 
+def test_simulate_negative_v_step_is_usage_error_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # README's scenario with the step reversed: the absolute offsets
+    # offsets_rel * v_step would run downward.
+    monkeypatch.setattr(cli, "simulate_calibration", _no_sweep)
+    path = tmp_path / "scenario.json"
+    write_json(path, {
+        "system": "flipchip",
+        "channel": {"v_step": -0.42, "short": [{"p": -0.019, "tau_ns": 47.83},
+                                               {"p": -0.021, "tau_ns": 528.10}]},
+        "drive": {"regime": "short"},
+        "delays_ns": {"start": 20.0, "stop": 4600.0, "count": 20, "spacing": "log"},
+        "offsets_rel": {"start": -0.01, "stop": 0.05, "count": 41},
+    })
+    outdir = tmp_path / "out"
+    assert main(["simulate", str(path), "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        "fluxcal simulate: channel.v_step: the sweep needs v_step > 0 "
+        "(offsets_rel are fractions of it), got -0.42\n"
+    )
+    assert not outdir.exists()
+
+
 def test_roundtrip_long_stage_without_long_part_fails_before_any_sweep(tmp_path, capsys, monkeypatch):
     # The flip-chip channel has no long-time part, so the override would be dropped.
     monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)

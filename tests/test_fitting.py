@@ -403,17 +403,31 @@ def test_short_fit_recovers_random_noiseless_models(model, seed):
 
 @pytest.mark.xfail(strict=True, raises=FitFailedError,
                    reason="known defect, ROADMAP open item 2: searches end on a merged pair")
-def test_short_fit_recovers_a_merged_pair_draw():
-    # A draw of short_models() on which all ten searches end on one merged
-    # pair at 2.686 ns with amplitudes of +-145 to +-243, so every start is
-    # dropped and the fit fails on the amplitude bound.  The bounded joint
-    # oracle recovers the model.
-    amplitudes, taus = [-0.0390625, 0.005], [5.0, 15.0]
+@pytest.mark.parametrize("amplitudes, taus, seed", [
+    # All ten searches end on one merged pair at 2.686 ns with amplitudes of
+    # +-145 to +-243, so every start is dropped.
+    ([-0.0390625, 0.005], [5.0, 15.0], 88884763),
+    # 3-term draws that fresh --hypothesis-seed runs of
+    # test_short_fit_recovers_random_noiseless_models find.  On the first
+    # and third the best start's search leaves the bound; on the second and
+    # fourth every start ends outside it.
+    ([-0.03125, 0.012416974526543636, -0.013671875], [49.0, 147.0, 441.0], 0),
+    ([-0.03125, 0.012416974526543636, -0.015625], [18.0, 54.0, 162.0], 0),
+    ([-0.03125, -0.03125, 0.005000000000000001], [6.0, 42.0, 126.0], 0),
+    ([-0.03125, -0.03125, 0.005000000000000001], [12.0, 84.0, 252.0], 0),
+    # The kept starts end on a pair merged at 22.02 ns: DegenerateFitError.
+    ([-0.046875, 0.032464509415173495, 0.005000000000000001],
+     [24.8125, 239.595703125, 718.787109375], 3),
+])
+def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus, seed):
+    # Draws of short_models() on which the fit fails (FitFailedError or its
+    # subclass DegenerateFitError).  The bounded joint oracle recovers each
+    # model.
     run = noiseless_run(amplitudes, taus)
-    _, oracle_p, oracle_taus = joint_multistart_oracle(run, 2, seed=88884763)
+    _, oracle_p, oracle_taus = joint_multistart_oracle(run, len(taus), seed=seed)
     np.testing.assert_allclose(oracle_p, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(oracle_taus, taus, rtol=1e-6)
-    fitted = fit_short_time(run, n_terms=2, seed=88884763)
+    fitted = fit_short_time(run, n_terms=len(taus), seed=seed)
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
 

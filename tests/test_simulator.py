@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from fluxcal import presets, simulator
-from fluxcal.errors import IntegrationError, InvalidArgumentError, SweepRangeError
-from fluxcal.models import CombinedResponse, eval_step_response
-from fluxcal.signal import Waveform
+from fluxcal import pipeline, presets, simulator
+from fluxcal.errors import FluxcalError, IntegrationError, InvalidArgumentError, SweepRangeError
+from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel, eval_step_response
+from fluxcal.predistort import full_pipeline
+from fluxcal.signal import Waveform, heaviside_step
 from fluxcal.simulator import (
     MAX_STEP_NS,
     NORM_DRIFT_LIMIT,
@@ -320,7 +321,7 @@ def test_simulate_ideal_channel_recovers_zero_offsets():
     assert np.max(np.abs(run.compensation)) < grid_step
 
 
-def test_simulate_workers_raise_under_the_callers_error_state(monkeypatch):
+def test_simulate_raises_under_the_callers_error_state(monkeypatch):
     # Under numpy's default state the overflow would only warn, and the
     # sweep would then fail on the offset-grid edge instead.
     def overflowing(params, drive, traces, t_nodes, h):
@@ -337,16 +338,171 @@ def test_simulate_workers_raise_under_the_callers_error_state(monkeypatch):
         )
 
 
-def test_simulate_edge_peak_raises_the_same_error_for_any_worker_count():
+@pytest.mark.parametrize("full_output", [False, True])
+def test_simulate_edge_peak_names_the_first_delay(full_output):
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
     channel = CombinedResponse(short=None, long=None, v_step=z)
-    # Every delay peaks on the edge; the earliest one must be reported.
+    # Every delay peaks on the edge; the earliest one must be reported, by
+    # the peak-only search as by the full grid.
     with pytest.raises(SweepRangeError, match="for delay 100.0 ns"):
         simulate_calibration(
             params, DriveSchedule(regime="short"), channel,
             delays_ns=[100.0, 110.0, 120.0], offsets=np.linspace(0.01, 0.05, 9) * z,
+            full_output=full_output,
         )
+
+
+def _sweep_outcome(*args, **kwargs):
+    """The compensation bytes of a sweep, or the class and message of the
+    error it raises."""
+    try:
+        run = simulate_calibration(*args, **kwargs)
+    except FluxcalError as exc:
+        return type(exc), str(exc)
+    return (run[0] if isinstance(run, tuple) else run).compensation.tobytes()
+
+
+@st.composite
+def calibration_sweeps(draw):
+    """Arguments of a sweep on a preset device at its working point: a
+    channel of 0-3 short terms with or without a long part, a short or long
+    schedule with 2-4 delays, 3-80 offsets around the expected compensation,
+    an integration step of 0.5-2 ns, and no input waveform, a step, or a
+    step predistorted by the channel."""
+    params = draw(st.sampled_from([presets.planar_system, presets.flipchip_system]))()
+    z = find_working_point(params, 0.050)
+    taus = sorted(set(draw(st.lists(st.floats(5.0, 2000.0), max_size=3))))
+    short = None
+    if taus:
+        short = ShortTimeModel.from_arrays([draw(st.floats(-0.02, 0.02)) for _ in taus], taus)
+    long_part = draw(st.none() | st.builds(
+        LongTimeModel, settled=st.floats(0.99, 1.02), initial=st.floats(0.98, 1.01),
+        tau_us=st.floats(5.0, 30.0),
+    ))
+    channel = CombinedResponse(short, long_part, v_step=z)
+    ratios = draw(st.lists(st.floats(1.05, 4.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        t_pi_min = draw(st.floats(30.0, 200.0))
+        schedule = DriveSchedule(
+            regime="short", t_pi_min_ns=t_pi_min, t_pi_max_ns=draw(st.floats(t_pi_min, 200.0)),
+            ramp_end_ns=draw(st.floats(100.0, 3000.0)),
+        )
+        first = draw(st.floats(0.5 * schedule.t_pi_max_ns, 600.0))
+    else:
+        schedule = long_time_schedule(draw(st.floats(30.0, 200.0)))
+        first = draw(st.floats(4000.0, 20000.0))
+    delays = first * np.cumprod([1.0, *ratios])
+    kwargs = {"dt_integration_ns": draw(st.sampled_from([0.5, 1.0, MAX_STEP_NS]))}
+    waveform = draw(st.sampled_from(["none", "step", "predistorted"]))
+    expected = z * (1.0 - eval_step_response(channel, delays))
+    if waveform != "none":
+        step = heaviside_step(z, float(delays[-1]) + 200.0, draw(st.sampled_from([0.5, 1.0, 2.0])))
+        kwargs["input_waveform"] = step if waveform == "step" else full_pipeline(step, channel)
+        if waveform == "predistorted":
+            expected = np.zeros_like(delays)
+    # The grid spans the expected compensation of every delay, widened on
+    # each side by 0.2-1.5 half-widths of the first probe's main lobe
+    # (about 1.1 / t_pi in detuning); a narrow margin can leave the peak
+    # past an edge.  Its step, in detuning times the longest probe, is at
+    # most 0.45 (0.19-0.44 on the default roundtrip's grids), so the
+    # search's coarse offsets cannot step over the lobe.
+    slope = abs(np.diff(dressed_states(params, z + np.array([-1e-6, 1e-6]))[0])[0]) / 2e-6
+    half_lobe = 1.1 / (slope * schedule.t_pi_ns(float(delays[0])))
+    lo = expected.min() - half_lobe * draw(st.floats(0.2, 1.5))
+    hi = expected.max() + half_lobe * draw(st.floats(0.2, 1.5))
+    fewest = max(int(np.ceil((hi - lo) * slope * schedule.t_pi_max_ns / 0.45)) + 1, 3)
+    assume(fewest <= 80)
+    offsets = np.linspace(lo, hi, draw(st.integers(fewest, 80)))
+    return (params, schedule, channel, delays, offsets), kwargs
+
+
+@settings(max_examples=25, deadline=None)
+@given(calibration_sweeps())
+def test_peak_only_sweep_matches_the_full_grid(sweep):
+    # The search propagates only some offsets, but the rows it propagates
+    # are the full grid's to the bit, and it stops only where the argmax
+    # has both neighbours, so on a single-peaked row it reads the same
+    # three points.  An error (an edge peak) must be the same one.
+    args, kwargs = sweep
+    assert _sweep_outcome(*args, **kwargs) == _sweep_outcome(*args, full_output=True, **kwargs)
+
+
+def _roundtrip_sweeps(monkeypatch, preset):
+    """The default seed-7 roundtrip of a preset, with each sweep's args."""
+    sweeps = []
+    real = pipeline.simulate_calibration
+
+    def recorded(*args, **kwargs):
+        sweeps.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "simulate_calibration", recorded)
+    system, channel = (getattr(presets, f"{preset}_{part}")() for part in ("system", "channel"))
+    return pipeline.roundtrip(system, channel, seed=7), sweeps
+
+
+@pytest.mark.parametrize("preset", ["planar", "flipchip"])
+def test_roundtrip_stages_match_the_full_grid(monkeypatch, preset):
+    result, sweeps = _roundtrip_sweeps(monkeypatch, preset)
+    runs = [result.long_run, result.short_run, result.validation_run]
+    runs = [run for run in runs if run is not None]
+    assert len(runs) == len(sweeps) == (3 if preset == "planar" else 2)
+    for run, (args, kwargs) in zip(runs, sweeps):
+        full, report = simulate_calibration(*args, full_output=True, **kwargs)
+        assert run.compensation.tobytes() == full.compensation.tobytes()
+        assert report.p1_grid.shape == (run.delays_ns.size, args[4].size)
+
+
+def test_peak_only_sweep_propagates_under_half_the_grid(monkeypatch):
+    # Work counter: on the planar default roundtrip (71 delays of 41
+    # offsets) the search propagates 1,246 of 2,911 rows in 74 calls.
+    calls = []
+    real = simulator._propagate
+
+    def counted(params, drive, zpa_nodes, t_nodes, h):
+        calls.append(zpa_nodes.shape[0])
+        return real(params, drive, zpa_nodes, t_nodes, h)
+
+    monkeypatch.setattr(simulator, "_propagate", counted)
+    _, sweeps = _roundtrip_sweeps(monkeypatch, "planar")
+    n_delays = sum(args[3].size for args, _ in sweeps)
+    full_rows = sum(args[3].size * args[4].size for args, _ in sweeps)
+    assert n_delays == 71
+    assert sum(calls) <= 0.5 * full_rows
+    assert len(calls) <= 1.5 * n_delays
+
+
+def test_peak_search_propagates_until_the_argmax_has_both_neighbours(monkeypatch):
+    # A P1 profile per delay on 41 offsets, in place of the propagation.
+    # Delay 100: the coarse maximum is offset 8, a flank of the peak at 10.
+    # Delay 200 has two peaks: the previous peak's rows find 14, whose
+    # neighbours find 18, whose neighbours find the maximum, 19.
+    profiles = {100.0: np.full(41, 0.01), 200.0: np.full(41, 0.01)}
+    profiles[100.0][8:13] = [0.2, 0.5, 1.0, 0.5, 0.2]
+    profiles[200.0][14:21] = [0.6, 0.1, 0.05, 0.2, 0.9, 1.0, 0.3]
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    offsets = np.linspace(-0.01, 0.01, 41) * z
+    calls = []
+
+    def profile(params, drive, zpa_nodes, t_nodes, h):
+        rows = np.abs(zpa_nodes[:, :1] - z - offsets).argmin(axis=1)
+        calls.append(rows.tolist())
+        return profiles[drive.t_center_ns][rows]
+
+    monkeypatch.setattr(simulator, "_propagate", profile)
+    args = (params, DriveSchedule(regime="short"), CombinedResponse(None, None, v_step=z),
+            [100.0, 200.0], offsets)
+    run = simulate_calibration(*args)
+    coarse = list(range(0, 41, 4))
+    assert calls == [
+        coarse, [5, 6, 7, 9, 10, 11],
+        sorted(set(coarse) | {6, 7, 9, 10, 11, 13, 14}), [15, 17, 18], [19, 21, 22],
+    ]
+    full, report = simulate_calibration(*args, full_output=True)
+    assert run.compensation.tobytes() == full.compensation.tobytes()
+    assert np.argmax(report.p1_grid, axis=1).tolist() == [10, 19]
 
 
 def test_simulate_rejects_delay_inside_pulse_window():
