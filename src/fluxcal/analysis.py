@@ -191,8 +191,17 @@ def xeb_fidelity(gate: DecayFit, reference: DecayFit, dimension: int = 4) -> Fid
 
 
 def write_decay_csv(path, lengths, fidelities) -> None:
-    n = np.asarray(lengths).astype(int)
-    write_csv_table(path, ("n", "fidelity"), (n, np.asarray(fidelities, dtype=float)))
+    """Write sequence ``lengths``, as integers, and ``fidelities`` under the
+    header ``n,fidelity``.  A length that is not a finite whole number (in
+    the int64 range) raises InvalidArgumentError before any file is
+    opened."""
+    n = np.asarray(lengths)
+    if n.dtype.kind not in "biu":
+        n = np.asarray(n, dtype=float)
+        whole = np.isfinite(n) & (n == np.trunc(n)) & (np.abs(n) < 2.0**63)
+        if not whole.all():
+            raise InvalidArgumentError(f"lengths must be finite whole numbers, got {n[~whole][0]}")
+    write_csv_table(path, ("n", "fidelity"), (n.astype(int), np.asarray(fidelities, dtype=float)))
 
 
 def read_decay_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -7,16 +7,28 @@ interpreter's repr heuristics.
 CSV tables use the ``csv`` module's default dialect (CRLF rows).  Readers
 check the leading header names, ignore extra trailing columns and blank rows,
 and reject a row with fewer fields than the header.  The codec handles a
-table whole, not row by row: the writer formats it with one ``%`` operation,
-producing the bytes of ``csv.writer``, and the reader parses a table of
-floats with numpy's tokenizer (``np.loadtxt``), producing the values of
-``csv.reader`` and ``float``.  Tables with a text column, and the tables
-numpy refuses or may read differently, go through ``csv.reader``.
+table in blocks of rows, not row by row.  The writer produces the bytes of
+``csv.writer``, and the reader parses a table of floats with numpy's
+tokenizer (``np.loadtxt``), producing the values of ``csv.reader`` and
+``float``.  Tables with a text column, and the tables numpy refuses or may
+read differently, go through ``csv.reader``.
+
+The writer formats float columns with array arithmetic, byte for byte as
+``'%.17g' %`` does: 17 significant digits, rounded half to even from the
+exact binary value, in fixed notation for decimal exponents -4 to 16 and
+as ``d.ddde+XX`` otherwise, trailing zeros stripped.  In the exact band
+1e-6 <= |x| < 1e17, |x| 10**k with 10**k exact (k <= 22) lands in
+[1e16, 1e17); Dekker's two-product gives that product exactly, so the
+digits and the exponent are decided without error.  Zeros are written as
+``0`` and ``-0``; every other value (outside the band, nan, inf) goes
+through ``%`` one at a time.  Integer and text columns are written with
+``str``, text quoted as ``csv.writer`` quotes it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -32,6 +44,22 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # quote, a NUL, and the separators \x1c-\x1f, which numpy strips as
 # whitespace and float does not.
 _CSV_READER_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+# A formatted float is written into a slot of six uint64 words, NUL where it
+# writes no byte: byte 0 the sign, 1-5 the "0.000" before the digits of fixed
+# notation below 1, 6 + 2i digit i and 7 + 2i the point after it (i = 0-16),
+# 40-43 the exponent "e+XX" and 44-45 the field's separator.
+_SLOT_WORDS = 6
+_E_MIN, _E_MAX = -6, 17  # the decimal exponents of the exact band
+# rows formatted at a time: numpy's per-call cost is spread over many
+# values, and the block's arrays stay a few hundred kB
+_BLOCK_ROWS = 8192
+# Veltkamp's splitter for doubles, and 10**k (exact for k <= 22) split into
+# two halves of 26 bits
+_SPLITTER = 2.0**27 + 1
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
 def format_float(x: float) -> str:
@@ -150,21 +178,168 @@ def write_csv_table(path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header``: floats with 17
     significant digits, integers and text with ``str``.
 
-    The bytes are those of ``csv.writer`` in its default dialect; the table
-    is formatted by one ``%`` operation over a per-column row template.
+    The bytes are those of ``csv.writer`` in its default dialect.  The rows
+    are formatted ``_BLOCK_ROWS`` at a time, all before the file is opened:
+    float columns by ``_float_slots``, and a table with any other column by
+    a ``%`` operation over a per-column row template.
     """
     arrays = [np.asarray(values) for values in columns]
+    rows = min(map(len, arrays), default=0)
     alone = len(arrays) == 1
-    formats, cells = [], []
-    for a in arrays:
-        formats.append("%.17g" if a.dtype.kind == "f" else "%s")
-        # str() of a bool or an integer never needs quoting
-        cells.append(a.tolist() if a.dtype.kind in "fbiu" else _text_cells(a.tolist(), alone))
-    row = ",".join(formats) + "\r\n"
-    rows = min(map(len, cells), default=0)
-    body = (row * rows) % tuple(chain.from_iterable(zip(*cells)))
+    blocks = [
+        _format_rows([a[start : min(start + _BLOCK_ROWS, rows)] for a in arrays], alone)
+        for start in range(0, rows, _BLOCK_ROWS)
+    ]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_text_cells(header, len(header) == 1)) + "\r\n" + body)
+        fh.write(",".join(_text_cells(header, len(header) == 1)) + "\r\n")
+        fh.writelines(blocks)
+
+
+def _format_rows(arrays, alone: bool) -> str:
+    """The CSV rows of equal-length ``arrays``."""
+    if all(a.dtype.kind == "f" for a in arrays):
+        separators = [b","] * (len(arrays) - 1) + [b"\r\n"]
+        slots = np.hstack([_float_slots(a, sep) for a, sep in zip(arrays, separators)])
+        return slots.tobytes().translate(None, b"\0").decode("ascii")
+    cells = []
+    for a in arrays:
+        if a.dtype.kind == "f":
+            text = _float_slots(a, b"\n").tobytes().translate(None, b"\0").decode("ascii")
+            cells.append(text[:-1].split("\n"))
+        else:
+            # str() of a bool or an integer never needs quoting
+            cells.append(a.tolist() if a.dtype.kind in "biu" else _text_cells(a.tolist(), alone))
+    row = ",".join(["%s"] * len(arrays)) + "\r\n"
+    return (row * len(arrays[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _float_slots(values, separator: bytes) -> np.ndarray:
+    """The ``(n, _SLOT_WORDS)`` uint64 slots of ``'%.17g' % x`` for each
+    value, each followed by ``separator``.
+
+    A value with 1e-6 <= |x| < 1e17 is scaled to v = |x| 10**k in
+    [1e16, 1e17) with 0 <= k <= 22, where 10**k is exact and so is Dekker's
+    two-product v = p + err.  p is then an even integer and ``rint(err)``
+    rounds half to even, so N = p + rint(err) holds the 17 digits that
+    ``%`` writes and 16 - k is their decimal exponent.  Zeros take N = 0;
+    every other value (outside that band, nan or inf) goes through ``%``.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    ax = np.abs(x)
+    band = (ax >= 1e-6) & (ax < 1e17)
+    a = np.where(band, ax, 1.0)
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    # log10 may miss the decade by one next to a power of ten: each pass
+    # moves k by one decade towards v in [1e16, 1e17)
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    for _ in range(3):
+        kc = np.minimum(np.maximum(k, 0), 22)
+        b_hi, b_lo = _POW10_HI[kc], _POW10_LO[kc]
+        p = a * _POW10[kc]
+        err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        # the sign of v - 1e16 and v - 1e17: p - 1e16 is exact near 1e16
+        step = ((p - 1e16) + err < 0).astype(np.intp) - ((p - 1e17) + err >= 0)
+        if not step.any():
+            break
+        k = kc + step
+    ok = band & (step == 0)
+    n = np.where(ok, p.astype(np.int64) + np.rint(err).astype(np.int64), 0)
+    exponent = 16 - kc
+    carry = n == 10**17
+    if carry.any():
+        n[carry] = 10**16
+        exponent += carry
+
+    high = n // 10**8
+    low = n - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    g1, g3 = high // 10**4, low // 10**4
+    g2, g4 = high - g1 * 10**4, low - g3 * 10**4
+    digit_words, lead_words, zeros = _digit_tables()
+    trailing = np.where(
+        low != 0,
+        np.where(g4 != 0, zeros[g4], zeros[g3] + 4),
+        np.where(g2 != 0, zeros[g2], zeros[g1] + 4) + 8,
+    )
+    templates = _slot_templates().copy()
+    templates[:, -1] |= np.frombuffer((b"\0" * 4 + separator).ljust(8, b"\0"), dtype=np.uint64)[0]
+    slots = np.take(templates, exponent * 17 - trailing + (16 - 17 * _E_MIN), axis=0)
+    slots[:, 0] &= lead_words[lead + 10 * np.signbit(x)]
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        slots[:, j] &= digit_words[g]
+    other = np.flatnonzero(~ok & (ax != 0))
+    if other.size:
+        # at most 24 bytes, and the separator at byte 44
+        text = [(b"%.17g" % v).ljust(44, b"\0") + separator for v in x[other].tolist()]
+        text = np.array(text, dtype=f"S{8 * _SLOT_WORDS}")
+        slots[other] = text.view(np.uint64).reshape(-1, _SLOT_WORDS)
+    return slots
+
+
+# The tables are built on first use: a process that writes no CSV does not
+# load the numpy code that builds them.
+@functools.cache
+def _slot_templates() -> np.ndarray:
+    """The slot of each decimal exponent E in [_E_MIN, _E_MAX] and count nd
+    of significant digits in 1-17, at row 17 (E - _E_MIN) + nd - 1: its
+    fixed characters, 0xFF where a digit is written and NUL elsewhere.
+
+    Fixed notation, for -4 <= E < 17, writes the integer digits and the
+    significant ones; exponent notation writes the significant ones, with a
+    point after the first when there are more.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
+    nd = np.arange(1, 18)[None, :, None]
+    fixed = (-4 <= e) & (e < 17)
+    slots = np.zeros((e.size, nd.size, 8 * _SLOT_WORDS), dtype=np.uint8)
+    slots[..., 0] = 0xFF
+    # "0." and -E - 1 zeros before the digits of a number below 1
+    below = fixed & (e < np.array([0, 0, -1, -2, -3]))
+    slots[..., 1:6] = np.where(below, np.frombuffer(b"0.000", dtype=np.uint8), 0)
+    i = np.arange(17)
+    slots[..., 6:39:2] = np.where((i < nd) | (fixed & (i <= e)), 0xFF, 0)
+    point = np.where(fixed, e, 0)
+    slots[..., 7:39:2] = np.where((i[:16] == point) & (nd > point + 1), ord("."), 0)
+    exponents = b"".join(b"e%+03d" % v for v in range(_E_MIN, _E_MAX + 1))
+    exponents = np.frombuffer(exponents, dtype=np.uint8).reshape(-1, 1, 4)
+    slots[..., 40:44] = np.where(fixed, 0, exponents)
+    return _frozen(_words(slots).reshape(-1, _SLOT_WORDS))
+
+
+def _words(data) -> np.ndarray:
+    """uint8 ``data`` of whole words as uint64 words, in memory order."""
+    return np.ascontiguousarray(data, dtype=np.uint8).view(np.uint64).ravel()
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words that fill a slot's digits, and the trailing zeros of each
+    group of four digits (4 for 0).
+
+    Digits 1-16 are four groups of four, one word each: the ASCII digits of
+    the group's value 0-9999 at the even bytes, 0xFF at the odd ones.  The
+    first word holds the sign and digit 0 (0xFF elsewhere), for 0 to 9 and
+    then -0 to -9.
+    """
+    d = np.arange(100)
+    groups = np.full((100, 100, 8), 0xFF, dtype=np.uint8)  # [first two, last two]
+    for i, digit in enumerate((d[:, None] // 10, d[:, None] % 10, d // 10, d % 10)):
+        groups[..., 2 * i] = ord("0") + digit
+    lead = np.full((20, 8), 0xFF, dtype=np.uint8)
+    lead[:, 0] = np.repeat([0, ord("-")], 10)
+    lead[:, 6] = ord("0") + np.arange(20) % 10
+    pair_zeros = (d % 10 == 0).astype(np.uint8) + (d == 0)  # 2 for 00
+    zeros = np.where(d != 0, pair_zeros, pair_zeros[:, None] + 2).ravel()
+    return _frozen(_words(groups)), _frozen(_words(lead)), _frozen(zeros)
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table``, read-only: every caller shares it."""
+    table.flags.writeable = False
+    return table
 
 
 def _text_cells(values, alone: bool) -> list[str]:

@@ -43,7 +43,8 @@ while the offset step times the lower branch's slope times t_pi stays
 below about 0.5: the lobe is about 2.2 / t_pi wide in detuning, and the
 default roundtrip grids are at 0.19-0.44.  A coarser grid, or a second
 peak that beats the main lobe's coarse offsets, can end on another peak
-than the full grid's.
+than the full grid's.  A grid that misses the main lobe fails on both
+paths: a peak below ``P1_PEAK_FLOOR`` is a side lobe.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ NORM_DRIFT_LIMIT = 1e-8
 # The spectator transition is negligible while Omega+/2 stays below this
 # fraction of the dressed splitting.
 RWA_MARGIN = 0.1
+
+# A delay's P1 peak below this is a side lobe (about 1e-3), not the main lobe
+# (0.7-1.0): the offset grid misses the resonance.
+P1_PEAK_FLOOR = 0.5
 
 # Largest integration step, and the default one, sized by the compensation
 # the loop reads: CF4 is fourth order, and at 2 ns the compensation of every
@@ -584,8 +589,10 @@ def simulate_calibration(
     ``_SEARCH_STRIDE``-th offset, the last one and those around the
     previous delay's peak, then, if the argmax lacks a neighbour, the
     missing offsets around it.  Offsets never propagated count as -inf for
-    the argmax, and the edge check and the vertex then run as on the full
-    grid.
+    the argmax, and the checks and the vertex then run as on the full grid.
+    A delay whose largest P1 is below ``P1_PEAK_FLOOR`` (the grid holds no
+    main lobe, only side lobes) or sits on the grid's edge raises
+    SweepRangeError naming the delay.
 
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid, for
@@ -657,6 +664,13 @@ def simulate_calibration(
             if np.isneginf(p1[max(k - 1, 0) : k + 2]).any():
                 near = slice(max(k - _SEARCH_STRIDE, 0), k + _SEARCH_STRIDE + 1)
                 todo[near] = np.isneginf(p1[near])
+        # before the edge check: off the main lobe the two paths may end on
+        # different side lobes, one of them on an edge
+        if p1[k] < P1_PEAK_FLOOR:
+            raise SweepRangeError(
+                f"P1 peak below {P1_PEAK_FLOOR} for delay {drive.t_center_ns} ns: the offset grid "
+                "misses the main lobe; widen or move it"
+            )
         if k == 0 or k == offs.size - 1:
             raise SweepRangeError(
                 f"P1 maximum sits at the offset-sweep edge for delay {drive.t_center_ns} ns; "

@@ -248,6 +248,25 @@ def test_decay_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(f_back, f)
 
 
+@pytest.mark.parametrize(
+    "lengths, shown",
+    [([1, 2.7, 4], "2.7"), ([1, float("nan"), 4], "nan"), ([1, 2, float("-inf")], "-inf"),
+     ([1, 2, 1e300], "1e+300")],
+)
+def test_write_decay_csv_rejects_lengths_that_are_not_whole(tmp_path, lengths, shown):
+    # Neither cut to an integer (2.7 -> 2) nor cast to garbage (nan, inf,
+    # 1e300): no file is written.  Whole floats are written as integers.
+    path = tmp_path / "decay.csv"
+    message = f"lengths must be finite whole numbers, got {shown}"
+    with pytest.raises(InvalidArgumentError, match=message.replace("+", r"\+")):
+        write_decay_csv(path, lengths, [0.9, 0.8, 0.7])
+    assert not path.exists()
+    write_decay_csv(path, [1.0, 2.0, -0.0], [0.9, 0.8, 0.7])
+    assert path.read_bytes() == (
+        b"n,fidelity\r\n1,0.90000000000000002\r\n2,0.80000000000000004\r\n0,0.69999999999999996\r\n"
+    )
+
+
 def test_decay_csv_header_check(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("depth,F\n1,0.9\n")

@@ -682,7 +682,7 @@ LENGTH_RULE = "{path}: sequence lengths must be integers from 0 to 1000000000"
 def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, message):
     good, bad = tmp_path / "gate.csv", tmp_path / "ref.csv"
     write_decay_csv(good, np.arange(0, 400, 20), 0.75 * 0.99 ** np.arange(0, 400, 20) + 0.25)
-    # written as floats: write_decay_csv would round the lengths to integers
+    # written as floats: write_decay_csv rejects lengths that are not whole
     write_csv_table(bad, ("n", "fidelity"), (np.asarray(n, float), np.asarray(fidelity, float)))
     out = tmp_path / "out.json"
     argv = ["analyze", "--scheme", "rb", "--gate", str(good), "--reference", str(bad), "-o", str(out)]

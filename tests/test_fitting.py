@@ -418,6 +418,8 @@ def test_short_fit_recovers_random_noiseless_models(model, seed):
     # The kept starts end on a pair merged at 22.02 ns: DegenerateFitError.
     ([-0.046875, 0.032464509415173495, 0.005000000000000001],
      [24.8125, 239.595703125, 718.787109375], 3),
+    # A 2-term draw of a fresh run: every start ends outside the bound.
+    ([-0.03125, 0.005859375], [9.0, 27.0], 877),
 ])
 def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus, seed):
     # Draws of short_models() on which the fit fails (FitFailedError or its

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fluxcal.analysis import read_decay_csv
 from fluxcal.errors import FluxcalError
 from fluxcal.fitting import read_anticrossing_csv, read_calibration_csv
-from fluxcal.serialize import read_csv_table, write_csv_table, write_json
+from fluxcal.serialize import _BLOCK_ROWS, read_csv_table, write_csv_table, write_json
 from fluxcal.signal import read_waveform_csv
 
 # reader, header, one well-formed data row
@@ -216,6 +217,87 @@ def test_writer_bytes_match_csv_writer(table):
         write_csv_table(ours, header, columns)
         reference_write(theirs, header, columns)
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+def assert_writes_like_csv_writer(tmp_path, header, columns):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_csv_table(ours, header, columns)
+    reference_write(theirs, header, columns)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS + 1),
+    st.lists(st.integers(0, 2**64 - 1), max_size=20),
+)
+def test_writer_matches_csv_writer_on_raw_bit_patterns(seed, rows, drawn):
+    # Any 64-bit pattern as a double, in a table of one to three blocks:
+    # one column of raw patterns (mostly outside the exact band, nan and inf
+    # among them) with hypothesis's own draws in front, and one whose
+    # exponent field lies in the band's binades, 2**-21 to 2**57.
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    raw[: len(drawn)] = np.array(drawn, dtype=np.uint64)[: rows]
+    banded = (raw & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+        rng.integers(1023 - 21, 1023 + 57, size=rows).astype(np.uint64) << np.uint64(52)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writes_like_csv_writer(
+            Path(tmp), ("raw", "banded"), (raw.view(np.float64), banded.view(np.float64))
+        )
+
+
+def test_writer_matches_csv_writer_next_to_powers_of_ten(tmp_path):
+    # Each power of ten from 1e-7 to 1e18 and its two neighbours, either
+    # sign: the values where the decimal exponent changes, and the band's
+    # edges 1e-6 and 1e17 among them.
+    powers = np.array([float(f"1e{k}") for k in range(-7, 19)])
+    values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert_writes_like_csv_writer(tmp_path, ("x",), (values,))
+
+
+def test_writer_rounds_exact_ties_half_to_even(tmp_path):
+    # x = q / 2**(k + 1) with q odd and q 5**k in [2e16, 2e17): x 10**k is
+    # half an odd integer of 17 digits, so the 17th digit is a tie, for each
+    # scale k of the exact band (decimal exponents -6 to 15).
+    rng = np.random.default_rng(0)
+    ties = []
+    for k in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        odd = {q | 1 for q in rng.integers(low, high - 1, size=40).tolist()} | {low | 1}
+        ties += [(q / 2 ** (k + 1), k) for q in sorted(odd)]
+    assert all((Fraction(x) * 10**k).denominator == 2 for x, k in ties)
+    values = np.array([x for x, _ in ties])
+    assert_writes_like_csv_writer(tmp_path, ("x", "minus_x"), (values, -values))
+
+
+def test_writer_matches_csv_writer_on_special_values(tmp_path):
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               -1e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+               float("nan"), float("-nan"), float("inf"), float("-inf")]
+    assert_writes_like_csv_writer(tmp_path, ("x",), (np.array(special),))
+
+
+def test_writer_matches_csv_writer_on_every_float_width(tmp_path):
+    # float16 and float32 widen exactly; a long double rounds as float() does.
+    values = np.random.default_rng(1).normal(0.0, 1e3, 50)
+    columns = [values.astype(dtype) for dtype in (np.float16, np.float32, np.float64, np.longdouble)]
+    assert_writes_like_csv_writer(tmp_path, ("half", "single", "double", "long"), columns)
+
+
+def test_writer_matches_csv_writer_across_a_block_boundary(tmp_path):
+    # int, float and text columns, and a float table whose columns differ
+    # in length: rows stop at the shortest column.
+    rows = _BLOCK_ROWS + 5
+    rng = np.random.default_rng(2)
+    floats = rng.normal(0.0, 1.0, rows) * 10.0 ** rng.integers(-9, 19, rows)
+    floats[::7] = 0.0
+    text = [["lower", 'a "b", c', "", "x\ny"][i % 4] for i in range(rows)]
+    ints = rng.integers(-(10**18), 10**18, rows)
+    assert_writes_like_csv_writer(tmp_path, ("n", "x", "branch"), (ints, floats, text))
+    assert_writes_like_csv_writer(tmp_path, ("t", "y"), (floats, floats[: rows - 3]))
 
 
 def test_writer_golden_bytes(tmp_path):

@@ -353,6 +353,24 @@ def test_simulate_edge_peak_names_the_first_delay(full_output):
         )
 
 
+@pytest.mark.parametrize("full_output", [False, True])
+def test_simulate_side_lobe_peak_names_the_delay(monkeypatch, full_output):
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    args = (params, DriveSchedule(regime="short"), channel, [100.0, 110.0])
+    offsets = np.linspace(0.024, 0.058, 15) * z
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "P1_PEAK_FLOOR", 0.0)
+        _, report = simulate_calibration(*args, offsets, full_output=True)
+    # The main lobe (P1 0.7-1.0) sits near offset 0; this grid holds only
+    # the first side lobe, whose maximum lies inside it.
+    assert report.p1_grid.max() < 1e-3
+    assert all(0 < k < offsets.size - 1 for k in np.argmax(report.p1_grid, axis=1))
+    with pytest.raises(SweepRangeError, match=r"P1 peak below 0\.5 for delay 100\.0 ns"):
+        simulate_calibration(*args, offsets, full_output=full_output)
+
+
 def _sweep_outcome(*args, **kwargs):
     """The compensation bytes of a sweep, or the class and message of the
     error it raises."""
