@@ -32,19 +32,26 @@ that restores the working-point flux.  The delays run in order in the
 calling process.
 
 A sweep reads only each delay's P1 peak: its argmax and the two offsets
-beside it.  So, unless the full P1 grid is asked for, it first propagates
-every ``_SEARCH_STRIDE``-th offset, the last one, and the offsets within
-the stride of the previous delay's peak.  While the argmax so far has an
-unpropagated neighbour, it then propagates the missing offsets within the
-stride of that argmax.  Each propagated row is the full grid's to the bit.
-Where a coarse offset lands on the main lobe above every side lobe, the
-argmax is the full grid's, after two propagations at most.  That holds
-while the offset step times the lower branch's slope times t_pi stays
-below about 0.5: the lobe is about 2.2 / t_pi wide in detuning, and the
-default roundtrip grids are at 0.19-0.44.  A coarser grid, or a second
-peak that beats the main lobe's coarse offsets, can end on another peak
-than the full grid's.  A grid that misses the main lobe fails on both
-paths: a peak below ``P1_PEAK_FLOOR`` is a side lobe.
+beside it.  So, unless the full P1 grid is asked for, it propagates only
+the offsets that the peak needs.  The first delay starts from every
+``_SEARCH_STRIDE``-th offset and the last one; every later delay starts
+from the offsets within ``_CLIMB_REACH`` of the previous delay's peak,
+usually a few offsets from its own.  While the argmax so far has an
+unpropagated neighbour, the search climbs: it propagates the missing
+offsets within the reach of that argmax.  It stops on a computed local
+maximum.  If that maximum is below ``P1_PEAK_FLOOR``, the climb has found a
+side lobe, so the missing coarse offsets are propagated and the climb goes
+on from the new argmax.  Each propagated row is the full grid's to the bit,
+and the argmax is the full grid's: the side lobes are about 1e-3, so a
+local maximum above the floor lies on the main lobe, and the main lobe has
+a single peak.  Where the climb ends on a side lobe, the coarse offsets
+find the main lobe while the offset step times the lower branch's slope
+times t_pi stays below about 0.5: the lobe is about 2.2 / t_pi wide in
+detuning, and the default roundtrip grids are at 0.19-0.44.  A coarser
+grid, or a second peak above the floor (a grid wide enough to reach another
+transition), can end on another peak than the full grid's.  A grid that
+misses the main lobe fails on both paths: a peak below ``P1_PEAK_FLOOR`` is
+a side lobe.
 """
 
 from __future__ import annotations
@@ -89,18 +96,23 @@ _BETA_PLUS = 0.5 + math.sqrt(3.0) / 3.0
 _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 
 # Sub-steps (two per CF4 step) per block in _evolve.  A block holds
-# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (0.3 MB for the 17 rows
-# of a typical peak-only batch).  At the default step the longest window, a
+# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (92 kB for the 5 rows of
+# a typical climb batch).  At the default step the longest window, a
 # 200 ns probe, has 200 sub-steps, so it takes two blocks.  Measured on the
-# seed-7 default roundtrips of both presets at the 2 ns step (batches of
-# 3-18 rows, process time, median of 5 interleaved runs, 2-vCPU VM): 128
+# seed-7 default roundtrips of both presets at the 2 ns step (with the
+# coarse search's batches of 3-18 rows, before the climb; process time,
+# median of 5 interleaved runs, 2-vCPU VM): 128
 # took 0.271 s, 64 took 0.296 s, 256 took 0.291 s and 32 took 0.359 s;
 # 32 and 64 change the compensations' last bits.
 _BLOCK_STEPS = 128
 
-# Stride of the peak search's coarse offsets, and the reach of its windows
-# around a peak (see simulate_calibration).
+# Stride of the peak search's coarse offsets, and the reach of its climb's
+# windows around a peak (see simulate_calibration).  On the seed-7 planar
+# roundtrip a reach of 2 propagates 393 rows in 78 calls and took 0.122 s;
+# 1 propagates 271 rows in 102 calls (0.137 s) and 3 propagates 527 in 74
+# (0.132 s) (process time, median of 9 interleaved runs, 2-vCPU VM).
 _SEARCH_STRIDE = 4
+_CLIMB_REACH = 2
 
 
 @dataclass(frozen=True)
@@ -585,14 +597,18 @@ def simulate_calibration(
     the first one that fails raises its error.
 
     Without ``full_output`` each delay propagates only the offsets its
-    peak search needs (see the module docstring): every
-    ``_SEARCH_STRIDE``-th offset, the last one and those around the
-    previous delay's peak, then, if the argmax lacks a neighbour, the
-    missing offsets around it.  Offsets never propagated count as -inf for
-    the argmax, and the checks and the vertex then run as on the full grid.
-    A delay whose largest P1 is below ``P1_PEAK_FLOOR`` (the grid holds no
-    main lobe, only side lobes) or sits on the grid's edge raises
-    SweepRangeError naming the delay.
+    peak search needs (see the module docstring): the first delay starts
+    from every ``_SEARCH_STRIDE``-th offset and the last one, every later
+    delay from the offsets within ``_CLIMB_REACH`` of the previous delay's
+    peak.  While the argmax lacks a propagated neighbour, the missing
+    offsets within the reach of it follow.  A local maximum below
+    ``P1_PEAK_FLOOR`` is a side lobe: the missing coarse offsets follow,
+    and the climb goes on.  Offsets never propagated count as -inf for the
+    argmax, which ends on the full grid's (a local maximum above the floor
+    is on the single-peaked main lobe), and the checks and the vertex then
+    run as on the full grid.  A delay whose largest P1 is below
+    ``P1_PEAK_FLOOR`` (the grid holds no main lobe, only side lobes) or
+    sits on the grid's edge raises SweepRangeError naming the delay.
 
     Returns a CalibrationRun; with ``full_output=True`` also a
     SimulationReport carrying the drive settings and the raw P1 grid, for
@@ -629,8 +645,8 @@ def simulate_calibration(
             )
         return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
 
-    coarse = np.zeros(offs.size, dtype=bool)
-    coarse[::_SEARCH_STRIDE] = coarse[-1] = True
+    rows = np.arange(offs.size)
+    coarse = (rows % _SEARCH_STRIDE == 0) | (rows == offs.size - 1)
     t_pis, v_oft, p1_rows = [], [], []
     k = None
     for t_delay in delays:
@@ -649,21 +665,26 @@ def simulate_calibration(
         )
         t_nodes, h = drive.step_nodes(dt_integration_ns)
         zpa = base_zpa(t_nodes)
-        # The coarse rows and those around the previous delay's peak k (every
-        # row for the full grid) first.  Rows not propagated count as -inf;
-        # while the argmax has an unpropagated neighbour, the missing rows
-        # within _SEARCH_STRIDE of it follow.
-        todo = np.ones(offs.size, dtype=bool) if full_output else coarse.copy()
-        if k is not None:
-            todo[max(k - _SEARCH_STRIDE, 0) : k + _SEARCH_STRIDE + 1] = True
+        # Every row for the full grid; the coarse rows for the first delay;
+        # the rows around the previous delay's peak k for the others.  Rows
+        # not propagated count as -inf.  While the argmax has an unpropagated
+        # neighbour, the missing rows within _CLIMB_REACH of it follow; a
+        # local maximum below the floor brings in the missing coarse rows.
+        if full_output:
+            todo = np.ones(offs.size, dtype=bool)
+        else:
+            todo = coarse if k is None else np.abs(rows - k) <= _CLIMB_REACH
         p1 = np.full(offs.size, -np.inf)
         while todo.any():
             p1[todo] = _propagate(params, drive, zpa[None, :] + offs[todo, None], t_nodes, h)
             k = int(np.argmax(p1))
-            todo[:] = False
-            if np.isneginf(p1[max(k - 1, 0) : k + 2]).any():
-                near = slice(max(k - _SEARCH_STRIDE, 0), k + _SEARCH_STRIDE + 1)
-                todo[near] = np.isneginf(p1[near])
+            todo = np.isneginf(p1)
+            if todo[max(k - 1, 0) : k + 2].any():
+                todo &= np.abs(rows - k) <= _CLIMB_REACH
+            elif p1[k] < P1_PEAK_FLOOR:
+                todo &= coarse
+            else:
+                break
         # before the edge check: off the main lobe the two paths may end on
         # different side lobes, one of them on an edge
         if p1[k] < P1_PEAK_FLOOR:

@@ -420,6 +420,13 @@ def test_short_fit_recovers_random_noiseless_models(model, seed):
      [24.8125, 239.595703125, 718.787109375], 3),
     # A 2-term draw of a fresh run: every start ends outside the bound.
     ([-0.03125, 0.005859375], [9.0, 27.0], 877),
+    # Three more 3-term draws of short_models(), at seed 0.  On the first the
+    # best start's search leaves the bound; on the second the kept starts end
+    # on a pair merged at 25.95 ns (DegenerateFitError); on the third every
+    # start ends outside the bound.
+    ([-0.048828125, 0.015625, -0.046875], [30.5, 91.5, 274.5], 0),
+    ([-0.046875, 0.015625, -0.046875], [30.0, 90.0, 270.0], 0),
+    ([-0.03125, 0.015625, -0.03125], [22.0, 66.0, 198.0], 0),
 ])
 def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus, seed):
     # Draws of short_models() on which the fit fails (FitFailedError or its

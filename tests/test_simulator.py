@@ -385,7 +385,7 @@ def _sweep_outcome(*args, **kwargs):
 def calibration_sweeps(draw):
     """Arguments of a sweep on a preset device at its working point: a
     channel of 0-3 short terms with or without a long part, a short or long
-    schedule with 2-4 delays, 3-80 offsets around the expected compensation,
+    schedule with 2-6 delays, 3-80 offsets around the expected compensation,
     an integration step of 0.5-2 ns, and no input waveform, a step, or a
     step predistorted by the channel."""
     params = draw(st.sampled_from([presets.planar_system, presets.flipchip_system]))()
@@ -399,7 +399,7 @@ def calibration_sweeps(draw):
         tau_us=st.floats(5.0, 30.0),
     ))
     channel = CombinedResponse(short, long_part, v_step=z)
-    ratios = draw(st.lists(st.floats(1.05, 4.0), min_size=1, max_size=3))
+    ratios = draw(st.lists(st.floats(1.05, 4.0), min_size=1, max_size=5))
     if draw(st.booleans()):
         t_pi_min = draw(st.floats(30.0, 200.0))
         schedule = DriveSchedule(
@@ -411,6 +411,11 @@ def calibration_sweeps(draw):
         schedule = long_time_schedule(draw(st.floats(30.0, 200.0)))
         first = draw(st.floats(4000.0, 20000.0))
     delays = first * np.cumprod([1.0, *ratios])
+    # The last delay stays within 64 times the first, as with 2-4 delays, so
+    # that a step input stays a few million samples: a longer run of ratios
+    # is compressed on the log scale, each ratio still above 1.
+    if delays[-1] > 64.0 * first:
+        delays = first * (delays / first) ** (np.log(64.0) / np.log(delays[-1] / first))
     kwargs = {"dt_integration_ns": draw(st.sampled_from([0.5, 1.0, MAX_STEP_NS]))}
     waveform = draw(st.sampled_from(["none", "step", "predistorted"]))
     expected = z * (1.0 - eval_step_response(channel, delays))
@@ -472,33 +477,70 @@ def test_roundtrip_stages_match_the_full_grid(monkeypatch, preset):
         assert report.p1_grid.shape == (run.delays_ns.size, args[4].size)
 
 
-def test_peak_only_sweep_propagates_under_half_the_grid(monkeypatch):
-    # Work counter: on the planar default roundtrip (71 delays of 41
-    # offsets) the search propagates 1,246 of 2,911 rows in 74 calls.
+def _propagated_rows(monkeypatch):
+    """Patch _propagate to record each call's delay and the zpa of its rows
+    at the first node; returns the record."""
     calls = []
     real = simulator._propagate
 
     def counted(params, drive, zpa_nodes, t_nodes, h):
-        calls.append(zpa_nodes.shape[0])
+        calls.append((drive.t_center_ns, zpa_nodes[:, 0]))
         return real(params, drive, zpa_nodes, t_nodes, h)
 
     monkeypatch.setattr(simulator, "_propagate", counted)
-    _, sweeps = _roundtrip_sweeps(monkeypatch, "planar")
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["planar", "flipchip"])
+def test_peak_only_sweep_propagates_under_15_percent_of_the_grid(monkeypatch, preset):
+    # Work counter: on the default roundtrip (41 offsets per delay) the climb
+    # propagates 393 of planar's 2,911 rows in 78 calls, and 252 of
+    # flip-chip's 1,886 in 49.
+    calls = _propagated_rows(monkeypatch)
+    _, sweeps = _roundtrip_sweeps(monkeypatch, preset)
     n_delays = sum(args[3].size for args, _ in sweeps)
+    assert n_delays == {"planar": 71, "flipchip": 46}[preset]
     full_rows = sum(args[3].size * args[4].size for args, _ in sweeps)
-    assert n_delays == 71
-    assert sum(calls) <= 0.5 * full_rows
-    assert len(calls) <= 1.5 * n_delays
+    assert sum(rows.size for _, rows in calls) <= 0.15 * full_rows
+    assert len(calls) <= 1.2 * n_delays
 
 
-def test_peak_search_propagates_until_the_argmax_has_both_neighbours(monkeypatch):
+def test_peak_only_sweep_falls_back_to_the_coarse_rows_after_a_jump(monkeypatch):
+    # A 0.05, 100 ns term moves the peak from offset 9 at 100 ns to offset
+    # 30 of 41 at 2000 ns.  The climb from 9 ends on a side lobe (P1 3e-3),
+    # so the coarse rows, the grid's first and last among them, are
+    # propagated before the climb finds the main lobe.
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(ShortTimeModel.from_arrays([0.05], [100.0]), None, v_step=z)
+    schedule = DriveSchedule(regime="short", t_pi_min_ns=100.0, t_pi_max_ns=100.0)
+    offsets = np.linspace(-0.0111384, 0.0033635, 41)
+    args = (params, schedule, channel, [100.0, 2000.0], offsets)
+    full, report = simulate_calibration(*args, full_output=True)
+    first, last = np.argmax(report.p1_grid, axis=1)
+    assert last - first > offsets.size // 2
+    calls = _propagated_rows(monkeypatch)
+    run = simulate_calibration(*args)
+    assert run.compensation.tobytes() == full.compensation.tobytes()
+    late = np.concatenate([rows for t_delay, rows in calls if t_delay == 2000.0])
+    assert np.ptp(late) == pytest.approx(offsets[-1] - offsets[0], rel=1e-12)
+
+
+def test_peak_search_climbs_from_the_previous_peak(monkeypatch):
     # A P1 profile per delay on 41 offsets, in place of the propagation.
-    # Delay 100: the coarse maximum is offset 8, a flank of the peak at 10.
-    # Delay 200 has two peaks: the previous peak's rows find 14, whose
-    # neighbours find 18, whose neighbours find the maximum, 19.
-    profiles = {100.0: np.full(41, 0.01), 200.0: np.full(41, 0.01)}
+    # 100 ns: the coarse maximum, 8, is a flank of the peak at 10.
+    # 200 ns: the peak moved from 10 to 16, so the climb extends.
+    # 300 ns: the climb from 16 ends on a side lobe (P1 1e-3), and the
+    # coarse rows find the main lobe, whose coarse maximum 28 climbs to 30.
+    # 400 ns: entered from the right, a plateau 24-28 of equal values; the
+    # climb walks it to its first index, as np.argmax does.
+    profiles = {t_delay: np.full(41, 0.01) for t_delay in (100.0, 200.0, 400.0)}
+    profiles[300.0] = np.full(41, 5e-4)
     profiles[100.0][8:13] = [0.2, 0.5, 1.0, 0.5, 0.2]
-    profiles[200.0][14:21] = [0.6, 0.1, 0.05, 0.2, 0.9, 1.0, 0.3]
+    profiles[200.0][12:19] = [0.05, 0.1, 0.2, 0.5, 1.0, 0.5, 0.2]
+    profiles[300.0][16] = 1e-3
+    profiles[300.0][28:33] = [0.3, 0.7, 0.95, 0.7, 0.3]
+    profiles[400.0][22:31] = [0.2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.6, 0.3]
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
     offsets = np.linspace(-0.01, 0.01, 41) * z
@@ -511,16 +553,18 @@ def test_peak_search_propagates_until_the_argmax_has_both_neighbours(monkeypatch
 
     monkeypatch.setattr(simulator, "_propagate", profile)
     args = (params, DriveSchedule(regime="short"), CombinedResponse(None, None, v_step=z),
-            [100.0, 200.0], offsets)
+            [100.0, 200.0, 300.0, 400.0], offsets)
     run = simulate_calibration(*args)
     coarse = list(range(0, 41, 4))
     assert calls == [
-        coarse, [5, 6, 7, 9, 10, 11],
-        sorted(set(coarse) | {6, 7, 9, 10, 11, 13, 14}), [15, 17, 18], [19, 21, 22],
+        coarse, [6, 7, 9, 10], [11],
+        [8, 9, 10, 11, 12], [13, 14], [15, 16], [17, 18],
+        [14, 15, 16, 17, 18], [0, 4, 8, 12, 20, 24, 28, 32, 36, 40], [26, 27, 29, 30], [31],
+        [28, 29, 30, 31, 32], [26, 27], [24, 25], [22, 23],
     ]
     full, report = simulate_calibration(*args, full_output=True)
     assert run.compensation.tobytes() == full.compensation.tobytes()
-    assert np.argmax(report.p1_grid, axis=1).tolist() == [10, 19]
+    assert np.argmax(report.p1_grid, axis=1).tolist() == [10, 16, 30, 24]
 
 
 def test_simulate_rejects_delay_inside_pulse_window():
