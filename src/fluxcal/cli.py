@@ -3,8 +3,8 @@
 Subcommands: fit, predistort, simulate, analyze, roundtrip.  All inputs
 and outputs are files; every JSON report embeds the tool version, SHA-256
 digests of the inputs, and the settings used, and all floats are written
-with 17 significant digits so identical inputs and seed reproduce
-byte-identical artifacts.  The commands only read and check their inputs,
+with 17 significant digits so identical inputs reproduce byte-identical
+artifacts.  The commands only read and check their inputs,
 call the library, and write the results: ``roundtrip`` runs
 ``fluxcal.pipeline.roundtrip`` and writes its artifacts only once the loop
 has finished, passed or not.
@@ -21,8 +21,7 @@ file that breaks the decay fit's rules, a model, system or drive value
 that breaks its object's own checks, a ``predistort`` output whose .json
 sidecar would overwrite the output or an input), 2
 numerical failure (a well-formed input on which the computation fails,
-including floating-point overflow).  The ``FLUXCAL_SEED`` environment
-variable overrides any ``--seed`` flag.
+including floating-point overflow).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -98,16 +96,6 @@ def _provenance(inputs: dict, settings: dict) -> dict:
         },
         "settings": settings,
     }
-
-
-def _resolve_seed(flag_value: int) -> int:
-    raw = os.environ.get("FLUXCAL_SEED")
-    if raw is None:
-        return flag_value
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FLUXCAL_SEED must be an integer, got {raw!r}") from None
 
 
 def _number(spec: dict, key: str, default=None, where: str = "") -> float:
@@ -243,13 +231,11 @@ def cmd_fit(args) -> int:
     if not 0.0 < args.rms_threshold < np.inf:
         raise ValueError(f"--rms-threshold: expected a finite number > 0, got {args.rms_threshold}")
     run = read_calibration_csv(args.input, v_step=args.v_step, regime=args.regime)
-    seed = _resolve_seed(args.seed)
     if args.regime == "short":
         model, diag = fit_short_time(
             run,
             n_terms=args.n_exp,
             rms_threshold=args.rms_threshold,
-            seed=seed,
             full_output=True,
         )
         resp = CombinedResponse(short=model, long=None, v_step=args.v_step)
@@ -273,7 +259,6 @@ def cmd_fit(args) -> int:
                 "n_exp": args.n_exp,
                 "v_step": args.v_step,
                 "rms_threshold": args.rms_threshold,
-                "seed": seed,
             },
         ),
     }
@@ -446,11 +431,10 @@ def cmd_roundtrip(args) -> int:
     drive = _schedule_from_spec(scenario.get("drive", {}), _SCHEDULE_KEYS)
     dt_int = _integration_step(scenario)
     stages = {key: _stage_grids(scenario, key) for key in ("long_stage", "short_stage", "validate")}
-    seed = _resolve_seed(args.seed)
 
     result = roundtrip(
         params, channel, repulsion_ghz=repulsion_ghz, n_exp=n_exp, threshold=threshold,
-        drive=drive, dt_integration_ns=dt_int, seed=seed, **stages,
+        drive=drive, dt_integration_ns=dt_int, **stages,
     )
 
     outdir = Path(args.output_dir)
@@ -474,10 +458,7 @@ def cmd_roundtrip(args) -> int:
             "short": {"n_exp": n_exp},
             "validate": {"n_delays": int(result.validation_run.delays_ns.size)},
         },
-        "provenance": _provenance(
-            {"scenario": args.scenario},
-            {"seed": seed, "dt_integration_ns": dt_int},
-        ),
+        "provenance": _provenance({"scenario": args.scenario}, {"dt_integration_ns": dt_int}),
     }
     write_json(outdir / "report.json", payload)
     status = "PASS" if result.passed else "FAIL"
@@ -504,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--n-exp", type=int, default=3, dest="n_exp",
                        help="number of exponential terms (short regime only)")
     p_fit.add_argument("--rms-threshold", type=float, default=0.05, dest="rms_threshold")
-    p_fit.add_argument("--seed", type=int, default=0)
+    # Parsed and ignored: the fit draws no random numbers, and perfbench still passes it.
+    p_fit.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p_fit.add_argument("--output", "-o", required=True, help="model JSON path")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -536,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--output-dir", "-o", required=True, dest="output_dir")
     # Parsed and ignored: the sweep runs in this process, and perfbench still passes it.
     p_rt.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    p_rt.add_argument("--seed", type=int, default=0)
+    # Parsed and ignored: the loop draws no random numbers, and perfbench still passes it.
+    p_rt.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p_rt.set_defaults(func=cmd_roundtrip)
     return parser
 

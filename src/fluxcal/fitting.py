@@ -2,8 +2,9 @@
 
 Covers the three fits the calibration workflow needs:
 
-* multi-exponential fits of short-time compensation sweeps, a multi-start
-  variable-projection search over log time constants whose starts run as
+* multi-exponential fits of short-time compensation sweeps, a
+  variable-projection search over log time constants from a fixed grid of
+  starts (no random draws, so a fit depends on its data alone) that run as
   one batched Levenberg-Marquardt iteration;
 * single-exponential fits of long-time (microsecond) settling sweeps, the
   same search from one start with a constant column in the design;
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -284,26 +286,29 @@ def fit_short_time(
     run: CalibrationRun,
     n_terms: int,
     rms_threshold: float = 0.05,
-    seed: int = 0,
-    n_random_starts: int = 8,
     full_output: bool = False,
 ):
     """Fit a sum of ``n_terms`` decaying exponentials to a short-time run.
 
     The target curve is -compensation / v_step.  It is linear in the
-    amplitudes, so each start (two log-spaced sets of time constants plus
-    ``n_random_starts`` seeded random ones) searches the time constants
-    only: bounded least squares over u = log(tau) of the variable-projection
-    residual, which solves the amplitudes linearly at every step (Golub &
-    Pereyra 1973), with Kaufman's Jacobian (1975).  All starts run together
-    in one Levenberg-Marquardt search, each on its own steps, with time
-    constants in [tau_lo, tau_hi].  A start whose search ends with an
-    amplitude outside [-0.5, 0.5] is dropped; the search of the best of the
-    rest continues at a tolerance of 1e-12, and the fit fails if its
-    amplitudes then leave [-0.5, 0.5].  Time constants are reported
-    ascending.
+    amplitudes, so each start searches the time constants only: bounded
+    least squares over u = log(tau) of the variable-projection residual,
+    which solves the amplitudes linearly at every step (Golub & Pereyra
+    1973), with Kaufman's Jacobian (1975).  The starts are every
+    n_terms-subset of a fixed grid of log-spaced time constants from
+    2 tau_lo to span / 2.  Multi-exponential fits are ill-conditioned
+    (Istratov & Vyvenko 1999): searches from nearby starts can all end on
+    one merged pair of time constants with large opposite amplitudes.  A
+    grid over the whole run reaches the other minima and draws no random
+    numbers, so the fit depends on its data alone.  All starts run
+    together in one Levenberg-Marquardt search, each on its own steps,
+    with time constants in [tau_lo, tau_hi].  A start whose search ends with an amplitude
+    outside [-0.5, 0.5] is dropped; the search of the best of the rest
+    continues at a tolerance of 1e-12, and the fit fails if its amplitudes
+    then leave [-0.5, 0.5].  Time constants are reported ascending.
 
-    ``n_dropped_starts`` in the diagnostics counts the dropped starts.
+    ``n_starts`` in the diagnostics counts the starts and
+    ``n_dropped_starts`` the dropped ones.
 
     Raises FitFailedError if every start is dropped, the best one's
     continued search leaves the amplitude bound, or the relative residual
@@ -332,18 +337,18 @@ def fit_short_time(
         diag = FitDiagnostics(0.0, 1)
         return (model, diag) if full_output else model
 
-    rng = np.random.default_rng(seed)
-    starts = [np.geomspace(max(tau_lo * 2, span * 1e-3), span, n_terms)]
-    starts.append(np.geomspace(max(tau_lo * 2, span * 3e-3), span / 3.0, n_terms))
-    for _ in range(n_random_starts):
-        lo, hi = np.log(tau_lo * 2), np.log(span)
-        starts.append(np.exp(np.sort(rng.uniform(lo, hi, n_terms))))
+    # Every n_terms-subset of max(6, n_terms + 2) log-spaced constants from
+    # 2 tau_lo to span / 2 (6, 15, 20, 15, 21 and 28 starts at n = 1-6), or
+    # to 4 tau_lo on runs so short that tau_lo nears span / (2 n_terms).
+    size = max(6, n_terms + 2)
+    grid = np.log(np.geomspace(2.0 * tau_lo, max(span / 2.0, 4.0 * tau_lo), size))
+    starts = grid[np.array(list(combinations(range(size), n_terms)))]
 
     def projection(u):
         return _projection(t, y, u)[:2]
 
     u_lo, u_hi = np.log(tau_lo), np.log(tau_hi)
-    u_end = _search(projection, np.log(starts), u_lo, u_hi)
+    u_end = _search(projection, starts, u_lo, u_hi)
     _, _, p_end = _projection(t, y, u_end)
     best = None
     n_dropped = 0

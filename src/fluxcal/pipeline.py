@@ -50,21 +50,20 @@ def _grids(override, delays_ns: np.ndarray, offsets_rel: np.ndarray, v_step: flo
 def roundtrip(
     params: SystemParams, channel: CombinedResponse, *, repulsion_ghz: float = 0.050,
     n_exp: int = 3, threshold: float = 0.01, drive: DriveSchedule = DriveSchedule(),
-    dt_integration_ns: float = MAX_STEP_NS, seed: int = 0,
-    long_stage=None, short_stage=None, validate=None,
+    dt_integration_ns: float = MAX_STEP_NS, long_stage=None, short_stage=None, validate=None,
 ) -> RoundtripResult:
     """Calibrate ``channel`` on the device ``params`` at the working point
     where the dressed levels sit ``repulsion_ghz`` apart (it replaces the
     channel's ``v_step``); the run passes when the residual is below
     ``threshold``.
 
-    ``drive`` is the short stage's probe schedule, of the short regime;
-    ``seed`` seeds the short-time fit.  A stage override (``long_stage``,
-    ``short_stage``, ``validate``) maps ``delays_ns`` and/or ``offsets_rel``
-    (fractions of the working point) to arrays; a non-empty ``long_stage``
-    needs a channel with a long-time part.  The default long span, 4-70 us,
-    exceeds 3 settling constants of the planar preset, as ``fit_long_time``
-    requires.
+    ``drive`` is the short stage's probe schedule, of the short regime.  A
+    stage override (``long_stage``, ``short_stage``, ``validate``) maps
+    ``delays_ns`` and/or ``offsets_rel`` (fractions of the working point)
+    to arrays; a non-empty ``long_stage`` needs a channel with a long-time
+    part.  The default long span, 4-70 us, exceeds 3 settling constants of
+    the planar preset, as ``fit_long_time`` requires.  No stage draws random
+    numbers, so the same arguments give the same result.
     """
     if not 1 <= n_exp <= MAX_SHORT_TERMS:
         raise InvalidArgumentError(f"n_exp must be 1..{MAX_SHORT_TERMS}, got {n_exp}")
@@ -99,7 +98,9 @@ def roundtrip(
     short_run = simulate_calibration(
         params, drive, channel, short_delays, short_offsets, input_waveform=probe, **sweep
     )
-    short_model = fit_short_time(short_run, n_terms=n_exp, seed=seed)
+    # With its diagnostics, so that a traced run (perfbench/spans.py) reads
+    # the start count off the result.
+    short_model, _ = fit_short_time(short_run, n_terms=n_exp, full_output=True)
     fitted = CombinedResponse(short_model, long_model.long if long_model else None, z_work)
 
     target = heaviside_step(z_work, float(val_delays[-1]) + 2000.0, 1.0)

@@ -96,18 +96,18 @@ _BETA_PLUS = 0.5 + math.sqrt(3.0) / 3.0
 _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 
 # Sub-steps (two per CF4 step) per block in _evolve.  A block holds
-# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (92 kB for the 5 rows of
+# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (184 kB for the 5 rows of
 # a typical climb batch).  At the default step the longest window, a
-# 200 ns probe, has 200 sub-steps, so it takes two blocks.  Measured on the
-# seed-7 default roundtrips of both presets at the 2 ns step (with the
-# coarse search's batches of 3-18 rows, before the climb; process time,
-# median of 5 interleaved runs, 2-vCPU VM): 128
-# took 0.271 s, 64 took 0.296 s, 256 took 0.291 s and 32 took 0.359 s;
-# 32 and 64 change the compensations' last bits.
-_BLOCK_STEPS = 128
+# 200 ns probe, has 200 sub-steps, so it takes one block.  Measured on the
+# default roundtrips of both presets at the 2 ns step, with the climb's
+# batches of 5 rows, then 1-2 (process time, median of 7 interleaved runs,
+# 2-vCPU VM): 256 took 0.199 s, 128 took 0.220-0.226 s, 64 took
+# 0.253-0.265 s and 32 took 0.316-0.347 s; 256 and 128 write the same
+# artifacts.
+_BLOCK_STEPS = 256
 
 # Stride of the peak search's coarse offsets, and the reach of its climb's
-# windows around a peak (see simulate_calibration).  On the seed-7 planar
+# windows around a peak (see simulate_calibration).  On the default planar
 # roundtrip a reach of 2 propagates 393 rows in 78 calls and took 0.122 s;
 # 1 propagates 271 rows in 102 calls (0.137 s) and 3 propagates 527 in 74
 # (0.132 s) (process time, median of 9 interleaved runs, 2-vCPU VM).
@@ -382,7 +382,12 @@ def _step_unitaries(a, b, c, g: float, theta: float) -> np.ndarray:
     sinc23 = np.divide(sin23, half23, out=np.ones_like(half23), where=half23 != 0)
     f1 = np.exp(-1j * theta * l1)
     mid12 = -1j * theta * f1 * rot12  # -i theta exp(-i theta (l1 + l2) / 2)
-    f123 = mid12 * (rot12 * rot23 * sinc23 - sinc12) / (gap12 + gap23)
+    # Named, not a temporary: numpy would compute mid12 * (a temporary of
+    # 256 KiB or more) in place as temporary * mid12, and complex products
+    # under FMA are not bitwise commutative, so the bits would follow the
+    # batch size.
+    second = rot12 * rot23 * sinc23 - sinc12
+    f123 = mid12 * second / (gap12 + gap23)
     # U = f1 I + coef_m M + f123 M^2
     coef_m = mid12 * sinc12 - f123 * gap12
     m0, m1, m2 = -l1, a - l1, b - l1

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,14 +143,15 @@ def test_short_fit_diagnostics_describe_the_returned_model():
     y = -run.compensation / run.v_step
     rms = fitting._rms(run.delays_ns, y, model.amplitudes, model.taus_ns)
     assert diag.residual_rms == pytest.approx(rms, rel=1e-12)
-    assert diag.n_starts == 10 and diag.n_dropped_starts == 0
+    # Every 3-subset of the 6 log-spaced start constants.
+    assert diag.n_starts == comb(6, 3) and diag.n_dropped_starts == 0
 
 
-def test_short_fit_seed_reproducibility():
+def test_short_fit_is_deterministic():
     resp = short_channel(PLANAR_AMPLITUDES, PLANAR_TAUS)
     run = synthesize_calibration_run(resp, np.geomspace(2.0, 5000.0, 60), "short")
-    a = fit_short_time(run, n_terms=3, seed=42)
-    b = fit_short_time(run, n_terms=3, seed=42)
+    a = fit_short_time(run, n_terms=3)
+    b = fit_short_time(run, n_terms=3)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     np.testing.assert_array_equal(a.taus_ns, b.taus_ns)
 
@@ -262,22 +265,38 @@ def joint_multistart_oracle(run, n_terms, seed=0, n_random_starts=8):
 
 NOISY_MODELS = [([-0.02], [50.0]), (FLIPCHIP_AMPLITUDES, FLIPCHIP_TAUS),
                 (PLANAR_AMPLITUDES, PLANAR_TAUS)]
+# 3-term data on which most searches end on one merged pair of time
+# constants with large opposite amplitudes, over 40 delays of 2-2000 ns.
+MERGING_MODEL = ([0.027, -0.011, 0.032], [46.0, 183.0, 777.0])
+
+ORACLE_CASES = [
+    pytest.param(*model, np.geomspace(2.0, 4 * model[1][-1], 60), 1e-4, noise_seed, False,
+                 id=f"n{len(model[1])}-{noise_seed}")
+    for noise_seed in (0, 1, 2) for model in NOISY_MODELS
+] + [
+    pytest.param(*MERGING_MODEL, np.geomspace(2.0, 2000.0, 40), sigma, noise_seed, True,
+                 id=f"merging-{sigma:g}-{noise_seed}")
+    for sigma, noise_seeds in ((0.0, [0]), (1e-5, [0, 1, 2]), (1e-4, [0, 1, 2]))
+    for noise_seed in noise_seeds
+]
 
 
-@pytest.mark.parametrize("noise_seed", [0, 1, 2])
-@pytest.mark.parametrize("amplitudes, taus", NOISY_MODELS, ids=["n1", "n2", "n3"])
-def test_short_fit_matches_joint_oracle_on_noisy_runs(amplitudes, taus, noise_seed):
+@pytest.mark.parametrize("amplitudes, taus, delays, sigma, noise_seed, merging", ORACLE_CASES)
+def test_short_fit_matches_joint_oracle_on_noisy_runs(
+    amplitudes, taus, delays, sigma, noise_seed, merging
+):
     resp = short_channel(amplitudes, taus, v_step=0.3)
     run = synthesize_calibration_run(
-        resp, np.geomspace(2.0, 4 * taus[-1], 60), "short",
-        noise_sigma=1e-4, rng=np.random.default_rng(noise_seed),
+        resp, delays, "short", noise_sigma=sigma, rng=np.random.default_rng(noise_seed),
     )
     oracle_rms, _, oracle_taus = joint_multistart_oracle(run, len(taus), seed=noise_seed)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        model, diag = fit_short_time(run, n_terms=len(taus), seed=noise_seed, full_output=True)
+        model, diag = fit_short_time(run, n_terms=len(taus), full_output=True)
     assert diag.residual_rms <= oracle_rms * (1 + 1e-9)
     np.testing.assert_allclose(model.taus_ns, oracle_taus, rtol=1e-3)
-    assert diag.n_starts == 10 and diag.n_dropped_starts == 0
+    # Every n-subset of the 6 log-spaced start constants.
+    assert diag.n_starts == comb(6, len(taus))
+    assert (diag.n_dropped_starts > 0) == merging
 
 
 def test_kaufman_jacobian_against_central_differences():
@@ -338,7 +357,7 @@ def test_short_fit_keeps_amplitude_bounds_with_too_many_terms(monkeypatch):
             resp, np.geomspace(2.0, 2000.0, 40), "short",
             noise_sigma=1e-4, rng=np.random.default_rng(seed),
         )
-        model, diag = fit_short_time(run, n_terms=4, seed=seed, full_output=True)
+        model, diag = fit_short_time(run, n_terms=4, full_output=True)
         assert np.max(np.abs(model.amplitudes)) <= 0.5
         y = -run.compensation / run.v_step
         rms = fitting._rms(run.delays_ns, y, model.amplitudes, model.taus_ns)
@@ -364,9 +383,36 @@ def test_short_fit_counts_dropped_starts(monkeypatch):
         noise_sigma=1e-4, rng=np.random.default_rng(0),
     )
     _, diag = fit_short_time(run, n_terms=2, full_output=True)
-    assert diag.n_dropped_starts == 0 and calls == [10, 1]
+    assert diag.n_dropped_starts == 0 and calls == [comb(6, 2), 1]
     _, diag = fit_short_time(run, n_terms=4, full_output=True)
-    assert diag.n_dropped_starts > 0 and calls == [10, 1, 10, 1]
+    assert diag.n_dropped_starts > 0 and calls == [comb(6, 2), 1, comb(6, 4), 1]
+
+
+@pytest.mark.parametrize("n_terms", range(1, 7))
+@pytest.mark.parametrize("spacing", [np.linspace, np.geomspace], ids=["linear", "log"])
+def test_short_fit_starts_lie_in_the_bounds_on_minimum_runs(monkeypatch, n_terms, spacing):
+    # On 2 n + 1 points the smallest spacing tau_lo nears span / (2 n), so
+    # 2 tau_lo can pass span / 2: the grid must still hold distinct time
+    # constants inside [tau_lo, 10 x span].
+    starts = []
+    search = fitting._search
+
+    def recording(model, x0, *args, **kwargs):
+        starts.append(np.exp(x0))
+        return search(model, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_search", recording)
+    t = spacing(2.0, 200.0, 2 * n_terms + 1)
+    run = CalibrationRun(t, -0.3 * 0.02 * np.exp(-t / 20.0), 0.3, "short")
+    try:
+        fit_short_time(run, n_terms=n_terms)
+    except FitFailedError:
+        pass  # only the starts are checked
+    taus = starts[0]
+    tau_lo = np.min(np.diff(t))
+    assert taus.shape == (comb(max(6, n_terms + 2), n_terms), n_terms)
+    assert np.all(np.diff(taus, axis=1) > 0.0)
+    assert np.all(taus >= tau_lo) and np.all(taus <= 10.0 * (t[-1] - t[0]))
 
 
 @st.composite
@@ -387,67 +433,65 @@ def noiseless_run(amplitudes, taus):
 
 
 @settings(deadline=None, max_examples=40)
-@given(short_models(), st.integers(0, 2**31 - 1))
-# Eight of this draw's ten searches end on a merged pair near 21 ns with
-# amplitudes of +-90 to +-150 and are dropped; a kept one recovers the model.
-@example(([0.04921109, -0.01895044, 0.03836234], [37.51935078, 293.15514125, 894.21495377]), 638)
-# Three of this draw's searches end on a merged pair near 30 ns with
-# amplitudes near +-2e4; the kept ones must reach the model, not stop short.
-@example(([-0.033203125, 0.005, -0.0078125], [43.0, 430.0, 1290.0]), 3)
-def test_short_fit_recovers_random_noiseless_models(model, seed):
+@given(short_models())
+# 16 of this draw's 20 searches end outside the amplitude bound and are
+# dropped; a kept one recovers the model.
+@example(([0.04921109, -0.01895044, 0.03836234], [37.51935078, 293.15514125, 894.21495377]))
+# 15 of this draw's 20 searches end outside the amplitude bound; the kept
+# ones must reach the model, not stop short.
+@example(([-0.033203125, 0.005, -0.0078125], [43.0, 430.0, 1290.0]))
+def test_short_fit_recovers_random_noiseless_models(model):
     amplitudes, taus = model
-    fitted = fit_short_time(noiseless_run(amplitudes, taus), n_terms=len(taus), seed=seed)
+    fitted = fit_short_time(noiseless_run(amplitudes, taus), n_terms=len(taus))
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
 
 
-@pytest.mark.xfail(strict=True, raises=FitFailedError,
-                   reason="known defect, ROADMAP open item 2: searches end on a merged pair")
-@pytest.mark.parametrize("amplitudes, taus, seed", [
-    # All ten searches end on one merged pair at 2.686 ns with amplitudes of
-    # +-145 to +-243, so every start is dropped.
-    ([-0.0390625, 0.005], [5.0, 15.0], 88884763),
+@pytest.mark.parametrize("amplitudes, taus", [
+    # With the ten seeded starts the fit used before its start grid, all ten
+    # searches ended on one merged pair at 2.686 ns with amplitudes of
+    # +-145 to +-243, so every start was dropped.
+    ([-0.0390625, 0.005], [5.0, 15.0]),
     # 3-term draws that fresh --hypothesis-seed runs of
-    # test_short_fit_recovers_random_noiseless_models find.  On the first
-    # and third the best start's search leaves the bound; on the second and
-    # fourth every start ends outside it.
-    ([-0.03125, 0.012416974526543636, -0.013671875], [49.0, 147.0, 441.0], 0),
-    ([-0.03125, 0.012416974526543636, -0.015625], [18.0, 54.0, 162.0], 0),
-    ([-0.03125, -0.03125, 0.005000000000000001], [6.0, 42.0, 126.0], 0),
-    ([-0.03125, -0.03125, 0.005000000000000001], [12.0, 84.0, 252.0], 0),
-    # The kept starts end on a pair merged at 22.02 ns: DegenerateFitError.
+    # test_short_fit_recovers_random_noiseless_models found.  From the
+    # seeded starts, on the first and third the best start's search left
+    # the bound; on the second and fourth every start ended outside it.
+    ([-0.03125, 0.012416974526543636, -0.013671875], [49.0, 147.0, 441.0]),
+    ([-0.03125, 0.012416974526543636, -0.015625], [18.0, 54.0, 162.0]),
+    ([-0.03125, -0.03125, 0.005000000000000001], [6.0, 42.0, 126.0]),
+    ([-0.03125, -0.03125, 0.005000000000000001], [12.0, 84.0, 252.0]),
+    # The kept starts ended on a pair merged at 22.02 ns: DegenerateFitError.
     ([-0.046875, 0.032464509415173495, 0.005000000000000001],
-     [24.8125, 239.595703125, 718.787109375], 3),
-    # A 2-term draw of a fresh run: every start ends outside the bound.
-    ([-0.03125, 0.005859375], [9.0, 27.0], 877),
-    # Three more 3-term draws of short_models(), at seed 0.  On the first the
-    # best start's search leaves the bound; on the second the kept starts end
-    # on a pair merged at 25.95 ns (DegenerateFitError); on the third every
-    # start ends outside the bound.
-    ([-0.048828125, 0.015625, -0.046875], [30.5, 91.5, 274.5], 0),
-    ([-0.046875, 0.015625, -0.046875], [30.0, 90.0, 270.0], 0),
-    ([-0.03125, 0.015625, -0.03125], [22.0, 66.0, 198.0], 0),
+     [24.8125, 239.595703125, 718.787109375]),
+    # A 2-term draw of a fresh run: every start ended outside the bound.
+    ([-0.03125, 0.005859375], [9.0, 27.0]),
+    # Three more 3-term draws of short_models().  On the first the best
+    # start's search left the bound; on the second the kept starts ended on
+    # a pair merged at 25.95 ns (DegenerateFitError); on the third every
+    # start ended outside the bound.
+    ([-0.048828125, 0.015625, -0.046875], [30.5, 91.5, 274.5]),
+    ([-0.046875, 0.015625, -0.046875], [30.0, 90.0, 270.0]),
+    ([-0.03125, 0.015625, -0.03125], [22.0, 66.0, 198.0]),
 ])
-def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus, seed):
-    # Draws of short_models() on which the fit fails (FitFailedError or its
-    # subclass DegenerateFitError).  The bounded joint oracle recovers each
-    # model.
+def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus):
+    # Draws of short_models() on which most searches end on a merged pair.
+    # The bounded joint oracle recovers each model, and so must the fit.
     run = noiseless_run(amplitudes, taus)
-    _, oracle_p, oracle_taus = joint_multistart_oracle(run, len(taus), seed=seed)
+    _, oracle_p, oracle_taus = joint_multistart_oracle(run, len(taus))
     np.testing.assert_allclose(oracle_p, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(oracle_taus, taus, rtol=1e-6)
-    fitted = fit_short_time(run, n_terms=len(taus), seed=seed)
+    fitted = fit_short_time(run, n_terms=len(taus))
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
 
 
 def test_short_fit_holds_a_time_constant_on_its_bound():
-    # On the flip-chip preset's short run (the seed-7 roundtrip's) at n = 4
+    # On the flip-chip preset's short run (the default roundtrip's) at n = 4
     # the slowest time constant ends on its upper bound, 10x the delay span.
     # The search holds it there and moves the others, so it reaches the
     # joint oracle's RMS; a search that only clips its steps stalls above.
-    run = pipeline.roundtrip(presets.flipchip_system(), presets.flipchip_channel(), seed=7).short_run
-    model, diag = fit_short_time(run, n_terms=4, seed=7, full_output=True)
+    run = pipeline.roundtrip(presets.flipchip_system(), presets.flipchip_channel()).short_run
+    model, diag = fit_short_time(run, n_terms=4, full_output=True)
     assert model.taus_ns[-1] == pytest.approx(10.0 * run.span_ns, rel=1e-12)
     oracle_rms, _, _ = joint_multistart_oracle(run, 4, seed=7)
     assert diag.residual_rms <= oracle_rms * (1 + 1e-9)
