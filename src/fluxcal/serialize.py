@@ -33,7 +33,7 @@ import io
 import json
 import math
 import re
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -422,18 +422,21 @@ def _float_table(text: str, width: int):
     refuses it: a character of ``_CSV_READER_ONLY``, a lone CR line end, a
     line longer than the field size limit, or a field numpy cannot parse (a
     short row, underscores or non-ASCII digits among them).  Blank rows are
-    skipped."""
+    skipped.
+
+    The lines go to numpy as they are, split at LF only: numpy skips a blank
+    line, ``""`` or the ``"\r"`` of a CRLF file, and ends a row's last field
+    at its CR, as ``csv.reader`` and ``float`` read them."""
     if any(c in text for c in _CSV_READER_ONLY) or text.count("\r") != text.count("\r\n"):
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    rows = list(filter(None, lines[1:]))
     try:
-        # no rows: no call, which would warn that the input holds no data
+        # no data row: no call, which would warn that the input holds no data
         table = (
-            np.loadtxt(rows, delimiter=",", comments=None, usecols=range(width), ndmin=2)
-            if rows
+            np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, usecols=range(width), ndmin=2)
+            if any(line.strip("\r") for line in islice(lines, 1, None))
             else np.empty((0, width))
         )
     except ValueError:

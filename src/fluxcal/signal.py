@@ -9,14 +9,20 @@ the identity channel is ``h[0] = 1`` and the dc gain of a channel is
 ``sum(h)``.  The kernel obtained from a sampled step response is the
 step's first difference, which reproduces that step exactly when applied
 to a unit step.
+
+``convolve`` runs one real FFT of numpy's pocketfft at the length scipy's
+``next_fast_len(n, real=True)`` would pick, the smallest 5-smooth length
+that holds the linear convolution; that length decides the rounding, so
+the result is bit for bit scipy.fft's at numpy 2 or newer.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import IncompatibleSamplingError, InvalidArgumentError
 from .serialize import _finite_columns, read_csv_table, write_csv_table
@@ -97,6 +103,31 @@ def heaviside_step(amplitude: float, duration_ns: float, dt_ns: float) -> Wavefo
     return Waveform(dt_ns=dt_ns, samples=np.full(n, float(amplitude)))
 
 
+@functools.cache
+def _smooth_lengths() -> tuple[int, ...]:
+    """Every 2^a 3^b 5^c up to 2^53, ascending (7716 numbers)."""
+    limit, lengths = 2**53, []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            m = p35
+            while m <= limit:
+                lengths.append(m)
+                m *= 2
+            p35 *= 3
+        p5 *= 5
+    return tuple(sorted(lengths))
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, for 1 <= n <= 2^53: the real-FFT
+    length of pocketfft's ``good_size_real`` and ``scipy.fft.next_fast_len(n,
+    real=True)``."""
+    lengths = _smooth_lengths()
+    return lengths[bisect.bisect_left(lengths, n)]
+
+
 def convolve(waveform: Waveform, kernel: Waveform) -> Waveform:
     """Causal convolution of a waveform with a channel kernel.
 
@@ -110,9 +141,9 @@ def convolve(waveform: Waveform, kernel: Waveform) -> Waveform:
     # wraps around; values agree with the direct sum to round-off relative
     # to max|kernel| * sum|samples|.
     taps = kernel.samples[:n]
-    size = _fft.next_fast_len(n + taps.size - 1, real=True)
-    spectrum = _fft.rfft(waveform.samples, size) * _fft.rfft(taps, size)
-    return Waveform(dt_ns=waveform.dt_ns, samples=_fft.irfft(spectrum, size)[:n])
+    size = _fast_len(n + taps.size - 1)
+    spectrum = np.fft.rfft(waveform.samples, size) * np.fft.rfft(taps, size)
+    return Waveform(dt_ns=waveform.dt_ns, samples=np.fft.irfft(spectrum, size)[:n])
 
 
 def step_to_impulse(step: Waveform) -> Waveform:

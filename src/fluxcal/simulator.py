@@ -28,8 +28,10 @@ frequency, the pi-pulse amplitude and the rotating-wave check.
 The calibration protocol mirrors the hardware sequence: pick the working
 point on the lower dressed branch, calibrate the pi-pulse amplitude there,
 then sweep delay and compensation offset to locate, per delay, the offset
-that restores the working-point flux.  The delays run in order in the
-calling process.
+that restores the working-point flux.  The working point is bracketed on a
+grid and refined by ``_brentq``, a port of scipy's Brent solver that
+returns scipy.optimize.brentq's root bit for bit, so the module needs numpy
+only.  The delays run in order in the calling process.
 
 A sweep reads only each delay's P1 peak: its argmax and the two offsets
 beside it.  So, unless the full P1 grid is asked for, it propagates only
@@ -63,6 +65,7 @@ import warnings
 import numpy as np
 
 from .errors import (
+    FitFailedError,
     IntegrationError,
     InvalidArgumentError,
     SweepRangeError,
@@ -513,7 +516,7 @@ def find_working_point(params: SystemParams, repulsion_ghz: float = 0.050) -> fl
         return params.coupler_freq_ghz(z) - params.qubit_freq_ghz(z) - delta_target
 
     # One array call over the grid gives the bracket by its sign pattern
-    # alone; brentq refines it on scalar calls.
+    # alone; Brent's method refines it on scalar calls.
     lo, hi = params.coupler.zpa_range
     grid = np.linspace(lo, hi, 512)
     vals = gap(grid)
@@ -521,9 +524,64 @@ def find_working_point(params: SystemParams, repulsion_ghz: float = 0.050) -> fl
     if vals[0] <= 0 or sign_change.size == 0:
         raise SweepRangeError("zpa_range does not bracket the requested working point")
     i = int(sign_change[0])
-    from scipy.optimize import brentq
+    return _brentq(lambda z: float(gap(z)), float(grid[i]), float(grid[i + 1]), xtol=1e-12)
 
-    return float(brentq(gap, grid[i], grid[i + 1], xtol=1e-12))
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method, to within xtol + 4 eps |root|.
+
+    A line-by-line port of ``brentq.c`` from scipy (BSD-3-Clause; copyright
+    (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), with its
+    defaults rtol = 4 eps and 100 iterations: it takes the same steps in the
+    same floating-point operations, so it returns
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)`` bit for bit.  No
+    convergence in 100 iterations raises FitFailedError.
+    """
+    rtol, maxiter = 4 * float(np.finfo(float).eps), 100
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise InvalidArgumentError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitFailedError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 def pi_pulse_rabi_mhz(params: SystemParams, coupler_zpa: float, t_pi_ns: float, sigma_fraction: float = 0.25) -> float:

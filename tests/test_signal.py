@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluxcal import signal
 from fluxcal.errors import FluxcalError, IncompatibleSamplingError, InvalidArgumentError
 from fluxcal.signal import (
     Waveform,
@@ -95,6 +97,60 @@ def test_convolve_matches_numpy_convolve(samples, kernel, dt):
     direct = np.convolve(samples, kernel)[: len(samples)]
     scale = np.max(np.abs(kernel)) * np.sum(np.abs(samples))
     np.testing.assert_allclose(out.samples, direct, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    # The FFT length decides the rounding of convolve, so it must be scipy's
+    # for every length: here every n up to 2^20, and some up to 2^53.
+    ns = list(range(1, 2**20 + 1)) + [2**53 - 1, 2**53, 3**33, 3**33 + 1]
+    assert [signal._fast_len(n) for n in ns] == [scipy.fft.next_fast_len(n, real=True) for n in ns]
+
+
+def _scipy_fft_convolve(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The scipy.fft convolution that ``convolve`` replaced, operation for
+    operation."""
+    n = samples.size
+    taps = kernel[:n]
+    size = scipy.fft.next_fast_len(n + taps.size - 1, real=True)
+    spectrum = scipy.fft.rfft(samples, size) * scipy.fft.rfft(taps, size)
+    return scipy.fft.irfft(spectrum, size)[:n]
+
+
+_SMOOTH = [m for m in range(2, 9000) if m == scipy.fft.next_fast_len(m, real=True)]
+
+
+@st.composite
+def _fft_cases(draw):
+    """(n, kernel length, seed): the FFT length n + min(n, taps) - 1 lands
+    within one of a 5-smooth number, or anywhere, and the kernel may be
+    longer than the waveform."""
+    if draw(st.booleans()):
+        size = draw(st.sampled_from(_SMOOTH)) + draw(st.integers(-1, 1))
+        n = draw(st.integers((size + 1) // 2, size))
+        taps = size + 1 - n
+    else:
+        n = draw(st.integers(1, 20000))
+        taps = draw(st.integers(1, n))
+    extra = draw(st.sampled_from([0, 0, 1, n]))
+    return n, taps + (extra if taps == n else 0), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="numpy < 2 ships the older C pocketfft, whose rounding is not scipy.fft's",
+)
+@settings(max_examples=300, deadline=None)
+@given(_fft_cases())
+@example((1, 1, 0)).via("one sample")
+@example((4096, 4096, 1)).via("size 8191, next 8192")
+@example((4097, 4097, 2)).via("size 8193, next 8640")
+@example((80000, 80000, 3)).via("an 80k-sample target")
+def test_convolve_is_bitwise_the_scipy_fft_convolution(case):
+    n, taps, seed = case
+    rng = np.random.default_rng(seed)
+    samples, kernel = rng.normal(size=n), rng.normal(size=taps) * rng.uniform(0.0, 2.0, taps)
+    out = convolve(Waveform(0.5, samples), Waveform(0.5, kernel))
+    assert out.samples.tobytes() == _scipy_fft_convolve(samples, kernel).tobytes()
 
 
 def test_convolve_is_linear():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -238,7 +239,10 @@ def scalar_scan_working_point(params, repulsion_ghz):
 
     grid = np.linspace(*params.coupler.zpa_range, 512)
     vals = np.array([gap(z) for z in grid])
-    i = int(np.nonzero(np.diff(np.sign(vals)) != 0)[0][0])
+    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if vals[0] <= 0 or sign_change.size == 0:
+        return None  # not bracketed
+    i = int(sign_change[0])
     return float(brentq(gap, grid[i], grid[i + 1], xtol=1e-12))
 
 
@@ -247,6 +251,56 @@ def scalar_scan_working_point(params, repulsion_ghz):
 def test_find_working_point_matches_the_scalar_scan(make_params, repulsion_ghz):
     params = make_params()
     assert find_working_point(params, repulsion_ghz) == scalar_scan_working_point(params, repulsion_ghz)
+
+
+@pytest.mark.parametrize("make_params", [presets.planar_system, presets.flipchip_system])
+def test_find_working_point_is_brentq_over_the_repulsion_range(make_params):
+    # The Brent port against scipy's brentq at 97 working points, from 1 MHz
+    # to g - 1 MHz of repulsion; below about 4 MHz the working point lies
+    # outside zpa_range, and both refuse it.
+    params = make_params()
+    for repulsion_ghz in np.linspace(1e-3, params.g_qc_ghz - 1e-3, 97):
+        expected = scalar_scan_working_point(params, repulsion_ghz)
+        if expected is None:
+            with pytest.raises(SweepRangeError):
+                find_working_point(params, repulsion_ghz)
+            continue
+        assert np.float64(find_working_point(params, repulsion_ghz)).tobytes() == np.float64(expected).tobytes()
+
+
+_MONOTONE = {
+    "cubic": lambda x, r, k: k * (x - r) ** 3 + (x - r),
+    "exp": lambda x, r, k: math.expm1(k * (x - r)),
+    "atan": lambda x, r, k: math.atan(k * (x - r)) + 1e-3 * (x - r),
+    "sqrt": lambda x, r, k: math.copysign(math.sqrt(abs(x - r)), x - r) * k,
+    "step": lambda x, r, k: math.tanh(k * k * (x - r)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_MONOTONE)),
+    st.floats(-10.0, 10.0),
+    st.floats(0.1, 20.0),
+    st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    st.floats(1e-6, 10.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+)
+def test_brentq_port_is_scipy_brentq_bit_for_bit(name, root, k, below, above, sign, xtol):
+    # Increasing or decreasing, on a bracket around the root or starting at
+    # it: the same root, bit for bit.
+    def f(x):
+        return sign * _MONOTONE[name](x, root, k)
+
+    a, b = root - below, root + above
+    expected = brentq(f, a, b, xtol=xtol)
+    assert np.float64(simulator._brentq(f, a, b, xtol=xtol)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_brentq_port_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(InvalidArgumentError, match="different signs"):
+        simulator._brentq(math.exp, 0.0, 1.0, xtol=1e-12)
 
 
 def test_find_working_point_range_errors():
