@@ -20,9 +20,7 @@ from .models import (
     LongTimeModel,
     ShortTimeModel,
     eval_step_response,
-    read_model_json,
     step_response_grid,
-    write_model_json,
 )
 from .predistort import apply_channel, full_pipeline, reversed_convolution_o2
 from .signal import (
@@ -58,11 +56,9 @@ __all__ = [
     "full_pipeline",
     "heaviside_step",
     "identity_kernel",
-    "read_model_json",
     "read_waveform_csv",
     "reversed_convolution_o2",
     "step_response_grid",
     "step_to_impulse",
-    "write_model_json",
     "write_waveform_csv",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidArgumentError
 from .fitting import _fit_exp_offset
-from .serialize import _finite_columns, read_csv_table, write_csv_table
+from .serialize import read_csv_table, write_csv_table
 
 SCHEMES = ("rb", "xeb")
 
@@ -78,6 +78,13 @@ class FidelityEstimate:
 _DECAY_TAU_LO = 1.0 / math.log(1e9)
 
 
+def _valid_lengths(n: np.ndarray) -> np.ndarray:
+    """Where float sequence lengths ``n`` are integers from 0 to
+    MAX_SEQUENCE_LENGTH: the rule of ``fit_decay`` and ``write_decay_csv``
+    (nan and inf fail it)."""
+    return (n >= 0) & (n <= MAX_SEQUENCE_LENGTH) & (n == np.round(n))
+
+
 def fit_decay(lengths, fidelities) -> DecayFit:
     """Fit F(n) = A p^n + B to sequence fidelities.
 
@@ -101,7 +108,7 @@ def fit_decay(lengths, fidelities) -> DecayFit:
         raise InvalidArgumentError("lengths and fidelities must be matching 1-D arrays")
     if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
         raise InvalidArgumentError("lengths and fidelities must be finite")
-    if np.any((n < 0) | (n > MAX_SEQUENCE_LENGTH) | (n != np.round(n))):
+    if not _valid_lengths(n).all():
         raise InvalidArgumentError(
             f"sequence lengths must be integers from 0 to {MAX_SEQUENCE_LENGTH}"
         )
@@ -191,22 +198,25 @@ def xeb_fidelity(gate: DecayFit, reference: DecayFit, dimension: int = 4) -> Fid
 
 
 def write_decay_csv(path, lengths, fidelities) -> None:
-    """Write sequence ``lengths``, as integers, and ``fidelities`` under the
-    header ``n,fidelity``.  A length that is not a finite whole number (in
-    the int64 range) raises InvalidArgumentError before any file is
-    opened."""
-    n = np.asarray(lengths)
-    if n.dtype.kind not in "biu":
-        n = np.asarray(n, dtype=float)
-        whole = np.isfinite(n) & (n == np.trunc(n)) & (np.abs(n) < 2.0**63)
-        if not whole.all():
-            raise InvalidArgumentError(f"lengths must be finite whole numbers, got {n[~whole][0]}")
-    write_csv_table(path, ("n", "fidelity"), (n.astype(int), np.asarray(fidelities, dtype=float)))
+    """Write sequence ``lengths`` and ``fidelities`` under the header
+    ``n,fidelity``.  A length of any dtype that breaks ``fit_decay``'s rule,
+    integers from 0 to MAX_SEQUENCE_LENGTH, raises InvalidArgumentError
+    before any file is opened.  The lengths go through the float writer,
+    which prints a whole number below 1e17 as its integer digits; -0.0 is
+    written as 0."""
+    n = np.asarray(lengths, dtype=float)
+    valid = _valid_lengths(n)
+    if not valid.all():
+        raise InvalidArgumentError(
+            f"lengths must be finite whole numbers, got {n[~valid][0]} "
+            f"(sequence lengths run from 0 to {MAX_SEQUENCE_LENGTH})"
+        )
+    write_csv_table(path, ("n", "fidelity"), (n + 0.0, fidelities))
 
 
 def read_decay_csv(path) -> tuple[np.ndarray, np.ndarray]:
     header = ("n", "fidelity")
-    n, f = _finite_columns(path, header, read_csv_table(path, header))
+    n, f = read_csv_table(path, header)
     if not n.size:
         raise ValueError(f"{path}: no data rows")
     return n, f

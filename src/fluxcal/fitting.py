@@ -37,7 +37,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .models import LONG_LEVEL_BAND, MAX_SHORT_TERMS, LongTimeModel, ShortTimeModel
-from .serialize import _finite_columns, _usage_error, read_csv_table, write_csv_table
+from .serialize import _usage_error, read_csv_table, write_csv_table
 from .signal import _as_readonly
 
 REGIMES = ("short", "long")
@@ -492,11 +492,7 @@ def _branch_products(z, f, theta):
     return prod - prod.mean(axis=1, keepdims=True), d_prod - d_prod.mean(axis=1, keepdims=True)
 
 
-def fit_anticrossing(
-    data: AnticrossingData,
-    k_q: float,
-    full_output: bool = False,
-):
+def fit_anticrossing(data: AnticrossingData, k_q: float) -> AnticrossingFit:
     """Extract coupling strength and crosstalk from anti-crossing branches.
 
     Both branch frequencies satisfy (f - f_q(zpa)) * (f - f_c(zpa)) = g^2
@@ -542,15 +538,13 @@ def fit_anticrossing(
         b_eff=bq_eff,
         coeff_zxtalk=kq_eff / float(k_q),
     )
-    fit = AnticrossingFit(
+    return AnticrossingFit(
         g_qc_mhz=g_ghz * 1e3,
         coupler_slope_ghz=kc,
         coupler_intercept_ghz=bc,
         crosstalk=crosstalk,
         residual_std=std_prod,
     )
-    diag = FitDiagnostics(float(costs[best]), costs.size)
-    return (fit, diag) if full_output else fit
 
 
 def synthesize_calibration_run(
@@ -580,21 +574,8 @@ def write_calibration_csv(path, run: CalibrationRun) -> None:
 
 def read_calibration_csv(path, v_step: float, regime: str) -> CalibrationRun:
     header = ("t_ns", "v_oft")
-    delays, compensation = _finite_columns(path, header, read_csv_table(path, header))
+    delays, compensation = read_csv_table(path, header)
     if len(delays) < 2:
         raise ValueError(f"{path}: need at least two rows")
     # the delay rule, or v_step and regime
     return _usage_error(path, CalibrationRun, delays, compensation, v_step, regime)
-
-
-def write_anticrossing_csv(path, data: AnticrossingData) -> None:
-    write_csv_table(path, ("zpa_c", "f_ghz", "branch"), (data.zpa, data.freq_ghz, data.branch))
-
-
-def read_anticrossing_csv(path) -> AnticrossingData:
-    header = ("zpa_c", "f_ghz", "branch")
-    zpa, freq, branch = read_csv_table(path, header, converters=(float, float, str.strip))
-    zpa, freq = _finite_columns(path, header, (zpa, freq))
-    if not zpa.size:
-        raise ValueError(f"{path}: no data rows")
-    return AnticrossingData(zpa=zpa, freq_ghz=freq, branch=branch)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .serialize import _check_object, _finite_float, _usage_error, load_json, write_json
+from .serialize import _check_object, _finite_float, _usage_error
 from .signal import Waveform
 
 MAX_SHORT_TERMS = 6
@@ -208,11 +208,3 @@ def model_from_dict(data: dict, name: str = "model") -> CombinedResponse:
         long_part = _usage_error(f"{name}.long", LongTimeModel, settled, initial, tau_us)
     v_step = _finite_float(data.get("v_step", 1.0), f"{name}.v_step")
     return _usage_error(name, CombinedResponse, short, long_part, v_step)
-
-
-def write_model_json(path, resp: CombinedResponse) -> None:
-    write_json(path, model_to_dict(resp))
-
-
-def read_model_json(path) -> CombinedResponse:
-    return model_from_dict(load_json(path))

@@ -4,16 +4,17 @@ Outputs that participate in byte-identity checks format every float with 17
 significant digits, enough to round-trip an IEEE double, independent of the
 interpreter's repr heuristics.
 
-CSV tables use the ``csv`` module's default dialect (CRLF rows).  Readers
-check the leading header names, ignore extra trailing columns and blank rows,
-and reject a row with fewer fields than the header.  The codec handles a
-table in blocks of rows, not row by row.  The writer produces the bytes of
-``csv.writer``, and the reader parses a table of floats with numpy's
-tokenizer (``np.loadtxt``), producing the values of ``csv.reader`` and
-``float``.  Tables with a text column, and the tables numpy refuses or may
-read differently, go through ``csv.reader``.
+Every CSV table is a table of floats under a header row of plain names, in
+the ``csv`` module's default dialect (CRLF rows).  Readers check the leading
+header names, ignore extra trailing columns and blank rows, and reject a row
+with fewer fields than the header and a field that is not a finite number.
+The codec handles a table in blocks of rows, not row by row.  The writer
+produces the bytes of ``csv.writer``, and the reader parses the table with
+numpy's tokenizer (``np.loadtxt``), producing the values of ``csv.reader``
+and ``float``; the tables numpy refuses or may read differently go through
+``csv.reader``.
 
-The writer formats float columns with array arithmetic, byte for byte as
+The writer formats floats with array arithmetic, byte for byte as
 ``'%.17g' %`` does: 17 significant digits, rounded half to even from the
 exact binary value, in fixed notation for decimal exponents -4 to 16 and
 as ``d.ddde+XX`` otherwise, trailing zeros stripped.  In the exact band
@@ -21,8 +22,8 @@ as ``d.ddde+XX`` otherwise, trailing zeros stripped.  In the exact band
 [1e16, 1e17); Dekker's two-product gives that product exactly, so the
 digits and the exponent are decided without error.  Zeros are written as
 ``0`` and ``-0``; every other value (outside the band, nan, inf) goes
-through ``%`` one at a time.  Integer and text columns are written with
-``str``, text quoted as ``csv.writer`` quotes it.
+through ``%`` one at a time.  A whole number below 1e17 is written as its
+integer digits.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import io
 import json
 import math
 import re
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 # Characters numpy's tokenizer may read otherwise than csv.reader and float: a
 # quote, a NUL, and the separators \x1c-\x1f, which numpy strips as
 # whitespace and float does not.
@@ -175,42 +175,24 @@ def _usage_error(name: str, build, *args, **kwargs):
 
 
 def write_csv_table(path, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header``: floats with 17
-    significant digits, integers and text with ``str``.
+    """Write equal-length ``columns``, as floats with 17 significant digits,
+    under ``header``, a row of plain names.
 
     The bytes are those of ``csv.writer`` in its default dialect.  The rows
-    are formatted ``_BLOCK_ROWS`` at a time, all before the file is opened:
-    float columns by ``_float_slots``, and a table with any other column by
-    a ``%`` operation over a per-column row template.
+    are formatted by ``_float_slots``, ``_BLOCK_ROWS`` at a time, all before
+    the file is opened.
     """
-    arrays = [np.asarray(values) for values in columns]
+    arrays = [np.asarray(values, dtype=float) for values in columns]
     rows = min(map(len, arrays), default=0)
-    alone = len(arrays) == 1
-    blocks = [
-        _format_rows([a[start : min(start + _BLOCK_ROWS, rows)] for a in arrays], alone)
-        for start in range(0, rows, _BLOCK_ROWS)
-    ]
+    separators = [b","] * (len(arrays) - 1) + [b"\r\n"]
+    blocks = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        slots = np.hstack([_float_slots(a[start:stop], sep) for a, sep in zip(arrays, separators)])
+        blocks.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_text_cells(header, len(header) == 1)) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(blocks)
-
-
-def _format_rows(arrays, alone: bool) -> str:
-    """The CSV rows of equal-length ``arrays``."""
-    if all(a.dtype.kind == "f" for a in arrays):
-        separators = [b","] * (len(arrays) - 1) + [b"\r\n"]
-        slots = np.hstack([_float_slots(a, sep) for a, sep in zip(arrays, separators)])
-        return slots.tobytes().translate(None, b"\0").decode("ascii")
-    cells = []
-    for a in arrays:
-        if a.dtype.kind == "f":
-            text = _float_slots(a, b"\n").tobytes().translate(None, b"\0").decode("ascii")
-            cells.append(text[:-1].split("\n"))
-        else:
-            # str() of a bool or an integer never needs quoting
-            cells.append(a.tolist() if a.dtype.kind in "biu" else _text_cells(a.tolist(), alone))
-    row = ",".join(["%s"] * len(arrays)) + "\r\n"
-    return (row * len(arrays[0])) % tuple(chain.from_iterable(zip(*cells)))
 
 
 def _float_slots(values, separator: bytes) -> np.ndarray:
@@ -342,59 +324,35 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _text_cells(values, alone: bool) -> list[str]:
-    """``str`` of each value, quoted as ``csv.writer`` quotes it: in double
-    quotes, with quotes doubled, when it holds a comma, a quote or a line
-    break, and as ``""`` when it is empty and the only field of its row."""
-    empty = '""' if alone else ""
-    return [
-        ('"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text) or empty
-        for text in map(str, values)
-    ]
-
-
-def read_csv_table(path, header, converters=None) -> list:
-    """Read the columns named by ``header``, each field parsed by its
-    column's converter (``float`` by default): one float array per column
-    when numpy's tokenizer parsed the table (every converter ``float``),
-    otherwise one list per column.
+def read_csv_table(path, header) -> list[np.ndarray]:
+    """Read the columns named by ``header`` as float arrays.
 
     A bad header raises ValueError naming the file; a short or unparseable
     row, one ``csv.reader`` rejects, or a byte the locale encoding cannot
-    decode raises ValueError naming the file and line.
+    decode raises ValueError naming the file and line; a nan or inf field
+    raises ValueError naming the file, the line and the column of the
+    first one.
     """
-    converters = converters or (float,) * len(header)
+    width = len(header)
     text = _read_text(path)
-    table = _float_table(text, len(converters)) if set(converters) == {float} else None
-    names, columns = table or _csv_table(path, text, len(converters))
-    if names is None or [h.strip() for h in names[: len(header)]] != list(header):
+    names, columns = _float_table(text, width) or _csv_table(path, text, width)
+    if names is None or [h.strip() for h in names[:width]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}'")
-    if table is not None:
-        return columns
-    if columns is not None:
-        try:
-            return [list(map(convert, column)) for convert, column in zip(converters, columns)]
-        except ValueError:
-            pass
-    raise _bad_row_error(path, text, converters)
-
-
-def _finite_columns(path, header, columns) -> list[np.ndarray]:
-    """``columns`` as read by ``read_csv_table``, as float arrays.  A nan or
-    inf field raises ValueError naming the file, the line and the column of
-    the first one; the check runs on the whole arrays."""
-    arrays = [np.asarray(column, dtype=float) for column in columns]
-    finite = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    if columns is None:
+        raise _bad_row_error(path, text, width)
+    finite = np.logical_and.reduce([np.isfinite(a) for a in columns])
     if not finite.all():
         row = int(np.argmin(finite))
-        name, value = next((h, a[row]) for h, a in zip(header, arrays) if not np.isfinite(a[row]))
-        raise ValueError(f"{_data_row_location(path, row)}: {name} must be finite, got {value}")
-    return arrays
+        name, value = next((h, a[row]) for h, a in zip(header, columns) if not np.isfinite(a[row]))
+        where = _data_row_location(path, text, row)
+        raise ValueError(f"{where}: {name} must be finite, got {value}")
+    return columns
 
 
-def _data_row_location(path, row: int) -> str:
-    """``path, line N`` of data row ``row`` (0-based, blank rows skipped)."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+def _data_row_location(path, text: str, row: int) -> str:
+    """``path, line N`` of data row ``row`` (0-based, blank rows skipped)
+    of ``path``'s ``text``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     for k, _ in enumerate(filter(None, reader)):
         if k == row:
@@ -446,32 +404,33 @@ def _float_table(text: str, width: int):
 
 def _csv_table(path, text: str, width: int):
     """The header fields and the first ``width`` columns of ``path``'s
-    ``text`` as strings, through ``csv.reader``, for any file; the columns
-    are None when a row has fewer than ``width`` fields.  Blank rows are
-    skipped; a row the reader rejects raises ValueError naming the file and
-    line."""
+    ``text`` as float arrays, through ``csv.reader`` and ``float``, for any
+    file; the columns are None when a row has fewer than ``width`` fields or
+    a field ``float`` cannot parse.  Blank rows are skipped; a row the reader
+    rejects raises ValueError naming the file and line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         names = next(reader, None)
         rows = [row for row in reader if row]
     except csv.Error as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    if min(map(len, rows), default=width) < width:
+    try:
+        return names, [np.array([float(row[i]) for row in rows], dtype=float) for i in range(width)]
+    except (IndexError, ValueError):
         return names, None
-    return names, [[row[i] for row in rows] for i in range(width)]
 
 
-def _bad_row_error(path, text: str, converters) -> ValueError:
+def _bad_row_error(path, text: str, width: int) -> ValueError:
     """The error for the first short or unparseable data row of ``path``."""
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     for row in filter(None, reader):
         where = f"{path}, line {reader.line_num}"
-        if len(row) < len(converters):
-            return ValueError(f"{where}: expected {len(converters)} fields, got {len(row)}")
+        if len(row) < width:
+            return ValueError(f"{where}: expected {width} fields, got {len(row)}")
         try:
-            for convert, field in zip(converters, row):
-                convert(field)
+            for field in row[:width]:
+                float(field)
         except ValueError as exc:
             return ValueError(f"{where}: {exc}")
     return ValueError(f"{path}: malformed data row")

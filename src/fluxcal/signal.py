@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleSamplingError, InvalidArgumentError
-from .serialize import _finite_columns, read_csv_table, write_csv_table
+from .serialize import read_csv_table, write_csv_table
 
 # Uniform-grid tolerance for CSV readers, in ns.
 _GRID_TOL_NS = 1e-9
@@ -163,7 +163,7 @@ def read_waveform_csv(path) -> Waveform:
     """Read a ``t_ns,amplitude`` file.  A time column that does not
     increase on a uniform grid raises ValueError naming the file."""
     header = ("t_ns", "amplitude")
-    t, a = _finite_columns(path, header, read_csv_table(path, header))
+    t, a = read_csv_table(path, header)
     if len(t) < 2:
         raise ValueError(f"{path}: need at least two samples to infer dt")
     dt = t[1] - t[0]

@@ -7,6 +7,11 @@ writer's exact band, the neighbours of every power of ten, exact ties of
 the 17th digit, and short decimals.  It checks the numpy on which it runs
 (its log10, rint and integer casts) on the writer's whole path.
 
+It then writes a decay table of whole sequence lengths from 0 to 1e9 (every
+power of ten and its neighbours among them) with ``write_decay_csv``, which
+formats them with the same float kernel, and exits with an error unless its
+bytes are those of ``csv.writer`` given the lengths as integer text.
+
     PYTHONPATH=src python tests/csv_float_stress.py OUT_DIR
     cmp OUT_DIR/floats_ours.csv OUT_DIR/floats_csv_writer.csv
 """
@@ -18,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fluxcal.analysis import MAX_SEQUENCE_LENGTH, write_decay_csv
 from fluxcal.serialize import write_csv_table
 
 
@@ -42,6 +48,39 @@ def adversarial_columns(rows: int, seed: int = 0) -> dict:
     }
 
 
+def whole_lengths(rows: int, seed: int = 0) -> np.ndarray:
+    """Whole numbers from 0 to MAX_SEQUENCE_LENGTH (1e9) as doubles: each
+    power of ten and its neighbours, -0.0, and uniform draws."""
+    powers = 10 ** np.arange(10)
+    near = np.concatenate([powers - 1, powers, powers + 1])
+    near = near[near <= MAX_SEQUENCE_LENGTH]
+    drawn = np.random.default_rng(seed).integers(0, MAX_SEQUENCE_LENGTH, size=rows, endpoint=True)
+    return np.concatenate([near, [-0.0], drawn[: rows - near.size - 1]]).astype(float)
+
+
+def check_decay_lengths(out_dir: str) -> None:
+    """Write whole lengths with ``write_decay_csv`` and with ``csv.writer``
+    (the lengths as ``str(int(n))``); exit with an error unless the bytes
+    agree."""
+    lengths = whole_lengths(250_000)
+    fidelities = np.random.default_rng(1).random(lengths.size)
+    ours, theirs = Path(out_dir) / "lengths_ours.csv", Path(out_dir) / "lengths_csv_writer.csv"
+    start = time.perf_counter()
+    write_decay_csv(ours, lengths, fidelities)
+    middle = time.perf_counter()
+    with open(theirs, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("n", "fidelity"))
+        writer.writerows(
+            (str(int(n)), f"{f:.17g}") for n, f in zip(lengths.tolist(), fidelities.tolist())
+        )
+    end = time.perf_counter()
+    print(f"numpy {np.__version__}: {lengths.size} whole lengths, write_decay_csv "
+          f"{middle - start:.3f} s, csv.writer {end - middle:.3f} s")
+    if ours.read_bytes() != theirs.read_bytes():
+        sys.exit(f"{ours} and {theirs} differ: whole lengths are not written as integers")
+
+
 def main(out_dir: str) -> None:
     columns = adversarial_columns(250_000)
     header = tuple(columns)
@@ -57,6 +96,7 @@ def main(out_dir: str) -> None:
     values = sum(c.size for c in columns.values())
     print(f"numpy {np.__version__}: {values} values, write_csv_table {middle - start:.3f} s, "
           f"csv.writer {end - middle:.3f} s")
+    check_decay_lengths(out_dir)
 
 
 if __name__ == "__main__":

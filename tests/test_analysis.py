@@ -1,4 +1,7 @@
+import csv
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from fluxcal import analysis, fitting
 from fluxcal.analysis import (
+    MAX_SEQUENCE_LENGTH,
     DecayFit,
     FidelityEstimate,
     fit_decay,
@@ -265,6 +269,67 @@ def test_write_decay_csv_rejects_lengths_that_are_not_whole(tmp_path, lengths, s
     assert path.read_bytes() == (
         b"n,fidelity\r\n1,0.90000000000000002\r\n2,0.80000000000000004\r\n0,0.69999999999999996\r\n"
     )
+
+
+lengths_in_range = st.lists(st.integers(0, MAX_SEQUENCE_LENGTH), min_size=1, max_size=20)
+
+
+@settings(deadline=None)
+@given(lengths_in_range, st.sampled_from(["int64", "float", "minus_zero"]), st.data())
+def test_write_decay_csv_writes_lengths_as_csv_writer_writes_integers(lengths, kind, data):
+    # Whole lengths, as int64 or as floats with or without -0.0, take the
+    # float kernel: the bytes are csv.writer's of str(int(n)), -0.0 is
+    # written as 0, and the reader returns the exact values.
+    if kind == "minus_zero":
+        lengths = [0, *lengths]
+    size = len(lengths)
+    fidelities = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    n = np.array(lengths, dtype=np.int64 if kind == "int64" else float)
+    if kind == "minus_zero":
+        n[n == 0] = -0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_decay_csv(ours, n, fidelities)
+        with open(theirs, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "fidelity"])
+            writer.writerows((str(int(k)), f"{f:.17g}") for k, f in zip(n.tolist(), fidelities))
+        assert ours.read_bytes() == theirs.read_bytes()
+        n_back, f_back = read_decay_csv(ours)
+    assert [repr(k) for k in n_back.tolist()] == [repr(float(k)) for k in lengths]
+    assert f_back.tolist() == fidelities
+
+
+def bad_lengths(dtype):
+    """Values of ``dtype`` outside fit_decay's rule, integers from 0 to
+    MAX_SEQUENCE_LENGTH: negative or too long, and for a float dtype also
+    fractional, nan or inf."""
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        above = st.integers(MAX_SEQUENCE_LENGTH + 1, int(info.max))
+        return st.integers(int(info.min), -1) | above if info.min < 0 else above
+    return st.floats(width=np.finfo(dtype).bits).filter(
+        lambda x: not (0 <= x <= MAX_SEQUENCE_LENGTH and x == int(x))
+    )
+
+
+@settings(deadline=None)
+@given(
+    lengths_in_range,
+    st.sampled_from([np.int64, np.int32, np.uint64, np.float64, np.float32]),
+    st.data(),
+)
+def test_write_decay_csv_rejects_lengths_outside_the_fit_rule(lengths, dtype, data):
+    # Every dtype, integer arrays included, is checked before any file is
+    # written.
+    bad = data.draw(bad_lengths(dtype))
+    position = data.draw(st.integers(0, len(lengths)))
+    n = np.array([*lengths[:position], bad, *lengths[position:]], dtype=dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decay.csv"
+        with pytest.raises(InvalidArgumentError, match="lengths must be finite whole numbers"):
+            write_decay_csv(path, n, np.full(n.size, 0.5))
+        assert not path.exists()
 
 
 def test_decay_csv_header_check(tmp_path):

@@ -20,13 +20,7 @@ from fluxcal import cli, pipeline, presets
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
-from fluxcal.fitting import (
-    AnticrossingData,
-    CalibrationRun,
-    synthesize_calibration_run,
-    write_anticrossing_csv,
-    write_calibration_csv,
-)
+from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
@@ -762,15 +756,23 @@ def test_reused_parser_gives_the_output_of_a_fresh_process(tmp_path, monkeypatch
 
 
 # Runs one command through ``fluxcal.cli.main`` (none: only the import;
-# ``anticrossing FILE``: the library's anti-crossing fit of FILE;
+# ``anticrossing``: the library's anti-crossing fit of two drawn branches;
 # ``working_point``: the library's working-point search on the flip-chip
 # preset) and prints its exit code and the scipy modules it loaded.
 _IMPORT_PROBE = """
 import sys
+import numpy as np
 import fluxcal.cli
 from fluxcal import fitting, presets, simulator
 if sys.argv[1:2] == ["anticrossing"]:
-    data = fitting.read_anticrossing_csv(sys.argv[2])
+    z = np.linspace(0.2, 0.4, 15)
+    f_q, f_c = 0.15 * z + 4.578, -5.0 * z + 6.123
+    split = np.hypot(f_c - f_q, 2 * 0.0789)
+    data = fitting.AnticrossingData(
+        zpa=np.concatenate([z, z]),
+        freq_ghz=np.concatenate([(f_q + f_c - split) / 2, (f_q + f_c + split) / 2]),
+        branch=("lower",) * 15 + ("upper",) * 15,
+    )
     code = int(not fitting.fit_anticrossing(data, k_q=4.0).g_qc_mhz > 0)
 elif sys.argv[1:2] == ["working_point"]:
     code = int(not simulator.find_working_point(presets.flipchip_system()) > 0)
@@ -800,14 +802,6 @@ def test_no_command_loads_scipy(tmp_path, flipchip_run_csv, command):
     write_calibration_csv(
         long_run, synthesize_calibration_run(long_only, np.linspace(100.0, 80000.0, 40), "long")
     )
-    z = np.linspace(0.2, 0.4, 15)
-    f_q, f_c = 0.15 * z + 4.578, -5.0 * z + 6.123
-    split = np.hypot(f_c - f_q, 2 * 0.0789)
-    write_anticrossing_csv(tmp_path / "spect.csv", AnticrossingData(
-        zpa=np.concatenate([z, z]),
-        freq_ghz=np.concatenate([(f_q + f_c - split) / 2, (f_q + f_c + split) / 2]),
-        branch=("lower",) * 15 + ("upper",) * 15,
-    ))
     write_json(tmp_path / "sim.json", {
         "system": "flipchip",
         "channel": {"v_step": 0.42},
@@ -825,7 +819,7 @@ def test_no_command_loads_scipy(tmp_path, flipchip_run_csv, command):
                      "-o", tmp_path / "long_model.json"],
         "fit_short": ["fit", flipchip_run_csv, "--regime", "short", "--n-exp", "2",
                       "--v-step", "0.3", "-o", tmp_path / "short_model.json"],
-        "anticrossing": ["anticrossing", tmp_path / "spect.csv"],
+        "anticrossing": ["anticrossing"],
         "working_point": ["working_point"],
         "simulate": ["simulate", tmp_path / "sim.json", "-o", tmp_path / "sim"],
         "roundtrip": ["roundtrip", tmp_path / "rt.json", "-o", tmp_path / "rt"],

@@ -19,10 +19,8 @@ from fluxcal.fitting import (
     fit_anticrossing,
     fit_long_time,
     fit_short_time,
-    read_anticrossing_csv,
     read_calibration_csv,
     synthesize_calibration_run,
-    write_anticrossing_csv,
     write_calibration_csv,
 )
 from fluxcal.models import LONG_LEVEL_BAND, CombinedResponse, LongTimeModel, ShortTimeModel
@@ -683,16 +681,6 @@ def test_calibration_csv_errors(tmp_path):
     bad.write_text("delay,comp\n1,0\n2,0\n")
     with pytest.raises(ValueError, match="expected header 't_ns,v_oft'"):
         read_calibration_csv(bad, v_step=1.0, regime="short")
-
-
-def test_anticrossing_csv_roundtrip(tmp_path):
-    data = make_anticrossing(0.0789, k_eff=0.15, b_eff=4.578, k_c=-5.0, b_c=6.123)
-    path = tmp_path / "spect.csv"
-    write_anticrossing_csv(path, data)
-    back = read_anticrossing_csv(path)
-    np.testing.assert_array_equal(back.zpa, data.zpa)
-    np.testing.assert_array_equal(back.freq_ghz, data.freq_ghz)
-    assert back.branch == data.branch
 
 
 # k_eff up to 0.36 keeps the crosstalk k_eff / k_q (k_q = 4) at 0.09 or less,

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from fluxcal.errors import InvalidArgumentError
 from fluxcal.models import (
+    LONG_LEVEL_BAND,
+    MAX_SHORT_TERMS,
     CombinedResponse,
     ExpTerm,
     LongTimeModel,
@@ -17,11 +21,9 @@ from fluxcal.models import (
     eval_step_response,
     model_from_dict,
     model_to_dict,
-    read_model_json,
     step_response_grid,
-    write_model_json,
 )
-from fluxcal.serialize import dumps_json, format_float
+from fluxcal.serialize import dumps_json, format_float, load_json, write_json
 
 
 def test_exp_term_validation():
@@ -115,18 +117,35 @@ def test_step_response_grid_matches_pointwise_eval():
     )
 
 
-def test_model_dict_roundtrip_preserves_values():
-    resp = CombinedResponse(
-        short=ShortTimeModel.from_arrays([-0.024, -0.011], [17.61, 132.07]),
-        long=LongTimeModel(settled=1.0127, initial=0.9935, tau_us=18.684),
-        v_step=0.25,
-    )
-    back = model_from_dict(model_to_dict(resp))
-    assert back.v_step == resp.v_step
-    np.testing.assert_array_equal(back.short.amplitudes, resp.short.amplitudes)
-    np.testing.assert_array_equal(back.short.taus_ns, resp.short.taus_ns)
-    assert back.long.settled == resp.long.settled
-    assert back.long.tau_us == resp.long.tau_us
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+level = st.floats(*LONG_LEVEL_BAND, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def combined_responses(draw):
+    """Any model the checks accept: 0-6 short terms of amplitude in (-1, 1)
+    and distinct time constants, an optional long part with both levels in
+    the plausibility band, and a finite nonzero v_step."""
+    taus = sorted(draw(st.lists(positive, max_size=MAX_SHORT_TERMS, unique=True)))
+    amplitude = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    terms = tuple(ExpTerm(draw(amplitude), tau) for tau in taus)
+    long_part = draw(st.none() | st.builds(LongTimeModel, level, level, positive))
+    v_step = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    return CombinedResponse(ShortTimeModel(terms) if terms else None, long_part, v_step)
+
+
+@settings(deadline=None)
+@given(combined_responses())
+def test_model_dict_roundtrip_preserves_values(resp):
+    # model_from_dict inverts model_to_dict, through the JSON file too, and
+    # write_json is deterministic.
+    assert model_from_dict(model_to_dict(resp)) == resp
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        write_json(first, model_to_dict(resp))
+        write_json(second, model_to_dict(resp))
+        assert first.read_bytes() == second.read_bytes()
+        assert model_from_dict(load_json(first)) == resp
 
 
 def test_model_from_dict_defaults():
@@ -143,8 +162,8 @@ def test_model_json_file_roundtrip_is_byte_identical(tmp_path):
     )
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    write_model_json(first, resp)
-    write_model_json(second, read_model_json(first))
+    write_json(first, model_to_dict(resp))
+    write_json(second, model_to_dict(model_from_dict(load_json(first))))
     assert first.read_bytes() == second.read_bytes()
 
 
