@@ -232,17 +232,10 @@ def cmd_fit(args) -> int:
         raise ValueError(f"--rms-threshold: expected a finite number > 0, got {args.rms_threshold}")
     run = read_calibration_csv(args.input, v_step=args.v_step, regime=args.regime)
     if args.regime == "short":
-        model, diag = fit_short_time(
-            run,
-            n_terms=args.n_exp,
-            rms_threshold=args.rms_threshold,
-            full_output=True,
-        )
+        model, diag = fit_short_time(run, n_terms=args.n_exp, rms_threshold=args.rms_threshold)
         resp = CombinedResponse(short=model, long=None, v_step=args.v_step)
     else:
-        model, diag = fit_long_time(
-            run, rms_threshold=args.rms_threshold, full_output=True
-        )
+        model, diag = fit_long_time(run, rms_threshold=args.rms_threshold)
         resp = CombinedResponse(short=None, long=model, v_step=args.v_step)
     payload = model_to_dict(resp)
     payload["meta"] = {
@@ -330,7 +323,6 @@ def cmd_simulate(args) -> int:
         offsets,
         input_waveform=input_waveform,
         dt_integration_ns=dt_int,
-        full_output=True,
     )
 
     outdir = Path(args.output_dir)
@@ -339,7 +331,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "regime": run.regime,
         "v_step": run.v_step,
-        "reference_zpa": report.reference_zpa,
+        "reference_zpa": run.v_step,
         "drive_frequency_ghz": report.omega_drive_ghz,
         "rwa": {
             "passed": report.rwa.passed,

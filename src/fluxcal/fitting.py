@@ -286,7 +286,6 @@ def fit_short_time(
     run: CalibrationRun,
     n_terms: int,
     rms_threshold: float = 0.05,
-    full_output: bool = False,
 ):
     """Fit a sum of ``n_terms`` decaying exponentials to a short-time run.
 
@@ -307,8 +306,9 @@ def fit_short_time(
     continues at a tolerance of 1e-12, and the fit fails if its amplitudes
     then leave [-0.5, 0.5].  Time constants are reported ascending.
 
-    ``n_starts`` in the diagnostics counts the starts and
-    ``n_dropped_starts`` the dropped ones.
+    Returns (ShortTimeModel, FitDiagnostics), also for all-zero data;
+    ``n_starts`` counts the starts and ``n_dropped_starts`` the dropped
+    ones.
 
     Raises FitFailedError if every start is dropped, the best one's
     continued search leaves the amplitude bound, or the relative residual
@@ -335,7 +335,7 @@ def fit_short_time(
         taus = np.geomspace(10 * tau_lo, span, n_terms)
         model = ShortTimeModel.from_arrays(np.zeros(n_terms), taus)
         diag = FitDiagnostics(0.0, 1)
-        return (model, diag) if full_output else model
+        return model, diag
 
     # Every n_terms-subset of max(6, n_terms + 2) log-spaced constants from
     # 2 tau_lo to span / 2 (6, 15, 20, 15, 21 and 28 starts at n = 1-6), or
@@ -392,13 +392,12 @@ def fit_short_time(
         )
     model = ShortTimeModel.from_arrays(p, taus)
     diag = FitDiagnostics(rms, len(starts), n_dropped_starts=n_dropped)
-    return (model, diag) if full_output else model
+    return model, diag
 
 
 def fit_long_time(
     run: CalibrationRun,
     rms_threshold: float = 0.05,
-    full_output: bool = False,
 ):
     """Fit the single-exponential settling model to a long-time run.
 
@@ -411,6 +410,8 @@ def fit_long_time(
     settling of this form, and the fit fails.  Constant data yields a
     degenerate fit (settled = initial) and a DegenerateFitWarning, since
     the time constant is then meaningless.
+
+    Returns (LongTimeModel, FitDiagnostics), also for constant data.
     """
     if run.regime != "long":
         raise InvalidArgumentError(f"expected a long-regime run, got {run.regime!r}")
@@ -427,7 +428,7 @@ def fit_long_time(
         )
         model = LongTimeModel(settled=level, initial=level, tau_us=span_us / 3.0)
         diag = FitDiagnostics(0.0, 1, degenerate=True)
-        return (model, diag) if full_output else model
+        return model, diag
 
     tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
     tau_hi = 10.0 * span_us
@@ -454,7 +455,7 @@ def fit_long_time(
         warnings.warn(messages[-1], DegenerateFitWarning, stacklevel=2)
     model = LongTimeModel(settled=settled, initial=initial, tau_us=tau)
     diag = FitDiagnostics(rms, 1, messages=tuple(messages))
-    return (model, diag) if full_output else model
+    return model, diag
 
 
 def _branch_line_inits(data: AnticrossingData):

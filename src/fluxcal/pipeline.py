@@ -90,22 +90,22 @@ def roundtrip(
 
     long_run = long_model = None
     if has_long:
-        long_run = simulate_calibration(params, long_time_schedule(), channel, *long_grids, **sweep)
-        long_model = CombinedResponse(short=None, long=fit_long_time(long_run), v_step=z_work)
+        long_run, _ = simulate_calibration(
+            params, long_time_schedule(), channel, *long_grids, **sweep
+        )
+        long_model = CombinedResponse(short=None, long=fit_long_time(long_run)[0], v_step=z_work)
     probe = heaviside_step(z_work, float(short_delays[-1]) + 1000.0, 1.0)
     if long_model is not None:
         probe = full_pipeline(probe, long_model)
-    short_run = simulate_calibration(
+    short_run, _ = simulate_calibration(
         params, drive, channel, short_delays, short_offsets, input_waveform=probe, **sweep
     )
-    # With its diagnostics, so that a traced run (perfbench/spans.py) reads
-    # the start count off the result.
-    short_model, _ = fit_short_time(short_run, n_terms=n_exp, full_output=True)
+    short_model, _ = fit_short_time(short_run, n_terms=n_exp)
     fitted = CombinedResponse(short_model, long_model.long if long_model else None, z_work)
 
     target = heaviside_step(z_work, float(val_delays[-1]) + 2000.0, 1.0)
     predistorted = full_pipeline(target, fitted)
-    validation_run = simulate_calibration(
+    validation_run, _ = simulate_calibration(
         params, DriveSchedule(regime="short"), channel, val_delays, val_offsets,
         input_waveform=predistorted, **sweep,
     )

@@ -65,6 +65,8 @@ _POW10_LO = _POW10 - _POW10_HI
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise InvalidArgumentError(f"cannot serialize non-finite value {x}")
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" would read back as the integer 0
     return f"{x:.17g}"
 
 

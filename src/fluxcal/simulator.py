@@ -34,26 +34,26 @@ returns scipy.optimize.brentq's root bit for bit, so the module needs numpy
 only.  The delays run in order in the calling process.
 
 A sweep reads only each delay's P1 peak: its argmax and the two offsets
-beside it.  So, unless the full P1 grid is asked for, it propagates only
-the offsets that the peak needs.  The first delay starts from every
-``_SEARCH_STRIDE``-th offset and the last one; every later delay starts
-from the offsets within ``_CLIMB_REACH`` of the previous delay's peak,
-usually a few offsets from its own.  While the argmax so far has an
-unpropagated neighbour, the search climbs: it propagates the missing
-offsets within the reach of that argmax.  It stops on a computed local
-maximum.  If that maximum is below ``P1_PEAK_FLOOR``, the climb has found a
-side lobe, so the missing coarse offsets are propagated and the climb goes
-on from the new argmax.  Each propagated row is the full grid's to the bit,
-and the argmax is the full grid's: the side lobes are about 1e-3, so a
-local maximum above the floor lies on the main lobe, and the main lobe has
-a single peak.  Where the climb ends on a side lobe, the coarse offsets
-find the main lobe while the offset step times the lower branch's slope
-times t_pi stays below about 0.5: the lobe is about 2.2 / t_pi wide in
-detuning, and the default roundtrip grids are at 0.19-0.44.  A coarser
-grid, or a second peak above the floor (a grid wide enough to reach another
-transition), can end on another peak than the full grid's.  A grid that
-misses the main lobe fails on both paths: a peak below ``P1_PEAK_FLOOR`` is
-a side lobe.
+beside it.  So it propagates only the offsets that the peak needs, and
+every offset only when ``full_output`` asks for the full P1 grid as a
+reference.  The first delay starts from every ``_SEARCH_STRIDE``-th offset
+and the last one; every later delay starts from the offsets within
+``_CLIMB_REACH`` of the previous delay's peak, usually a few offsets from
+its own.  While the argmax so far has an unpropagated neighbour, the
+search climbs: it propagates the missing offsets within the reach of that
+argmax.  It stops on a computed local maximum.  If that maximum is below
+``P1_PEAK_FLOOR``, the climb has found a side lobe, so the missing coarse
+offsets are propagated and the climb goes on from the new argmax.  Each
+propagated row is the full grid's to the bit, and the argmax is the full
+grid's: the side lobes are about 1e-3, so a local maximum above the floor
+lies on the main lobe, and the main lobe has a single peak.  Where the
+climb ends on a side lobe, the coarse offsets find the main lobe while the
+offset step times the lower branch's slope times t_pi stays below about
+0.5: the lobe is about 2.2 / t_pi wide in detuning, and the default
+roundtrip grids are at 0.19-0.44.  A coarser grid, or a second peak above
+the floor (a grid wide enough to reach another transition), can end on
+another peak than the full grid's.  A grid that misses the main lobe fails
+on both paths: a peak below ``P1_PEAK_FLOOR`` is a side lobe.
 """
 
 from __future__ import annotations
@@ -604,11 +604,11 @@ def pi_pulse_rabi_mhz(params: SystemParams, coupler_zpa: float, t_pi_ns: float, 
 class SimulationReport:
     """Diagnostics from one simulated calibration sweep."""
 
-    reference_zpa: float
     omega_drive_ghz: float
     rwa: RwaCheck
     t_pi_ns: tuple[float, ...]
-    p1_grid: np.ndarray  # (n_delays, n_offsets)
+    # (n_delays, n_offsets); -inf where the peak search propagated no row
+    p1_grid: np.ndarray
 
 
 def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
@@ -659,12 +659,12 @@ def simulate_calibration(
     longer than it (see ``_propagate``).  The delays run in order, and
     the first one that fails raises its error.
 
-    Without ``full_output`` each delay propagates only the offsets its
-    peak search needs (see the module docstring): the first delay starts
-    from every ``_SEARCH_STRIDE``-th offset and the last one, every later
-    delay from the offsets within ``_CLIMB_REACH`` of the previous delay's
-    peak.  While the argmax lacks a propagated neighbour, the missing
-    offsets within the reach of it follow.  A local maximum below
+    Each delay propagates only the offsets its peak search needs (see the
+    module docstring): the first delay starts from every
+    ``_SEARCH_STRIDE``-th offset and the last one, every later delay from
+    the offsets within ``_CLIMB_REACH`` of the previous delay's peak.
+    While the argmax lacks a propagated neighbour, the missing offsets
+    within the reach of it follow.  A local maximum below
     ``P1_PEAK_FLOOR`` is a side lobe: the missing coarse offsets follow,
     and the climb goes on.  Offsets never propagated count as -inf for the
     argmax, which ends on the full grid's (a local maximum above the floor
@@ -673,21 +673,24 @@ def simulate_calibration(
     ``P1_PEAK_FLOOR`` (the grid holds no main lobe, only side lobes) or
     sits on the grid's edge raises SweepRangeError naming the delay.
 
-    Returns a CalibrationRun; with ``full_output=True`` also a
-    SimulationReport carrying the drive settings and the raw P1 grid, for
-    which every offset is propagated in one call per delay.
+    With ``full_output=True`` every offset is propagated, in one call per
+    delay: the reference grid that the peak search must match.
+
+    Returns (CalibrationRun, SimulationReport).  The report carries the
+    drive settings and the P1 grid: P1 where an offset was propagated and
+    -inf elsewhere, so ``np.isfinite(report.p1_grid).sum()`` counts the
+    propagated rows.
     """
     delays, offs = _sweep_grid(delays_ns, "delays"), _sweep_grid(offsets, "offsets")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
 
     v_step = channel.v_step
-    z_ref = v_step
-    lower, upper, _, q_plus = dressed_states(params, z_ref)
+    lower, upper, _, q_plus = dressed_states(params, v_step)
     omega_d = float(lower)
 
     # Worst-case RWA margin occurs at the largest amplitude (shortest pulse).
-    rabi_max = pi_pulse_rabi_mhz(params, z_ref, schedule.t_pi_min_ns, schedule.sigma_fraction)
+    rabi_max = pi_pulse_rabi_mhz(params, v_step, schedule.t_pi_min_ns, schedule.sigma_fraction)
     rwa = check_rwa(float(upper - lower), rabi_max * float(q_plus))
     if not rwa.passed:
         warnings.warn(
@@ -721,7 +724,7 @@ def simulate_calibration(
             )
         drive = DriveParams(
             omega_d_ghz=omega_d,
-            rabi_mhz=pi_pulse_rabi_mhz(params, z_ref, t_pi, schedule.sigma_fraction),
+            rabi_mhz=pi_pulse_rabi_mhz(params, v_step, t_pi, schedule.sigma_fraction),
             t_pi_ns=t_pi,
             t_center_ns=float(t_delay),
             sigma_fraction=schedule.sigma_fraction,
@@ -766,13 +769,7 @@ def simulate_calibration(
     run = CalibrationRun(
         delays_ns=delays, compensation=np.array(v_oft), v_step=v_step, regime=schedule.regime
     )
-    if not full_output:
-        return run
     report = SimulationReport(
-        reference_zpa=z_ref,
-        omega_drive_ghz=omega_d,
-        rwa=rwa,
-        t_pi_ns=tuple(t_pis),
-        p1_grid=np.vstack(p1_rows),
+        omega_drive_ghz=omega_d, rwa=rwa, t_pi_ns=tuple(t_pis), p1_grid=np.vstack(p1_rows)
     )
     return run, report

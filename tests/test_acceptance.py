@@ -95,7 +95,7 @@ def test_criterion_2_sweep_recovers_injected_distortion(capsys):
         truth = synthesize_calibration_run(chan, delays, "short").compensation
         pad = 0.25 * (truth.max() - truth.min()) + 0.002 * z_work
         offsets = np.linspace(truth.min() - pad, truth.max() + pad, 41)
-        run = simulate_calibration(params, DriveSchedule(), chan, delays, offsets)
+        run, _ = simulate_calibration(params, DriveSchedule(), chan, delays, offsets)
         errors[name] = float(np.max(np.abs(run.compensation - truth)) / z_work)
         details.append(f"{name}: worst {errors[name]:.2e} of v_step")
 
@@ -108,7 +108,7 @@ def test_criterion_2_sweep_recovers_injected_distortion(capsys):
     ideal = CombinedResponse(short=None, long=None, v_step=z_work)
     offsets = np.linspace(-0.01 * z_work, 0.01 * z_work, 41)
     grid_step = float(offsets[1] - offsets[0])
-    run = simulate_calibration(
+    run, _ = simulate_calibration(
         params, long_time_schedule(), ideal, np.geomspace(120.0, 4600.0, 10), offsets
     )
     ideal_worst = float(np.max(np.abs(run.compensation)))
@@ -222,7 +222,7 @@ def test_criterion_5_fit_identifiability(capsys):
         short_only = CombinedResponse(short=truth, long=None, v_step=chan.v_step)
         delays = np.geomspace(2.0, 4.0 * truth.taus_ns[-1], 60)
         run = synthesize_calibration_run(short_only, delays, "short")
-        model = fit_short_time(run, n_terms=len(truth.amplitudes))
+        model, _ = fit_short_time(run, n_terms=len(truth.amplitudes))
         rel = np.concatenate([
             np.abs(model.amplitudes / truth.amplitudes - 1.0),
             np.abs(model.taus_ns / truth.taus_ns - 1.0),
@@ -232,7 +232,7 @@ def test_criterion_5_fit_identifiability(capsys):
     long_truth = presets.PLANAR_LONG_TIME
     long_only = CombinedResponse(short=None, long=long_truth, v_step=0.3)
     run = synthesize_calibration_run(long_only, np.linspace(100.0, 80000.0, 80), "long")
-    model = fit_long_time(run)
+    model, _ = fit_long_time(run)
     worst["long"] = float(max(
         abs(model.settled / long_truth.settled - 1.0),
         abs(model.initial / long_truth.initial - 1.0),

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxcal
-from fluxcal import cli, pipeline, presets
+from fluxcal import cli, pipeline, presets, simulator
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
 from fluxcal.errors import SweepRangeError
@@ -24,7 +24,7 @@ from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_ca
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
-from fluxcal.simulator import MAX_STEP_NS
+from fluxcal.simulator import MAX_STEP_NS, DriveSchedule, simulate_calibration
 
 
 @pytest.fixture()
@@ -377,6 +377,37 @@ def test_simulate_scenario_ideal_channel(tmp_path):
     assert report["grid"]["n_delays"] == 3 and report["grid"]["n_offsets"] == 11
     digest = hashlib.sha256(scenario.read_bytes()).hexdigest()
     assert report["provenance"]["inputs"]["scenario"]["sha256"] == digest
+
+
+def test_simulate_reads_only_the_peaks_and_writes_the_full_grids_run(tmp_path, monkeypatch):
+    # README's scenario on fewer delays: the command propagates only the
+    # offsets that each delay's peak search needs, and its run.csv is the
+    # full grid's to the byte.
+    channel = presets.flipchip_channel(v_step=0.42)
+    delays = [20.0, 60.0, 200.0, 700.0, 2000.0]
+    offsets_rel = np.linspace(-0.01, 0.05, 41).tolist()
+    scenario = tmp_path / "scenario.json"
+    write_json(scenario, {
+        "system": "flipchip", "channel": model_to_dict(channel), "drive": {"regime": "short"},
+        "delays_ns": delays, "offsets_rel": offsets_rel,
+    })
+    rows = []
+    real = simulator._propagate
+
+    def counted(params, drive, zpa_nodes, t_nodes, h):
+        rows.append(zpa_nodes.shape[0])
+        return real(params, drive, zpa_nodes, t_nodes, h)
+
+    monkeypatch.setattr(simulator, "_propagate", counted)
+    outdir = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "-o", str(outdir)]) == 0
+    assert sum(rows) < len(delays) * len(offsets_rel)
+    full, _ = simulate_calibration(
+        presets.flipchip_system(), DriveSchedule(regime="short"), channel,
+        delays, np.array(offsets_rel) * channel.v_step, full_output=True,
+    )
+    write_calibration_csv(tmp_path / "full_run.csv", full)
+    assert (outdir / "run.csv").read_bytes() == (tmp_path / "full_run.csv").read_bytes()
 
 
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys):

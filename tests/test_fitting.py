@@ -16,6 +16,7 @@ from fluxcal.fitting import (
     AnticrossingData,
     CalibrationRun,
     CrosstalkModel,
+    FitDiagnostics,
     fit_anticrossing,
     fit_long_time,
     fit_short_time,
@@ -76,7 +77,7 @@ def test_calibration_run_validation():
 def test_short_fit_recovers_noiseless_tables(amplitudes, taus):
     resp = short_channel(amplitudes, taus, v_step=0.3)
     run = synthesize_calibration_run(resp, np.geomspace(2.0, 4 * taus[-1], 60), "short")
-    model = fit_short_time(run, n_terms=len(amplitudes))
+    model, _ = fit_short_time(run, n_terms=len(amplitudes))
     np.testing.assert_allclose(model.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(model.taus_ns, taus, rtol=1e-6)
 
@@ -88,8 +89,13 @@ def test_short_fit_zero_data_gives_zero_model():
         v_step=1.0,
         regime="short",
     )
-    model = fit_short_time(run, n_terms=2)
+    result = fit_short_time(run, n_terms=2)
+    # the early return has the one result shape too
+    assert isinstance(result, tuple) and len(result) == 2
+    model, diag = result
+    assert isinstance(model, ShortTimeModel) and isinstance(diag, FitDiagnostics)
     assert np.all(model.amplitudes == 0.0)
+    assert diag.residual_rms == 0.0
 
 
 def test_short_fit_rejects_wrong_regime():
@@ -137,7 +143,7 @@ def test_short_fit_flags_unfittable_data():
 def test_short_fit_diagnostics_describe_the_returned_model():
     resp = short_channel(PLANAR_AMPLITUDES, PLANAR_TAUS)
     run = synthesize_calibration_run(resp, np.geomspace(2.0, 5000.0, 60), "short")
-    model, diag = fit_short_time(run, n_terms=3, full_output=True)
+    model, diag = fit_short_time(run, n_terms=3)
     y = -run.compensation / run.v_step
     rms = fitting._rms(run.delays_ns, y, model.amplitudes, model.taus_ns)
     assert diag.residual_rms == pytest.approx(rms, rel=1e-12)
@@ -148,8 +154,8 @@ def test_short_fit_diagnostics_describe_the_returned_model():
 def test_short_fit_is_deterministic():
     resp = short_channel(PLANAR_AMPLITUDES, PLANAR_TAUS)
     run = synthesize_calibration_run(resp, np.geomspace(2.0, 5000.0, 60), "short")
-    a = fit_short_time(run, n_terms=3)
-    b = fit_short_time(run, n_terms=3)
+    a, _ = fit_short_time(run, n_terms=3)
+    b, _ = fit_short_time(run, n_terms=3)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     np.testing.assert_array_equal(a.taus_ns, b.taus_ns)
 
@@ -164,7 +170,7 @@ def test_long_fit_recovers_noiseless_parameters():
     run = synthesize_calibration_run(resp, np.linspace(100.0, 40000.0, 80), "long")
     with pytest.warns(DegenerateFitWarning):
         # 40 us of data against an 18.7 us constant is legitimate but thin
-        model = fit_long_time(run)
+        model, _ = fit_long_time(run)
     assert model.settled == pytest.approx(settled, rel=1e-6)
     assert model.initial == pytest.approx(initial, rel=1e-6)
     assert model.tau_us == pytest.approx(tau_us, rel=1e-6)
@@ -178,7 +184,11 @@ def test_long_fit_constant_data_degenerates():
         regime="long",
     )
     with pytest.warns(DegenerateFitWarning):
-        model, diag = fit_long_time(run, full_output=True)
+        result = fit_long_time(run)
+    # the early return has the one result shape too
+    assert isinstance(result, tuple) and len(result) == 2
+    model, diag = result
+    assert isinstance(model, LongTimeModel) and isinstance(diag, FitDiagnostics)
     assert model.settled == model.initial
     assert diag.degenerate
 
@@ -289,7 +299,7 @@ def test_short_fit_matches_joint_oracle_on_noisy_runs(
     )
     oracle_rms, _, oracle_taus = joint_multistart_oracle(run, len(taus), seed=noise_seed)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        model, diag = fit_short_time(run, n_terms=len(taus), full_output=True)
+        model, diag = fit_short_time(run, n_terms=len(taus))
     assert diag.residual_rms <= oracle_rms * (1 + 1e-9)
     np.testing.assert_allclose(model.taus_ns, oracle_taus, rtol=1e-3)
     # Every n-subset of the 6 log-spaced start constants.
@@ -355,7 +365,7 @@ def test_short_fit_keeps_amplitude_bounds_with_too_many_terms(monkeypatch):
             resp, np.geomspace(2.0, 2000.0, 40), "short",
             noise_sigma=1e-4, rng=np.random.default_rng(seed),
         )
-        model, diag = fit_short_time(run, n_terms=4, full_output=True)
+        model, diag = fit_short_time(run, n_terms=4)
         assert np.max(np.abs(model.amplitudes)) <= 0.5
         y = -run.compensation / run.v_step
         rms = fitting._rms(run.delays_ns, y, model.amplitudes, model.taus_ns)
@@ -380,9 +390,9 @@ def test_short_fit_counts_dropped_starts(monkeypatch):
         resp, np.geomspace(2.0, 2000.0, 40), "short",
         noise_sigma=1e-4, rng=np.random.default_rng(0),
     )
-    _, diag = fit_short_time(run, n_terms=2, full_output=True)
+    _, diag = fit_short_time(run, n_terms=2)
     assert diag.n_dropped_starts == 0 and calls == [comb(6, 2), 1]
-    _, diag = fit_short_time(run, n_terms=4, full_output=True)
+    _, diag = fit_short_time(run, n_terms=4)
     assert diag.n_dropped_starts > 0 and calls == [comb(6, 2), 1, comb(6, 4), 1]
 
 
@@ -440,7 +450,7 @@ def noiseless_run(amplitudes, taus):
 @example(([-0.033203125, 0.005, -0.0078125], [43.0, 430.0, 1290.0]))
 def test_short_fit_recovers_random_noiseless_models(model):
     amplitudes, taus = model
-    fitted = fit_short_time(noiseless_run(amplitudes, taus), n_terms=len(taus))
+    fitted, _ = fit_short_time(noiseless_run(amplitudes, taus), n_terms=len(taus))
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
 
@@ -478,7 +488,7 @@ def test_short_fit_recovers_a_merged_pair_draw(amplitudes, taus):
     _, oracle_p, oracle_taus = joint_multistart_oracle(run, len(taus))
     np.testing.assert_allclose(oracle_p, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(oracle_taus, taus, rtol=1e-6)
-    fitted = fit_short_time(run, n_terms=len(taus))
+    fitted, _ = fit_short_time(run, n_terms=len(taus))
     np.testing.assert_allclose(fitted.amplitudes, amplitudes, rtol=1e-6)
     np.testing.assert_allclose(fitted.taus_ns, taus, rtol=1e-6)
 
@@ -489,7 +499,7 @@ def test_short_fit_holds_a_time_constant_on_its_bound():
     # The search holds it there and moves the others, so it reaches the
     # joint oracle's RMS; a search that only clips its steps stalls above.
     run = pipeline.roundtrip(presets.flipchip_system(), presets.flipchip_channel()).short_run
-    model, diag = fit_short_time(run, n_terms=4, full_output=True)
+    model, diag = fit_short_time(run, n_terms=4)
     assert model.taus_ns[-1] == pytest.approx(10.0 * run.span_ns, rel=1e-12)
     oracle_rms, _, _ = joint_multistart_oracle(run, 4, seed=7)
     assert diag.residual_rms <= oracle_rms * (1 + 1e-9)
@@ -593,7 +603,7 @@ def test_long_fit_fails_outside_the_level_band(
 def test_long_fit_inside_the_band_needs_no_bounded_fit():
     resp = CombinedResponse(short=None, long=LongTimeModel(*PLANAR_LONG), v_step=0.25)
     run = synthesize_calibration_run(resp, np.linspace(4000.0, 70000.0, 40), "long")
-    model, diag = fit_long_time(run, full_output=True)
+    model, diag = fit_long_time(run)
     assert diag.n_dropped_starts == 0
     np.testing.assert_allclose([model.settled, model.initial, model.tau_us], PLANAR_LONG, rtol=1e-9)
 

@@ -124,10 +124,10 @@ level = st.floats(*LONG_LEVEL_BAND, exclude_min=True, exclude_max=True)
 @st.composite
 def combined_responses(draw):
     """Any model the checks accept: 0-6 short terms of amplitude in (-1, 1)
-    and distinct time constants, an optional long part with both levels in
+    (-0.0 drawn on its own too) and distinct time constants, an optional long part with both levels in
     the plausibility band, and a finite nonzero v_step."""
     taus = sorted(draw(st.lists(positive, max_size=MAX_SHORT_TERMS, unique=True)))
-    amplitude = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    amplitude = st.just(-0.0) | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
     terms = tuple(ExpTerm(draw(amplitude), tau) for tau in taus)
     long_part = draw(st.none() | st.builds(LongTimeModel, level, level, positive))
     v_step = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
@@ -137,15 +137,18 @@ def combined_responses(draw):
 @settings(deadline=None)
 @given(combined_responses())
 def test_model_dict_roundtrip_preserves_values(resp):
-    # model_from_dict inverts model_to_dict, through the JSON file too, and
-    # write_json is deterministic.
+    # model_from_dict inverts model_to_dict, through the JSON file too;
+    # write_json is deterministic, and a file read back is rewritten to the
+    # same bytes (-0.0 included).
     assert model_from_dict(model_to_dict(resp)) == resp
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        first, second, third = (Path(tmp) / name for name in ("a.json", "b.json", "c.json"))
         write_json(first, model_to_dict(resp))
         write_json(second, model_to_dict(resp))
         assert first.read_bytes() == second.read_bytes()
         assert model_from_dict(load_json(first)) == resp
+        write_json(third, model_to_dict(model_from_dict(load_json(first))))
+        assert third.read_bytes() == first.read_bytes()
 
 
 def test_model_from_dict_defaults():

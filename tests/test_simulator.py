@@ -367,7 +367,7 @@ def test_simulate_ideal_channel_recovers_zero_offsets():
     z = find_working_point(params, 0.050)
     channel = CombinedResponse(short=None, long=None, v_step=z)
     offsets = np.linspace(-0.01, 0.01, 11) * z
-    run = simulate_calibration(
+    run, _ = simulate_calibration(
         params, DriveSchedule(regime="short"), channel,
         delays_ns=[50.0, 120.0, 300.0], offsets=offsets,
     )
@@ -426,13 +426,13 @@ def test_simulate_side_lobe_peak_names_the_delay(monkeypatch, full_output):
 
 
 def _sweep_outcome(*args, **kwargs):
-    """The compensation bytes of a sweep, or the class and message of the
-    error it raises."""
+    """The compensation bytes and the report of a sweep, or the class and
+    message of the error it raises."""
     try:
-        run = simulate_calibration(*args, **kwargs)
+        run, report = simulate_calibration(*args, **kwargs)
     except FluxcalError as exc:
         return type(exc), str(exc)
-    return (run[0] if isinstance(run, tuple) else run).compensation.tobytes()
+    return run.compensation.tobytes(), report
 
 
 @st.composite
@@ -502,7 +502,26 @@ def test_peak_only_sweep_matches_the_full_grid(sweep):
     # has both neighbours, so on a single-peaked row it reads the same
     # three points.  An error (an edge peak) must be the same one.
     args, kwargs = sweep
-    assert _sweep_outcome(*args, **kwargs) == _sweep_outcome(*args, full_output=True, **kwargs)
+    peak = _sweep_outcome(*args, **kwargs)
+    full = _sweep_outcome(*args, full_output=True, **kwargs)
+    if isinstance(full[1], str):
+        assert peak == full
+        return
+    assert peak[0] == full[0]
+    # The peak-only report holds the propagated rows, the full grid's to the
+    # bit, and -inf for the others; each row's argmax and its two
+    # neighbours were propagated, and the argmax is the full grid's.
+    grid, full_grid = peak[1].p1_grid, full[1].p1_grid
+    assert grid.shape == full_grid.shape
+    seen = np.isfinite(grid)
+    assert grid[seen].tobytes() == full_grid[seen].tobytes()
+    assert np.all(np.isneginf(grid[~seen]))
+    k, rows = np.argmax(grid, axis=1), np.arange(grid.shape[0])
+    assert seen[rows, k].all() and seen[rows, k - 1].all() and seen[rows, k + 1].all()
+    assert k.tolist() == np.argmax(full_grid, axis=1).tolist()
+    assert (peak[1].omega_drive_ghz, peak[1].rwa, peak[1].t_pi_ns) == (
+        full[1].omega_drive_ghz, full[1].rwa, full[1].t_pi_ns
+    )
 
 
 def _roundtrip_sweeps(monkeypatch, preset):
@@ -574,7 +593,7 @@ def test_peak_only_sweep_falls_back_to_the_coarse_rows_after_a_jump(monkeypatch)
     first, last = np.argmax(report.p1_grid, axis=1)
     assert last - first > offsets.size // 2
     calls = _propagated_rows(monkeypatch)
-    run = simulate_calibration(*args)
+    run, _ = simulate_calibration(*args)
     assert run.compensation.tobytes() == full.compensation.tobytes()
     late = np.concatenate([rows for t_delay, rows in calls if t_delay == 2000.0])
     assert np.ptp(late) == pytest.approx(offsets[-1] - offsets[0], rel=1e-12)
@@ -608,7 +627,7 @@ def test_peak_search_climbs_from_the_previous_peak(monkeypatch):
     monkeypatch.setattr(simulator, "_propagate", profile)
     args = (params, DriveSchedule(regime="short"), CombinedResponse(None, None, v_step=z),
             [100.0, 200.0, 300.0, 400.0], offsets)
-    run = simulate_calibration(*args)
+    run, _ = simulate_calibration(*args)
     coarse = list(range(0, 41, 4))
     assert calls == [
         coarse, [6, 7, 9, 10], [11],
@@ -671,7 +690,7 @@ def test_simulate_validates_integration_step():
             simulate_calibration(
                 params, DriveSchedule(regime="short"), channel, dt_integration_ns=dt, **kwargs
             )
-    run = simulate_calibration(
+    run, _ = simulate_calibration(
         params, DriveSchedule(regime="short"), channel, dt_integration_ns=MAX_STEP_NS, **kwargs
     )
     assert run.compensation.size == 2
@@ -810,7 +829,7 @@ def test_default_step_compensation_within_1e5_of_reference(preset, t_pi):
     delays = 0.5 * t_pi + np.array([0.0, 60.0, 1000.0])
     offsets = np.linspace(-0.012, 0.052, 41) * z
     runs = [
-        simulate_calibration(params, schedule, channel, delays, offsets, **dt)
+        simulate_calibration(params, schedule, channel, delays, offsets, **dt)[0]
         for dt in ({}, {"dt_integration_ns": 0.05})
     ]
     np.testing.assert_allclose(
