@@ -16,9 +16,12 @@ method CF4: two exact exponentials of real-symmetric combinations of the
 Hamiltonian at the step's two Gauss-Legendre nodes.  The exponentials are
 evaluated in closed form (no eigensolver call) for all offsets and
 sub-steps of a block at once, and each block is multiplied into one matrix
-before it acts on the state.  The step is sized by what the calibration
-loop reads, the measured compensation: at the default 2 ns step it is
-within 1e-5 of v_step of a converged run.
+before it acts on the state.  A block's Hamiltonian entries are built from
+its own nodes just before that, so a sweep's memory is set by the rows
+propagated at once times the block length, not by the window or the step.
+The step is sized by what the calibration loop reads, the measured
+compensation: at the default 2 ns step it is within 1e-5 of v_step of a
+converged run.
 
 The probe addresses the dressed states of the strongly coupled qubit and
 coupler.  ``dressed_states`` diagonalizes their single-excitation block in
@@ -98,15 +101,17 @@ MAX_STEP_NS = 2.0
 _BETA_PLUS = 0.5 + math.sqrt(3.0) / 3.0
 _BETA_MINUS = 0.5 - math.sqrt(3.0) / 3.0
 
-# Sub-steps (two per CF4 step) per block in _evolve.  A block holds
-# 3 x 3 x batch x _BLOCK_STEPS complex unitaries (184 kB for the 5 rows of
-# a typical climb batch).  At the default step the longest window, a
-# 200 ns probe, has 200 sub-steps, so it takes one block.  Measured on the
-# default roundtrips of both presets at the 2 ns step, with the climb's
-# batches of 5 rows, then 1-2 (process time, median of 7 interleaved runs,
-# 2-vCPU VM): 256 took 0.199 s, 128 took 0.220-0.226 s, 64 took
-# 0.253-0.265 s and 32 took 0.316-0.347 s; 256 and 128 write the same
-# artifacts.
+# Sub-steps (two per CF4 step) per block in _propagate.  A block bounds a
+# call's arrays: its Hamiltonian entries, rows x _BLOCK_STEPS values each,
+# are built from its own nodes, and its 3 x 3 x rows x _BLOCK_STEPS complex
+# unitaries (184 kB for the 5 rows of a typical climb batch) from those.  It
+# must stay even, so that no CF4 node pair straddles two blocks.  At the
+# default step the longest window, a 200 ns probe, has 200 sub-steps, so it
+# takes one block.  Measured on the default roundtrips of both presets at
+# the 2 ns step, with the climb's batches of 5 rows, then 1-2 (process
+# time, median of 7 interleaved runs, 2-vCPU VM): 256 took 0.199 s, 128
+# took 0.220-0.226 s, 64 took 0.253-0.265 s and 32 took 0.316-0.347 s; 256
+# and 128 write the same artifacts.
 _BLOCK_STEPS = 256
 
 # Stride of the peak search's coarse offsets, and the reach of its climb's
@@ -419,29 +424,6 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
     return u[..., 0]
 
 
-def _evolve(a: np.ndarray, b: np.ndarray, c: np.ndarray, g: float, theta: float) -> np.ndarray:
-    """Qubit |1> population after the sub-steps exp(-i theta H_k),
-    k = 0, 1, ..., act on |00>, H_k = [[0, c_k, 0], [c_k, a_k, g], [0, g, b_k]].
-
-    ``a`` and ``b`` have shape (batch, steps), ``c`` shape (steps,).
-    Sub-steps are taken ``_BLOCK_STEPS`` at a time: the block's unitaries
-    for every batch element are built at once (``_step_unitaries``),
-    multiplied into one matrix, and applied to the state.  A state whose
-    norm drifts past ``NORM_DRIFT_LIMIT``, or is not finite, raises
-    IntegrationError.
-    """
-    psi = np.zeros((3, a.shape[0]), dtype=complex)
-    psi[0] = 1.0
-    for start in range(0, a.shape[1], _BLOCK_STEPS):
-        block = slice(start, start + _BLOCK_STEPS)
-        u = _step_unitaries(a[:, block], b[:, block], c[block], g, theta)
-        psi = np.sum(_ordered_product(u) * psi[None, :, :], axis=1)
-    drift = np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0))
-    if not drift <= NORM_DRIFT_LIMIT:
-        raise IntegrationError(f"state norm drifted by {drift:.3g}")
-    return np.abs(psi[1]) ** 2
-
-
 def _cf4_exponents(x: np.ndarray) -> np.ndarray:
     """Node pairs (x1, x2) along the last axis -> the two CF4 sub-step
     values (b+ x1 + b- x2, b- x1 + b+ x2), in the order they act."""
@@ -452,12 +434,15 @@ def _cf4_exponents(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(params: SystemParams, drive: DriveParams, zpa_nodes: np.ndarray, t_nodes: np.ndarray, h: float) -> np.ndarray:
-    """Propagate |00> through the drive window for a batch of zpa traces.
+def _propagate(
+    params: SystemParams, drive: DriveParams, trace: np.ndarray, offsets: np.ndarray,
+    t_nodes: np.ndarray, h: float,
+) -> np.ndarray:
+    """Final qubit |1> population after the drive window, starting from
+    |00>, for each row of a batch of zpa traces.
 
-    ``t_nodes`` and ``h`` come from ``drive.step_nodes``; zpa_nodes has
-    shape (batch, nodes): coupler zpa at each node.  Returns the final
-    qubit excited population per batch element.
+    ``t_nodes`` and ``h`` come from ``drive.step_nodes``; ``trace`` is the
+    coupler zpa at each node, and row r sees ``trace + offsets[r]``.
 
     Each step applies CF4, the two-exponential commutator-free Magnus
     method (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)), with the
@@ -467,16 +452,35 @@ def _propagate(params: SystemParams, drive: DriveParams, zpa_nodes: np.ndarray, 
 
     b+- = 1/2 +- sqrt(3)/3, H in GHz.  The right-hand factor acts first;
     in the other order the method is only second order.  Both exponents
-    are real-symmetric tridiagonal with the same g (b+ + b- = 1), so each
-    is one sub-step of ``_evolve`` at theta = pi h.
+    are real-symmetric, H = [[0, c, 0], [c, a, g], [0, g, b]] with the same
+    g (b+ + b- = 1), so each is one sub-step exp(-i theta H), theta = pi h.
+
+    Sub-steps are taken ``_BLOCK_STEPS`` at a time, and a block of
+    sub-steps is the same span of nodes.  For each block the entries a, b
+    and c are built from the block's nodes, the unitaries of every row
+    from those at once (``_step_unitaries``), and the unitaries are
+    multiplied into one matrix that acts on the state.  So a call holds
+    rows x ``_BLOCK_STEPS`` values per array, whatever the window and the
+    step.  A state whose norm drifts
+    past ``NORM_DRIFT_LIMIT``, or is not finite, raises IntegrationError.
     """
-    wq = params.qubit_freq_ghz(zpa_nodes) - drive.omega_d_ghz
-    wc = params.coupler_freq_ghz(zpa_nodes) - drive.omega_d_ghz
-    coupling = -0.5e-3 * drive.rabi_mhz * drive.envelope(t_nodes)
-    return _evolve(
-        _cf4_exponents(wq), _cf4_exponents(wc), _cf4_exponents(coupling),
-        params.g_qc_ghz, np.pi * h,
-    )
+    psi = np.zeros((3, offsets.size), dtype=complex)
+    psi[0] = 1.0
+    for start in range(0, t_nodes.size, _BLOCK_STEPS):
+        block = slice(start, start + _BLOCK_STEPS)
+        zpa = trace[None, block] + offsets[:, None]
+        wq = params.qubit_freq_ghz(zpa) - drive.omega_d_ghz
+        wc = params.coupler_freq_ghz(zpa) - drive.omega_d_ghz
+        coupling = -0.5e-3 * drive.rabi_mhz * drive.envelope(t_nodes[block])
+        u = _step_unitaries(
+            _cf4_exponents(wq), _cf4_exponents(wc), _cf4_exponents(coupling),
+            params.g_qc_ghz, np.pi * h,
+        )
+        psi = np.sum(_ordered_product(u) * psi[None, :, :], axis=1)
+    drift = np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0))
+    if not drift <= NORM_DRIFT_LIMIT:
+        raise IntegrationError(f"state norm drifted by {drift:.3g}")
+    return np.abs(psi[1]) ** 2
 
 
 def evolve_excitation(
@@ -489,7 +493,9 @@ def evolve_excitation(
     integration nodes.  The largest step is the trace's sample spacing or
     ``MAX_STEP_NS``, whichever is smaller.  The state starts in |00> and is
     propagated only across the window, outside which the drive vanishes
-    and |00> is stationary.
+    and |00> is stationary.  It is the sweep's propagation, ``_propagate``,
+    on one row with a zero offset, so it too holds ``_BLOCK_STEPS`` nodes'
+    Hamiltonian entries at a time.
     """
     lo, hi = drive.window_ns
     if lo < -1e-9 or hi > coupler_zpa_trace.duration_ns + 1e-9:
@@ -499,7 +505,7 @@ def evolve_excitation(
         )
     t_nodes, h = drive.step_nodes(min(coupler_zpa_trace.dt_ns, MAX_STEP_NS))
     zpa = np.interp(t_nodes, coupler_zpa_trace.times_ns, coupler_zpa_trace.samples)
-    return float(_propagate(params, drive, zpa[None, :], t_nodes, h)[0])
+    return float(_propagate(params, drive, zpa, np.zeros(1), t_nodes, h)[0])
 
 
 def find_working_point(params: SystemParams, repulsion_ghz: float = 0.050) -> float:
@@ -591,7 +597,13 @@ def pi_pulse_rabi_mhz(params: SystemParams, coupler_zpa: float, t_pi_ns: float, 
     lower dressed state at the bias point.  The returned amplitude scales
     as 1/t_pi, so amplitude * t_pi is a sweep invariant.
     """
-    weight = abs(float(dressed_states(params, coupler_zpa)[2]))
+    return _pi_rabi_mhz(dressed_states(params, coupler_zpa)[2], t_pi_ns, sigma_fraction)
+
+
+def _pi_rabi_mhz(q_minus, t_pi_ns: float, sigma_fraction: float) -> float:
+    """``pi_pulse_rabi_mhz`` from the lower dressed state's |10> amplitude
+    ``q_minus`` (``dressed_states(...)[2]``), which a sweep computes once."""
+    weight = abs(float(q_minus))
     if weight == 0:
         raise InvalidArgumentError("lower dressed state has no qubit component here")
     sigma = sigma_fraction * t_pi_ns
@@ -609,6 +621,10 @@ class SimulationReport:
     t_pi_ns: tuple[float, ...]
     # (n_delays, n_offsets); -inf where the peak search propagated no row
     p1_grid: np.ndarray
+    # Work counters, not written to report.json: the calls to _propagate,
+    # and their rows times sub-steps, summed.
+    propagate_calls: int
+    substeps: int
 
 
 def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
@@ -679,18 +695,19 @@ def simulate_calibration(
     Returns (CalibrationRun, SimulationReport).  The report carries the
     drive settings and the P1 grid: P1 where an offset was propagated and
     -inf elsewhere, so ``np.isfinite(report.p1_grid).sum()`` counts the
-    propagated rows.
+    propagated rows.  It also counts the calls to ``_propagate`` and their
+    sub-steps, rows times the window's sub-steps summed over the calls.
     """
     delays, offs = _sweep_grid(delays_ns, "delays"), _sweep_grid(offsets, "offsets")
     if not 0.0 < dt_integration_ns <= MAX_STEP_NS:
         raise InvalidArgumentError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns")
 
     v_step = channel.v_step
-    lower, upper, _, q_plus = dressed_states(params, v_step)
+    lower, upper, q_minus, q_plus = dressed_states(params, v_step)
     omega_d = float(lower)
 
     # Worst-case RWA margin occurs at the largest amplitude (shortest pulse).
-    rabi_max = pi_pulse_rabi_mhz(params, v_step, schedule.t_pi_min_ns, schedule.sigma_fraction)
+    rabi_max = _pi_rabi_mhz(q_minus, schedule.t_pi_min_ns, schedule.sigma_fraction)
     rwa = check_rwa(float(upper - lower), rabi_max * float(q_plus))
     if not rwa.passed:
         warnings.warn(
@@ -701,6 +718,7 @@ def simulate_calibration(
     base_trace = None
     if input_waveform is not None:
         base_trace = apply_channel(input_waveform, channel)
+        base_times = base_trace.times_ns
 
     def base_zpa(t_ns: np.ndarray) -> np.ndarray:
         if base_trace is None:
@@ -709,12 +727,13 @@ def simulate_calibration(
             raise InvalidArgumentError(
                 "input waveform does not cover the last drive window"
             )
-        return np.interp(t_ns, base_trace.times_ns, base_trace.samples)
+        return np.interp(t_ns, base_times, base_trace.samples)
 
     rows = np.arange(offs.size)
     coarse = (rows % _SEARCH_STRIDE == 0) | (rows == offs.size - 1)
     t_pis, v_oft, p1_rows = [], [], []
     k = None
+    calls = substeps = 0
     for t_delay in delays:
         t_pi = schedule.t_pi_ns(float(t_delay))
         t_pis.append(t_pi)
@@ -724,7 +743,7 @@ def simulate_calibration(
             )
         drive = DriveParams(
             omega_d_ghz=omega_d,
-            rabi_mhz=pi_pulse_rabi_mhz(params, v_step, t_pi, schedule.sigma_fraction),
+            rabi_mhz=_pi_rabi_mhz(q_minus, t_pi, schedule.sigma_fraction),
             t_pi_ns=t_pi,
             t_center_ns=float(t_delay),
             sigma_fraction=schedule.sigma_fraction,
@@ -742,7 +761,9 @@ def simulate_calibration(
             todo = coarse if k is None else np.abs(rows - k) <= _CLIMB_REACH
         p1 = np.full(offs.size, -np.inf)
         while todo.any():
-            p1[todo] = _propagate(params, drive, zpa[None, :] + offs[todo, None], t_nodes, h)
+            p1[todo] = _propagate(params, drive, zpa, offs[todo], t_nodes, h)
+            calls += 1
+            substeps += int(todo.sum()) * t_nodes.size
             k = int(np.argmax(p1))
             todo = np.isneginf(p1)
             if todo[max(k - 1, 0) : k + 2].any():
@@ -770,6 +791,7 @@ def simulate_calibration(
         delays_ns=delays, compensation=np.array(v_oft), v_step=v_step, regime=schedule.regime
     )
     report = SimulationReport(
-        omega_drive_ghz=omega_d, rwa=rwa, t_pi_ns=tuple(t_pis), p1_grid=np.vstack(p1_rows)
+        omega_drive_ghz=omega_d, rwa=rwa, t_pi_ns=tuple(t_pis), p1_grid=np.vstack(p1_rows),
+        propagate_calls=calls, substeps=substeps,
     )
     return run, report

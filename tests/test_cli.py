@@ -394,9 +394,9 @@ def test_simulate_reads_only_the_peaks_and_writes_the_full_grids_run(tmp_path, m
     rows = []
     real = simulator._propagate
 
-    def counted(params, drive, zpa_nodes, t_nodes, h):
-        rows.append(zpa_nodes.shape[0])
-        return real(params, drive, zpa_nodes, t_nodes, h)
+    def counted(params, drive, trace, offsets, t_nodes, h):
+        rows.append(offsets.size)
+        return real(params, drive, trace, offsets, t_nodes, h)
 
     monkeypatch.setattr(simulator, "_propagate", counted)
     outdir = tmp_path / "sim"
