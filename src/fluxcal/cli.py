@@ -275,7 +275,9 @@ def cmd_predistort(args) -> int:
 
     # Forward check: run the result through the model channel and compare.
     check = apply_channel(out, resp)
-    dev = np.abs(check.samples - target.samples) / abs(resp.v_step)
+    dev = check.samples - target.samples
+    np.abs(dev, out=dev)
+    dev /= abs(resp.v_step)
     settle = 2
     max_residual = float(np.max(dev[settle:])) if dev.size > settle else float(np.max(dev))
     sidecar = {

@@ -129,8 +129,13 @@ def eval_short(model: ShortTimeModel, t_ns) -> np.ndarray:
     """Evaluate the short-time distortion sum at times in ns (t >= 0)."""
     t = np.asarray(t_ns, dtype=float)
     out = np.zeros_like(t)
+    scratch = np.empty_like(t)  # each term, amplitude * exp(-t / tau)
     for term in model.terms:
-        out += term.amplitude * np.exp(-t / term.tau_ns)
+        np.negative(t, out=scratch)
+        np.divide(scratch, term.tau_ns, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.multiply(term.amplitude, scratch, out=scratch)
+        out += scratch
     return out
 
 
@@ -148,7 +153,7 @@ def eval_step_response(resp: CombinedResponse, t_ns) -> np.ndarray:
     else:
         s = np.ones_like(t)
     if resp.short is not None:
-        s = s + eval_short(resp.short, t)
+        s += eval_short(resp.short, t)
     return s
 
 

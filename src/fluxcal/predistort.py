@@ -20,6 +20,9 @@ from .signal import Waveform, convolve, require_same_grid, step_to_impulse
 
 # Above this kernel deviation the truncated series is outside its regime.
 SERIES_REGIME_LIMIT = 0.5
+# Powers of the inverse's zeros evaluated at a time: a block's complex
+# arrays stay 64 kB, whatever the kernel's length.
+_KERNEL_BLOCK = 4096
 
 
 def reversed_convolution_o2(target: Waveform, kernel: Waveform) -> Waveform:
@@ -62,6 +65,10 @@ def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> Waveform:
     Equal b are merged and terms with q b = 0 dropped, so that each
     eigenvalue is a zero.  Raises IllConditionedChannelError when s0 = 0
     or some |1 + x_j| >= 1, that is, when the inverse is unstable.
+
+    Working memory: the kernel itself and ``_KERNEL_BLOCK`` powers at a
+    time.  Each g[n] takes the same additions, in the same order, as when
+    every power is evaluated at once.
     """
     terms = [(t.amplitude, t.tau_ns) for t in (resp.short.terms if resp.short else ())]
     if resp.long is not None:
@@ -79,11 +86,16 @@ def _inverse_kernel(resp: CombinedResponse, like: Waveform) -> Waveform:
         raise IllConditionedChannelError(
             "channel has a zero on or outside the unit circle; its causal inverse is unstable"
         )
+    residues = [np.prod(x + b) / (s0 * np.prod(x - np.delete(zeros, j))) for j, x in enumerate(zeros)]
     g = np.zeros(len(like))
     g[0] = 1.0 / s0
-    for j, x in enumerate(zeros):
-        residue = np.prod(x + b) / (s0 * np.prod(x - np.delete(zeros, j)))
-        g[1:] += (residue * (1.0 + x) ** np.arange(g.size - 1)).real
+    # g[1 + k] adds the zeros' terms at power k in the zeros' order, one
+    # block of k at a time
+    for start in range(0, g.size - 1, _KERNEL_BLOCK):
+        k = np.arange(start, min(start + _KERNEL_BLOCK, g.size - 1))
+        block = g[1 + start : 1 + start + k.size]
+        for residue, x in zip(residues, zeros):
+            block += (residue * (1.0 + x) ** k).real
     return Waveform(dt_ns=like.dt_ns, samples=g)
 
 
@@ -105,5 +117,6 @@ def apply_channel(waveform: Waveform, resp: CombinedResponse) -> Waveform:
     step response; v_step plays no role here because the channel is linear.
     """
     unit = CombinedResponse(short=resp.short, long=resp.long)
-    step = step_response_grid(unit, waveform.duration_ns, waveform.dt_ns)
-    return convolve(waveform, step_to_impulse(step))
+    # the step is not held while the convolution runs
+    kernel = step_to_impulse(step_response_grid(unit, waveform.duration_ns, waveform.dt_ns))
+    return convolve(waveform, kernel)

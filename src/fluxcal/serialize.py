@@ -8,11 +8,15 @@ Every CSV table is a table of floats under a header row of plain names, in
 the ``csv`` module's default dialect (CRLF rows).  Readers check the leading
 header names, ignore extra trailing columns and blank rows, and reject a row
 with fewer fields than the header and a field that is not a finite number.
-The codec handles a table in blocks of rows, not row by row.  The writer
-produces the bytes of ``csv.writer``, and the reader parses the table with
-numpy's tokenizer (``np.loadtxt``), producing the values of ``csv.reader``
-and ``float``; the tables numpy refuses or may read differently go through
-``csv.reader``.
+The codec handles a table in blocks of rows, not row by row, and holds no
+Python object per row.  The writer produces the bytes of ``csv.writer``:
+it converts every column to floats before the file is opened, then formats
+``_BLOCK_ROWS`` rows at a time into one slot array and writes each block
+before formatting the next.  The reader hands numpy's tokenizer
+(``np.loadtxt``) a stream of the file's bytes, producing the values of
+``csv.reader`` and ``float``; the tables numpy refuses or may read
+differently go through ``csv.reader``, the one reader that decodes the
+whole text.
 
 The writer formats floats with array arithmetic, byte for byte as
 ``'%.17g' %`` does: 17 significant digits, rounded half to even from the
@@ -32,18 +36,18 @@ import csv
 import functools
 import io
 import json
+import locale
 import math
 import re
-from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Characters numpy's tokenizer may read otherwise than csv.reader and float: a
-# quote, a NUL, and the separators \x1c-\x1f, which numpy strips as
-# whitespace and float does not.
-_CSV_READER_ONLY = '"\0\x1c\x1d\x1e\x1f'
+# The bytes of the characters numpy's tokenizer may read otherwise than
+# csv.reader and float: a quote, a NUL, and the separators \x1c-\x1f, which
+# numpy strips as whitespace and float does not.
+_CSV_READER_ONLY = b'"\0\x1c\x1d\x1e\x1f'
 
 # A formatted float is written into a slot of six uint64 words, NUL where it
 # writes no byte: byte 0 the sign, 1-5 the "0.000" before the digits of fixed
@@ -54,6 +58,10 @@ _E_MIN, _E_MAX = -6, 17  # the decimal exponents of the exact band
 # rows formatted at a time: numpy's per-call cost is spread over many
 # values, and the block's arrays stay a few hundred kB
 _BLOCK_ROWS = 8192
+# bytes of a table the reader's line-length check scans at a time
+_SCAN_BYTES = 1 << 16
+# a byte of a data row: anything but a line end
+_ROW_BYTE = re.compile(rb"[^\r\n]")
 # Veltkamp's splitter for doubles, and 10**k (exact for k <= 22) split into
 # two halves of 26 bits
 _SPLITTER = 2.0**27 + 1
@@ -180,26 +188,32 @@ def write_csv_table(path, header, columns) -> None:
     """Write equal-length ``columns``, as floats with 17 significant digits,
     under ``header``, a row of plain names.
 
-    The bytes are those of ``csv.writer`` in its default dialect.  The rows
-    are formatted by ``_float_slots``, ``_BLOCK_ROWS`` at a time, all before
-    the file is opened.
+    The bytes are those of ``csv.writer`` in its default dialect.  Every
+    column is converted to floats, and columns of unequal lengths raise
+    InvalidArgumentError, before the file is opened.  Then ``_float_slots``
+    formats ``_BLOCK_ROWS`` rows at a time into one slot array, and each
+    block is written before the next is formatted.
     """
     arrays = [np.asarray(values, dtype=float) for values in columns]
-    rows = min(map(len, arrays), default=0)
+    lengths = [len(a) for a in arrays]
+    if len(set(lengths)) > 1:
+        raise InvalidArgumentError(f"columns must have equal lengths, got {lengths}")
+    rows = lengths[0] if lengths else 0
     separators = [b","] * (len(arrays) - 1) + [b"\r\n"]
-    blocks = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        slots = np.hstack([_float_slots(a[start:stop], sep) for a, sep in zip(arrays, separators)])
-        blocks.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(blocks)
+    block = np.empty((min(rows, _BLOCK_ROWS), _SLOT_WORDS * len(arrays)), dtype=np.uint64)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode(_encoding()))
+        for start in range(0, rows, _BLOCK_ROWS):
+            slots = block[: min(rows - start, _BLOCK_ROWS)]
+            for j, (a, sep) in enumerate(zip(arrays, separators)):
+                column = slots[:, _SLOT_WORDS * j : _SLOT_WORDS * (j + 1)]
+                _float_slots(a[start : start + len(slots)], sep, column)
+            fh.write(slots.tobytes().translate(None, b"\0"))
 
 
-def _float_slots(values, separator: bytes) -> np.ndarray:
-    """The ``(n, _SLOT_WORDS)`` uint64 slots of ``'%.17g' % x`` for each
-    value, each followed by ``separator``.
+def _float_slots(values, separator: bytes, slots: np.ndarray) -> None:
+    """Write into ``slots``, a ``(n, _SLOT_WORDS)`` uint64 array, the slots
+    of ``'%.17g' % x`` for each value, each followed by ``separator``.
 
     A value with 1e-6 <= |x| < 1e17 is scaled to v = |x| 10**k in
     [1e16, 1e17) with 0 <= k <= 22, where 10**k is exact and so is Dekker's
@@ -250,7 +264,7 @@ def _float_slots(values, separator: bytes) -> np.ndarray:
     )
     templates = _slot_templates().copy()
     templates[:, -1] |= np.frombuffer((b"\0" * 4 + separator).ljust(8, b"\0"), dtype=np.uint64)[0]
-    slots = np.take(templates, exponent * 17 - trailing + (16 - 17 * _E_MIN), axis=0)
+    np.take(templates, exponent * 17 - trailing + (16 - 17 * _E_MIN), axis=0, out=slots)
     slots[:, 0] &= lead_words[lead + 10 * np.signbit(x)]
     for j, g in enumerate((g1, g2, g3, g4), start=1):
         slots[:, j] &= digit_words[g]
@@ -260,7 +274,6 @@ def _float_slots(values, separator: bytes) -> np.ndarray:
         text = [(b"%.17g" % v).ljust(44, b"\0") + separator for v in x[other].tolist()]
         text = np.array(text, dtype=f"S{8 * _SLOT_WORDS}")
         slots[other] = text.view(np.uint64).reshape(-1, _SLOT_WORDS)
-    return slots
 
 
 # The tables are built on first use: a process that writes no CSV does not
@@ -336,17 +349,17 @@ def read_csv_table(path, header) -> list[np.ndarray]:
     first one.
     """
     width = len(header)
-    text = _read_text(path)
-    names, columns = _float_table(text, width) or _csv_table(path, text, width)
+    data = _read_bytes(path)
+    names, columns = _float_table(data, width) or _csv_table(path, _text(data), width)
     if names is None or [h.strip() for h in names[:width]] != list(header):
         raise ValueError(f"{path}: expected header '{','.join(header)}'")
     if columns is None:
-        raise _bad_row_error(path, text, width)
+        raise _bad_row_error(path, _text(data), width)
     finite = np.logical_and.reduce([np.isfinite(a) for a in columns])
     if not finite.all():
         row = int(np.argmin(finite))
         name, value = next((h, a[row]) for h, a in zip(header, columns) if not np.isfinite(a[row]))
-        where = _data_row_location(path, text, row)
+        where = _data_row_location(path, _text(data), row)
         raise ValueError(f"{where}: {name} must be finite, got {value}")
     return columns
 
@@ -362,46 +375,81 @@ def _data_row_location(path, text: str, row: int) -> str:
     return f"{path}, line {reader.line_num}"
 
 
-def _read_text(path) -> str:
-    """The text of ``path``, line ends as they are: the one place the CSV
-    readers open a file.  A byte the locale encoding cannot decode raises
-    ValueError naming the file and the line of the first."""
+def _encoding() -> str:
+    """The locale encoding: the one ``open`` reads and writes text with."""
+    return locale.getpreferredencoding(False)
+
+
+def _text(data: bytes) -> str:
+    """A file's bytes as text, line ends as they are."""
+    return data.decode(_encoding())
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of ``path``: the one place the CSV readers open a file.  A
+    byte the locale encoding cannot decode raises ValueError naming the
+    file and the line of the first; the text itself is made only where a
+    reader needs it, for ``csv.reader`` or an error's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="") as fh:
-            return fh.read()
+        _text(data)  # decoded here only to find an undecodable byte
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call: exc.object is all of it
-        line = len(re.findall(rb"\r\n?|\n", exc.object[: exc.start])) + 1
+        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
         raise ValueError(f"{path}, line {line}: {exc}") from None
+    return data
 
 
-def _float_table(text: str, width: int):
-    """The header fields and the first ``width`` columns of a file's
-    ``text`` as float arrays, parsed by ``np.loadtxt``; None where
+def _float_table(data: bytes, width: int):
+    """The header fields and the first ``width`` columns of a file's bytes
+    ``data`` as float arrays, parsed by ``np.loadtxt``; None where
     ``csv.reader`` and ``float`` may read the text differently or numpy
     refuses it: a character of ``_CSV_READER_ONLY``, a lone CR line end, a
     line longer than the field size limit, or a field numpy cannot parse (a
     short row, underscores or non-ASCII digits among them).  Blank rows are
     skipped.
 
-    The lines go to numpy as they are, split at LF only: numpy skips a blank
-    line, ``""`` or the ``"\r"`` of a CRLF file, and ends a row's last field
-    at its CR, as ``csv.reader`` and ``float`` read them."""
-    if any(c in text for c in _CSV_READER_ONLY) or text.count("\r") != text.count("\r\n"):
+    numpy reads a stream of the bytes line by line, split at LF, decoding
+    each line, with no list of the lines: it skips a blank line, ``""`` or
+    the ``"\r\n"`` of a CRLF file, and ends a row's last field at its CR,
+    as ``csv.reader`` and ``float`` read them.  The checks scan the bytes,
+    in which the locale encoding writes the ASCII characters they look for
+    as single bytes; a line has no fewer bytes than characters, so the
+    length check can only send a table to ``csv.reader``, which reads the
+    same values."""
+    if any(c in data for c in _CSV_READER_ONLY) or data.count(b"\r") != data.count(b"\r\n"):
         return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if len(data) > limit and _longest_line(data) > limit:  # no line is longer than the file
         return None
+    header_end = data.find(b"\n")
     try:
         # no data row: no call, which would warn that the input holds no data
         table = (
-            np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, usecols=range(width), ndmin=2)
-            if any(line.strip("\r") for line in islice(lines, 1, None))
+            np.loadtxt(
+                io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+                usecols=range(width), ndmin=2, encoding=_encoding(),
+            )
+            if header_end >= 0 and _ROW_BYTE.search(data, header_end + 1)
             else np.empty((0, width))
         )
     except ValueError:
         return None
-    return lines[0].split(","), list(table.T.copy())
+    names = _text(data[: header_end if header_end >= 0 else len(data)])
+    return names.split(","), list(table.T.copy())
+
+
+def _longest_line(data: bytes) -> int:
+    """The length in bytes of the longest LF-separated line of ``data``,
+    scanned ``_SCAN_BYTES`` at a time."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    longest, last = 0, -1  # last: the position of the previous LF
+    for start in range(0, view.size, _SCAN_BYTES):
+        ends = np.flatnonzero(view[start : start + _SCAN_BYTES] == ord("\n")) + start
+        if ends.size:
+            longest = max(longest, int(np.diff(ends, prepend=last).max()) - 1)
+            last = int(ends[-1])
+    return max(longest, view.size - last - 1)
 
 
 def _csv_table(path, text: str, width: int):

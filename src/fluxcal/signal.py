@@ -132,7 +132,9 @@ def convolve(waveform: Waveform, kernel: Waveform) -> Waveform:
     """Causal convolution of a waveform with a channel kernel.
 
     Returns a waveform of the same length as the input; the input is taken
-    to be zero before t = 0.
+    to be zero before t = 0.  Working memory: two spectra at the FFT length
+    (the kernel's is multiplied into the waveform's in place), then the
+    inverse transform and the result.
     """
     require_same_grid(waveform, kernel)
     n = len(waveform)
@@ -142,8 +144,13 @@ def convolve(waveform: Waveform, kernel: Waveform) -> Waveform:
     # to max|kernel| * sum|samples|.
     taps = kernel.samples[:n]
     size = _fast_len(n + taps.size - 1)
-    spectrum = np.fft.rfft(waveform.samples, size) * np.fft.rfft(taps, size)
-    return Waveform(dt_ns=waveform.dt_ns, samples=np.fft.irfft(spectrum, size)[:n])
+    # the waveform's spectrum stays on the left: complex products are not
+    # bitwise commutative where the product is fused (FMA)
+    spectrum = np.fft.rfft(waveform.samples, size)
+    spectrum *= np.fft.rfft(taps, size)
+    samples = np.fft.irfft(spectrum, size)
+    del spectrum  # not held while the waveform copies its samples
+    return Waveform(dt_ns=waveform.dt_ns, samples=samples[:n])
 
 
 def step_to_impulse(step: Waveform) -> Waveform:
@@ -151,7 +158,9 @@ def step_to_impulse(step: Waveform) -> Waveform:
     difference with step[0] as the first tap, so that
     convolve(unit_step, kernel) reproduces ``step`` exactly (telescoping
     sum)."""
-    return Waveform(dt_ns=step.dt_ns, samples=np.diff(step.samples, prepend=0.0))
+    taps = step.samples.copy()
+    taps[1:] -= step.samples[:-1]
+    return Waveform(dt_ns=step.dt_ns, samples=taps)
 
 
 def write_waveform_csv(path, waveform: Waveform) -> None:

@@ -271,6 +271,14 @@ def test_write_decay_csv_rejects_lengths_that_are_not_whole(tmp_path, lengths, s
     )
 
 
+def test_write_decay_csv_refuses_lengths_and_fidelities_of_unequal_counts(tmp_path):
+    # Not cut to the shorter column: no file is written.
+    path = tmp_path / "decay.csv"
+    with pytest.raises(InvalidArgumentError, match=r"columns must have equal lengths, got \[6, 2\]"):
+        write_decay_csv(path, [1, 2, 3, 4, 5, 6], [0.9, 0.8])
+    assert not path.exists()
+
+
 lengths_in_range = st.lists(st.integers(0, MAX_SEQUENCE_LENGTH), min_size=1, max_size=20)
 
 

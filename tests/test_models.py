@@ -66,6 +66,28 @@ def test_eval_short_at_zero_is_amplitude_sum():
     assert eval_short(model, 0.0) == pytest.approx(-0.041, abs=1e-15)
 
 
+@settings(deadline=None, max_examples=50)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-0.5, 0.5), st.floats(0.1, 1e5)),
+        min_size=1,
+        max_size=MAX_SHORT_TERMS,
+        unique_by=lambda term: term[1],
+    ),
+    n=st.integers(0, 20000),
+    dt_ns=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+)
+def test_eval_short_is_the_sum_of_its_terms_to_the_bit(terms, n, dt_ns):
+    # eval_short runs each term's operations through one scratch array: the
+    # bits are those of adding amplitude * exp(-t / tau) term by term.
+    model = ShortTimeModel.from_arrays(*zip(*terms))
+    t = np.arange(n) * dt_ns
+    expected = np.zeros_like(t)
+    for term in model.terms:
+        expected += term.amplitude * np.exp(-t / term.tau_ns)
+    assert eval_short(model, t).tobytes() == expected.tobytes()
+
+
 def test_long_time_model_level_band():
     LongTimeModel(settled=1.0127, initial=0.9935, tau_us=18.684)
     with pytest.raises(InvalidArgumentError):

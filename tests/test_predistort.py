@@ -1,12 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluxcal import presets
+from fluxcal.cli import main
 from fluxcal.errors import ChannelApproximationWarning, IllConditionedChannelError
-from fluxcal.models import CombinedResponse, LongTimeModel, ShortTimeModel, step_response_grid
-from fluxcal.predistort import apply_channel, full_pipeline, reversed_convolution_o2
-from fluxcal.signal import Waveform, convolve, heaviside_step, identity_kernel, step_to_impulse
+from fluxcal.models import (
+    CombinedResponse,
+    LongTimeModel,
+    ShortTimeModel,
+    model_to_dict,
+    step_response_grid,
+)
+from fluxcal.predistort import (
+    _KERNEL_BLOCK,
+    _inverse_kernel,
+    apply_channel,
+    full_pipeline,
+    reversed_convolution_o2,
+)
+from fluxcal.serialize import write_json
+from fluxcal.signal import (
+    Waveform,
+    convolve,
+    heaviside_step,
+    identity_kernel,
+    step_to_impulse,
+    write_waveform_csv,
+)
 
 FLIPCHIP = CombinedResponse(
     short=ShortTimeModel.from_arrays([-0.019, -0.021], [47.83, 528.10]),
@@ -202,3 +226,79 @@ def test_full_pipeline_then_channel_returns_target(short, long, dt_ns, n, seed):
     x = Waveform(dt_ns, np.random.default_rng(seed).normal(size=n))
     out = apply_channel(full_pipeline(x, resp), resp)
     np.testing.assert_allclose(out.samples, x.samples, rtol=0.0, atol=1e-12 * np.max(np.abs(x.samples)))
+
+
+def whole_array_inverse_kernel(resp, like):
+    # _inverse_kernel with every power of each zero evaluated at once
+    terms = [(t.amplitude, t.tau_ns) for t in (resp.short.terms if resp.short else ())]
+    if resp.long is not None:
+        terms.append((resp.long.initial - resp.long.settled, 1000.0 * resp.long.tau_us))
+    q, taus = np.array(terms).T
+    b, where = np.unique(-np.expm1(-like.dt_ns / taus), return_inverse=True)
+    q = np.bincount(where, weights=q)
+    s0 = resp.settled_level + q.sum()
+    keep = q * b != 0
+    q, b = q[keep], b[keep]
+    zeros = np.linalg.eigvals(np.outer(q * b / s0, np.ones(b.size)) - np.diag(b))
+    g = np.zeros(len(like))
+    g[0] = 1.0 / s0
+    for j, x in enumerate(zeros):
+        residue = np.prod(x + b) / (s0 * np.prod(x - np.delete(zeros, j)))
+        g[1:] += (residue * (1.0 + x) ** np.arange(g.size - 1)).real
+    return g
+
+
+# kernel lengths at and next to the block edges (g[1 + k] holds power k),
+# short ones, and any length up to three blocks
+kernel_lengths = st.one_of(
+    st.integers(1, 3),
+    st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(lambda m_d: m_d[0] * _KERNEL_BLOCK + 1 + m_d[1]),
+    st.integers(1, 3 * _KERNEL_BLOCK + 5),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    short=st.lists(
+        st.tuples(st.floats(-0.075, 0.075), st.floats(0.3, 5000.0)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda term: term[1],
+    ).map(lambda terms: ShortTimeModel.from_arrays(*zip(*terms))),
+    long=st.none() | long_models,
+    dt_ns=st.sampled_from([0.5, 1.0]),
+    n=kernel_lengths,
+)
+def test_blocked_inverse_kernel_is_the_whole_arrays_to_the_bit(short, long, dt_ns, n):
+    # Each g[n] takes the same additions in the same order, block or not.
+    # Amplitudes summing to at most 0.3 in |p| and levels within 10% of 1
+    # keep the inverse stable, as in the round-trip property above.
+    resp = CombinedResponse(short=short, long=long, v_step=0.3)
+    like = Waveform(dt_ns, np.zeros(n))
+    expected = whole_array_inverse_kernel(resp, like)
+    assert _inverse_kernel(resp, like).samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("target", ["square", "full_precision"])
+def test_predistort_of_a_40_us_target_peaks_below_7_mb(tmp_path, capsys, target):
+    # 80,000 rows at 0.5 ns.  The reader holds the text and its bytes but no
+    # line list, the writer one block of rows, the kernel one block of
+    # powers, and the FFT two spectra; with a Python string per line the
+    # peak was 8.3 MB for the square and 11.1 MB at full precision.
+    t = np.arange(80_000) * 0.5
+    samples = {
+        "square": np.where((t >= 2000.0) & (t < 38000.0), 0.25, 0.0),
+        "full_precision": 0.3 * np.random.default_rng(5).random(t.size),
+    }[target]
+    write_waveform_csv(tmp_path / "target.csv", Waveform(0.5, samples))
+    write_json(tmp_path / "model.json", model_to_dict(presets.planar_channel(v_step=0.3)))
+    argv = ["predistort", str(tmp_path / "target.csv"), "--model", str(tmp_path / "model.json"),
+            "-o", str(tmp_path / "shaped.csv")]
+    assert main(argv) == 0  # first use builds the codec's and the FFT's cached tables
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6, f"traced peak {peak / 1e6:.2f} MB"

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxcal.analysis import read_decay_csv
-from fluxcal.errors import FluxcalError
+from fluxcal.errors import FluxcalError, InvalidArgumentError
 from fluxcal.fitting import read_calibration_csv
-from fluxcal.serialize import _BLOCK_ROWS, read_csv_table, write_csv_table, write_json
+from fluxcal.serialize import (
+    _BLOCK_ROWS,
+    _SCAN_BYTES,
+    _float_table,
+    _longest_line,
+    read_csv_table,
+    write_csv_table,
+    write_json,
+)
 from fluxcal.signal import read_waveform_csv
 
 # reader, header, one well-formed data row
@@ -302,15 +311,26 @@ def test_writer_matches_csv_writer_on_every_float_width(tmp_path):
 
 
 def test_writer_matches_csv_writer_across_a_block_boundary(tmp_path):
-    # int and float columns, and a table whose columns differ in length:
-    # rows stop at the shortest column.
+    # int and float columns, and two float columns in different orders
     rows = _BLOCK_ROWS + 5
     rng = np.random.default_rng(2)
     floats = rng.normal(0.0, 1.0, rows) * 10.0 ** rng.integers(-9, 19, rows)
     floats[::7] = 0.0
     ints = rng.integers(-(10**18), 10**18, rows)
     assert_writes_like_csv_writer(tmp_path, ("n", "x"), (ints, floats))
-    assert_writes_like_csv_writer(tmp_path, ("t", "y"), (floats, floats[: rows - 3]))
+    assert_writes_like_csv_writer(tmp_path, ("t", "y"), (floats, floats[::-1]))
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1), (_BLOCK_ROWS + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)])
+def test_writer_refuses_columns_of_unequal_lengths(tmp_path, lengths):
+    # Not cut to the shortest column: the error names every length, and no
+    # file is opened.
+    path = tmp_path / "table.csv"
+    header = tuple(f"c{i}" for i in range(len(lengths)))
+    message = f"columns must have equal lengths, got {list(lengths)}"
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        write_csv_table(path, header, [np.zeros(n) for n in lengths])
+    assert not path.exists()
 
 
 def test_writer_golden_bytes(tmp_path):
@@ -433,6 +453,54 @@ def test_reader_parses_written_float_tables_with_numpy(tmp_path):
     columns = read_csv_table(path, ("t_ns", "amplitude"))
     assert all(isinstance(column, np.ndarray) for column in columns)
     assert [c.tolist() for c in columns] == [[0.0, 1.0, 2.0], [5e-324, -0.0, 1 / 3]]
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    rows=st.integers(10_000, 10_050),
+    seed=st.integers(0, 2**32 - 1),
+    long_line=st.sampled_from([None, "long_fields", "long_field", "long_row"]),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_reader_matches_csv_reader_on_tables_longer_than_the_field_limit(rows, seed, long_line, end):
+    # Written tables whose text is longer than csv.field_size_limit(), where
+    # the reader's line checks scan the text block by block: plain, or with
+    # one over-long line in the middle: two fields within the limit whose
+    # line is over it, one field over it, or a row of numbers over it.
+    limit = csv.field_size_limit()
+    rng = np.random.default_rng(seed)
+    columns = (np.arange(rows) * 0.5, rng.normal(size=rows) * 10.0 ** rng.integers(-9, 9, rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        write_csv_table(path, HEADERS[2], columns)
+        text = path.read_bytes().decode()
+        lines = text.split("\r\n")
+        middle = {
+            None: lines[rows // 2],
+            "long_fields": f"{'1' * (limit - 5)},{'2' * 10}",
+            "long_field": f"0,{'3' * (limit + 1)}",
+            "long_row": ",".join(["7.25"] * (limit // 4)),
+        }[long_line]
+        lines[rows // 2] = middle
+        path.write_bytes(end.join(lines).encode())
+        assert path.stat().st_size > limit
+        if long_line is None:  # numpy's tokenizer takes the plain table
+            assert _float_table(path.read_bytes(), 2) is not None
+        expected = outcome(reference_read, path, HEADERS[2])
+        assert outcome(read_csv_table, path, HEADERS[2]) == expected
+
+
+line_lengths = st.one_of(
+    st.integers(0, 5), st.integers(_SCAN_BYTES - 3, _SCAN_BYTES + 3), st.integers(0, 2 * _SCAN_BYTES)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(line_lengths, min_size=1, max_size=6))
+def test_longest_line_is_that_of_the_split_lines(lengths):
+    # Lines that end next to, on and across the edges of the scanned blocks.
+    data = b"\n".join(b"x" * n for n in lengths)
+    assert _longest_line(data) == max(map(len, data.split(b"\n")))
 
 
 def test_reader_rejects_field_over_csv_size_limit_in_one_line(tmp_path):
