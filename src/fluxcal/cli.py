@@ -10,11 +10,13 @@ call the library, and write the results: ``roundtrip`` runs
 has finished, passed or not.
 
 Exit codes: 0 success, 1 usage or I/O error (an input not in its documented
-form: a nan or inf CSV field, a CSV time column out of order, a scenario or
-model object with an unknown key, a JSON field that is not a finite number
-where one is expected, a grid count or ``n_exp`` (``--n-exp``) that is not
-an integer in range, a delay or offset grid that is not increasing or has
-too few points, a ``simulate`` channel whose ``v_step`` is negative, a
+form: a nan or inf CSV field, a CSV time column out of order or a waveform's
+not starting at 0 ns, a scenario or model object with an unknown key, a
+JSON field that is not a finite number where one is expected, a grid count
+or ``n_exp`` (``--n-exp``) that is not an integer in range, a delay or
+offset grid that is not increasing or has too few points, a log grid whose
+start and stop are 0 or of two signs, a ``simulate`` channel whose
+``v_step`` is negative, a
 ``zpa_range`` that is not a list of two numbers, an ``--rms-threshold``
 that is not a finite number above 0, a ``--dimension`` below 2, a decay
 file that breaks the decay fit's rules, a model, system or drive value
@@ -137,6 +139,11 @@ def _parse_grid(spec, name: str) -> np.ndarray:
         if spacing == "linear":
             return np.linspace(start, stop, count)
         if spacing == "log":
+            if min(start, stop) <= 0 <= max(start, stop):
+                raise ValueError(
+                    f"{name}: a log grid needs a nonzero start and stop of one sign, "
+                    f"got start {start} and stop {stop}"
+                )
             return np.geomspace(start, stop, count)
         raise ValueError(f"{name}: unknown spacing {spacing!r}")
     raise ValueError(f"{name}: expected a list or a start/stop/count object")

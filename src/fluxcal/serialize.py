@@ -8,15 +8,17 @@ Every CSV table is a table of floats under a header row of plain names, in
 the ``csv`` module's default dialect (CRLF rows).  Readers check the leading
 header names, ignore extra trailing columns and blank rows, and reject a row
 with fewer fields than the header and a field that is not a finite number.
-The codec handles a table in blocks of rows, not row by row, and holds no
-Python object per row.  The writer produces the bytes of ``csv.writer``:
-it converts every column to floats before the file is opened, then formats
-``_BLOCK_ROWS`` rows at a time into one slot array and writes each block
-before formatting the next.  The reader hands numpy's tokenizer
-(``np.loadtxt``) a stream of the file's bytes, producing the values of
-``csv.reader`` and ``float``; the tables numpy refuses or may read
-differently go through ``csv.reader``, the one reader that decodes the
-whole text.
+The writer and numpy's read path handle a table in blocks of rows, not row
+by row, and hold no Python object per row.  The writer produces the bytes
+of ``csv.writer``: it converts every column to floats before the file is
+opened, then formats ``_BLOCK_ROWS`` rows at a time into one slot array and
+writes each block before formatting the next.  The reader of record is
+one ``csv.reader`` pass with ``float`` (``_csv_table``), the one place a
+read error is raised.  A clean table, one that pass would read without
+error, goes to numpy's tokenizer (``np.loadtxt``) first, as a stream of the
+file's bytes, for the same values; a table with a non-ASCII byte, or any
+other that numpy may read differently, refuses or finds at fault, goes to
+``csv.reader``.
 
 The writer formats floats with array arithmetic, byte for byte as
 ``'%.17g' %`` does: 17 significant digits, rounded half to even from the
@@ -342,37 +344,13 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 def read_csv_table(path, header) -> list[np.ndarray]:
     """Read the columns named by ``header`` as float arrays.
 
-    A bad header raises ValueError naming the file; a short or unparseable
-    row, one ``csv.reader`` rejects, or a byte the locale encoding cannot
-    decode raises ValueError naming the file and line; a nan or inf field
-    raises ValueError naming the file, the line and the column of the
-    first one.
+    ``_float_table`` reads a clean table with numpy; every other table, and
+    every malformed one, goes to ``_csv_table``, which raises the errors.
     """
-    width = len(header)
-    data = _read_bytes(path)
-    names, columns = _float_table(data, width) or _csv_table(path, _text(data), width)
-    if names is None or [h.strip() for h in names[:width]] != list(header):
-        raise ValueError(f"{path}: expected header '{','.join(header)}'")
-    if columns is None:
-        raise _bad_row_error(path, _text(data), width)
-    finite = np.logical_and.reduce([np.isfinite(a) for a in columns])
-    if not finite.all():
-        row = int(np.argmin(finite))
-        name, value = next((h, a[row]) for h, a in zip(header, columns) if not np.isfinite(a[row]))
-        where = _data_row_location(path, _text(data), row)
-        raise ValueError(f"{where}: {name} must be finite, got {value}")
-    return columns
-
-
-def _data_row_location(path, text: str, row: int) -> str:
-    """``path, line N`` of data row ``row`` (0-based, blank rows skipped)
-    of ``path``'s ``text``."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    for k, _ in enumerate(filter(None, reader)):
-        if k == row:
-            break
-    return f"{path}, line {reader.line_num}"
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _float_table(data, header)
+    return columns if columns is not None else _csv_table(path, data, header)
 
 
 def _encoding() -> str:
@@ -380,49 +358,34 @@ def _encoding() -> str:
     return locale.getpreferredencoding(False)
 
 
-def _text(data: bytes) -> str:
-    """A file's bytes as text, line ends as they are."""
-    return data.decode(_encoding())
+def _float_table(data: bytes, header):
+    """The columns named by ``header`` of a file's bytes ``data`` as float
+    arrays, parsed by ``np.loadtxt``; None for every table that is not
+    clean, which ``_csv_table`` then reads or rejects: a non-ASCII byte, a
+    byte of ``_CSV_READER_ONLY``, a lone CR line end, a line longer than the
+    field size limit, a field numpy cannot parse (a short row or
+    underscores among them), a header that does not match, or a nan or inf
+    field.  So the tables it reads are the ones ``csv.reader`` and ``float``
+    read without error, with the same values.  Blank rows are skipped.
 
-
-def _read_bytes(path) -> bytes:
-    """The bytes of ``path``: the one place the CSV readers open a file.  A
-    byte the locale encoding cannot decode raises ValueError naming the
-    file and the line of the first; the text itself is made only where a
-    reader needs it, for ``csv.reader`` or an error's line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        _text(data)  # decoded here only to find an undecodable byte
-    except UnicodeDecodeError as exc:
-        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
-        raise ValueError(f"{path}, line {line}: {exc}") from None
-    return data
-
-
-def _float_table(data: bytes, width: int):
-    """The header fields and the first ``width`` columns of a file's bytes
-    ``data`` as float arrays, parsed by ``np.loadtxt``; None where
-    ``csv.reader`` and ``float`` may read the text differently or numpy
-    refuses it: a character of ``_CSV_READER_ONLY``, a lone CR line end, a
-    line longer than the field size limit, or a field numpy cannot parse (a
-    short row, underscores or non-ASCII digits among them).  Blank rows are
-    skipped.
-
-    numpy reads a stream of the bytes line by line, split at LF, decoding
-    each line, with no list of the lines: it skips a blank line, ``""`` or
-    the ``"\r\n"`` of a CRLF file, and ends a row's last field at its CR,
-    as ``csv.reader`` and ``float`` read them.  The checks scan the bytes,
-    in which the locale encoding writes the ASCII characters they look for
-    as single bytes; a line has no fewer bytes than characters, so the
-    length check can only send a table to ``csv.reader``, which reads the
-    same values."""
-    if any(c in data for c in _CSV_READER_ONLY) or data.count(b"\r") != data.count(b"\r\n"):
-        return None
+    numpy reads a stream of the bytes line by line, split at LF, with no
+    list of the lines: it skips a blank line, ``""`` or the ``"\r\n"`` of a
+    CRLF file, and ends a row's last field at its CR, as ``csv.reader`` and
+    ``float`` read them.  The bytes are ASCII, so every check scans them as
+    characters."""
+    width = len(header)
     limit = csv.field_size_limit()
-    if len(data) > limit and _longest_line(data) > limit:  # no line is longer than the file
+    if (
+        not data.isascii()
+        or any(c in data for c in _CSV_READER_ONLY)
+        or data.count(b"\r") != data.count(b"\r\n")
+        or len(data) > limit and _longest_line(data) > limit  # no line is longer than the file
+    ):
         return None
     header_end = data.find(b"\n")
+    names = data[: header_end if header_end >= 0 else len(data)].decode().split(",")
+    if [h.strip() for h in names[:width]] != list(header):
+        return None
     try:
         # no data row: no call, which would warn that the input holds no data
         table = (
@@ -435,8 +398,7 @@ def _float_table(data: bytes, width: int):
         )
     except ValueError:
         return None
-    names = _text(data[: header_end if header_end >= 0 else len(data)])
-    return names.split(","), list(table.T.copy())
+    return list(table.T.copy()) if np.isfinite(table).all() else None
 
 
 def _longest_line(data: bytes) -> int:
@@ -452,35 +414,42 @@ def _longest_line(data: bytes) -> int:
     return max(longest, view.size - last - 1)
 
 
-def _csv_table(path, text: str, width: int):
-    """The header fields and the first ``width`` columns of ``path``'s
-    ``text`` as float arrays, through ``csv.reader`` and ``float``, for any
-    file; the columns are None when a row has fewer than ``width`` fields or
-    a field ``float`` cannot parse.  Blank rows are skipped; a row the reader
-    rejects raises ValueError naming the file and line."""
+def _csv_table(path, data: bytes, header) -> list[np.ndarray]:
+    """The columns named by ``header`` of ``path``'s bytes ``data`` as float
+    arrays, through ``csv.reader`` and ``float``, for any file: the reader
+    of record, and the one place a CSV read error is raised.  Blank rows
+    are skipped and extra trailing columns ignored.
+
+    It raises ValueError for the first of: a byte the locale encoding
+    cannot decode (naming the file and line), a row ``csv.reader`` rejects
+    (the file and line), a header whose leading names are not ``header``
+    (the file), a row with fewer fields than the header or a field
+    ``float`` cannot parse (the file and line), and a nan or inf field,
+    first by row and then by column (the file, line and column)."""
+    try:
+        text = data.decode(_encoding())
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         names = next(reader, None)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    try:
-        return names, [np.array([float(row[i]) for row in rows], dtype=float) for i in range(width)]
-    except (IndexError, ValueError):
-        return names, None
-
-
-def _bad_row_error(path, text: str, width: int) -> ValueError:
-    """The error for the first short or unparseable data row of ``path``."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    for row in filter(None, reader):
-        where = f"{path}, line {reader.line_num}"
+    width = len(header)
+    if names is None or [h.strip() for h in names[:width]] != list(header):
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
+    table = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
         if len(row) < width:
-            return ValueError(f"{where}: expected {width} fields, got {len(row)}")
+            raise ValueError(f"{path}, line {line}: expected {width} fields, got {len(row)}")
         try:
-            for field in row[:width]:
-                float(field)
+            table[i] = [float(field) for field in row[:width]]
         except ValueError as exc:
-            return ValueError(f"{where}: {exc}")
-    return ValueError(f"{path}: malformed data row")
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), width)
+        raise ValueError(f"{path}, line {rows[i][0]}: {header[j]} must be finite, got {table[i, j]}")
+    return list(table.T.copy())

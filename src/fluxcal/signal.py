@@ -170,7 +170,8 @@ def write_waveform_csv(path, waveform: Waveform) -> None:
 
 def read_waveform_csv(path) -> Waveform:
     """Read a ``t_ns,amplitude`` file.  A time column that does not
-    increase on a uniform grid raises ValueError naming the file."""
+    increase on a uniform grid, or does not start at 0 ns (a waveform's
+    samples lie at t_n = n dt), raises ValueError naming the file."""
     header = ("t_ns", "amplitude")
     t, a = read_csv_table(path, header)
     if len(t) < 2:
@@ -180,4 +181,6 @@ def read_waveform_csv(path) -> Waveform:
         raise ValueError(f"{path}: time column must increase")
     if np.max(np.abs(np.diff(t) - dt)) > _GRID_TOL_NS:
         raise ValueError(f"{path}: time grid is not uniform within 1e-9 ns")
+    if abs(t[0]) > _GRID_TOL_NS:
+        raise ValueError(f"{path}: time column must start at 0 ns, got {t[0]}")
     return Waveform(dt_ns=float(dt), samples=a)

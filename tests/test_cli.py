@@ -307,7 +307,9 @@ def test_predistort_malformed_row_is_one_line_usage_error(tmp_path, capsys, bad_
     assert f"{target}, line 3" in err
 
 
-@pytest.mark.parametrize("times", ["1,0,-1", "0,1,3"], ids=["decreasing", "nonuniform"])
+@pytest.mark.parametrize(
+    "times", ["1,0,-1", "0,1,3", "100,101,102,103"], ids=["decreasing", "nonuniform", "late_start"]
+)
 def test_predistort_out_of_order_time_column_is_one_line_usage_error(tmp_path, capsys, times):
     target = tmp_path / "step.csv"
     target.write_text("t_ns,amplitude\n" + "".join(f"{t},0.3\n" for t in times.split(",")))
@@ -497,6 +499,11 @@ EXPLICIT_FLIPCHIP = {
         **EXPLICIT_FLIPCHIP["coupler"], "zpa_range": {"start": 0.0, "stop": 0.48, "count": 2}}}},
      "system.coupler.zpa_range: expected a list of two numbers, "
      "got {'start': 0, 'stop': 0.48, 'count': 2}"),
+    # A log grid cannot cross or touch 0.
+    ("simulate", {"delays_ns": {"start": -100, "stop": 500, "count": 5, "spacing": "log"}},
+     "delays_ns: a log grid needs a nonzero start and stop of one sign, got start -100.0 and stop 500.0"),
+    ("simulate", {"delays_ns": {"start": 0, "stop": 500, "count": 5, "spacing": "log"}},
+     "delays_ns: a log grid needs a nonzero start and stop of one sign, got start 0.0 and stop 500.0"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}

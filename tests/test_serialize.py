@@ -455,6 +455,47 @@ def test_reader_parses_written_float_tables_with_numpy(tmp_path):
     assert [c.tolist() for c in columns] == [[0.0, 1.0, 2.0], [5e-324, -0.0, 1 / 3]]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (b"t_ns,amplitude\n0,1\nnan,2\n\xff1,2\n7,8\n", ", line 4: .*byte 0xff.*"),
+        (b"t_ns,amplitude\n0,1\nnan,2\n3\n7,8\n", ", line 4: expected 2 fields, got 1"),
+        (b"t_ns,amp\n0,1\nnan,2\n7,8\n", ": expected header 't_ns,amplitude'"),
+    ],
+    ids=["undecodable_byte_below_nan", "nan_above_short_row", "bad_header_and_nan"],
+)
+def test_reader_raises_the_first_of_two_defects(tmp_path, text, expected):
+    # The error is the first one csv.reader's pass meets, whether the body
+    # reaches numpy first (plain) or goes straight to csv.reader (a quote in
+    # its last row).
+    path = tmp_path / "two.csv"
+    messages = []
+    for body in (text, text.replace(b"\n7,8\n", b'\n"7",8\n')):
+        path.write_bytes(body)
+        with pytest.raises(ValueError) as info:
+            read_csv_table(path, HEADERS[2])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert re.fullmatch(re.escape(str(path)) + expected, messages[0])
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(b"amplitude", b"volts"), (b"\r\n1,", b"\r\nnan,"), (b"\r\n1,", b"\r\n\xc2\xa01,")],
+    ids=["bad_header", "non_finite", "non_ascii"],
+)
+def test_float_table_reads_only_clean_tables(tmp_path, old, new):
+    # numpy reads the writer's own table; a table with a fault, or with a
+    # non-ASCII byte (here a no-break space that float strips), is left to
+    # csv.reader.
+    path = tmp_path / "wave.csv"
+    write_csv_table(path, HEADERS[2], (np.arange(3.0), np.array([5e-324, -0.0, 1 / 3])))
+    data = path.read_bytes()
+    columns = _float_table(data, HEADERS[2])
+    assert [c.tolist() for c in columns] == [[0.0, 1.0, 2.0], [5e-324, -0.0, 1 / 3]]
+    assert _float_table(data.replace(old, new), HEADERS[2]) is None
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     rows=st.integers(10_000, 10_050),
@@ -485,7 +526,7 @@ def test_reader_matches_csv_reader_on_tables_longer_than_the_field_limit(rows, s
         path.write_bytes(end.join(lines).encode())
         assert path.stat().st_size > limit
         if long_line is None:  # numpy's tokenizer takes the plain table
-            assert _float_table(path.read_bytes(), 2) is not None
+            assert _float_table(path.read_bytes(), HEADERS[2]) is not None
         expected = outcome(reference_read, path, HEADERS[2])
         assert outcome(read_csv_table, path, HEADERS[2]) == expected
 

@@ -214,9 +214,11 @@ def test_waveform_csv_rejects_bad_header(tmp_path):
 
 def test_waveform_csv_rejects_nonuniform_grid(tmp_path):
     # A time column out of order is a malformed file (ValueError naming it),
-    # whether it falls or steps unevenly.
+    # whether it falls, steps unevenly or starts after 0 ns.
     path = tmp_path / "bad.csv"
-    for times, message in (("0,1,3", "not uniform"), ("1,0,-1", "must increase")):
+    for times, message in (
+        ("0,1,3", "not uniform"), ("1,0,-1", "must increase"), ("100,101,102,103", "must start at 0 ns"),
+    ):
         path.write_text("t_ns,amplitude\n" + "".join(f"{t},1\n" for t in times.split(",")))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: time .*{message}") as info:
             read_waveform_csv(path)
