@@ -8,9 +8,10 @@ interleaved depolarization parameters combine into a gate fidelity
 
 with D the Hilbert space dimension (4 for a two-qubit gate).  The decay
 fit is linear in A and B, so it searches the decay constant alone by the
-variable projection of ``fitting``, with no scipy optimizer; the standard
-error of p follows ``scipy.optimize.curve_fit``'s covariance rule on the
-analytic Jacobian.  Standard errors propagate to first order through the
+variable projection of ``fitting``, with no scipy optimizer, and the
+decays that share their sequence lengths run as one stacked search; the
+standard error of p follows ``scipy.optimize.curve_fit``'s covariance rule
+on the analytic Jacobian.  Standard errors propagate to first order through the
 exact partial derivatives.
 For cross-entropy benchmarking the reference is built from simultaneous
 single-qubit decays, combined as p = (p1 + p2 + 3 p1 p2) / 5 before the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidArgumentError
+from .errors import DegenerateFitError, FluxcalError, InvalidArgumentError
 from .fitting import _fit_exp_offset
 from .serialize import read_csv_table, write_csv_table
 
@@ -85,23 +86,11 @@ def _valid_lengths(n: np.ndarray) -> np.ndarray:
     return (n >= 0) & (n <= MAX_SEQUENCE_LENGTH) & (n == np.round(n))
 
 
-def fit_decay(lengths, fidelities) -> DecayFit:
-    """Fit F(n) = A p^n + B to sequence fidelities.
-
-    Requires integer sequence lengths from 0 to MAX_SEQUENCE_LENGTH, at
-    least five of them distinct, and fidelities in [0, 1].  With
-    p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
-    in A and B, so the fit runs the variable-projection search over log tau
-    with a constant column (``fitting._fit_exp_offset``) from the endpoint
-    guess of p, its time constant clipped to the search range; no scipy
-    optimizer is called.  The decay rate is bounded to
-    (0, 1]; the amplitude and offset are unconstrained, with a warning if
-    they land outside [0, 1].  ``sigma_p`` is the one-standard-error of p by
-    ``curve_fit``'s rule: the SVD pseudo-inverse of J^T J for the analytic
-    Jacobian J = [p^n, A n p^(n-1), 1], singular values at or below
-    eps max(m, 3) times the largest dropped, scaled by the residual sum of
-    squares over m - 3, for m points.
-    """
+def _decay_start(lengths, fidelities):
+    """The checks of ``fit_decays`` on one curve, and its search problem:
+    (lengths ascending, fidelities in their order, start tau0, upper bound
+    tau_hi).  A broken rule raises InvalidArgumentError, constant
+    fidelities DegenerateFitError."""
     n = np.asarray(lengths, dtype=float)
     f = np.asarray(fidelities, dtype=float)
     if n.ndim != 1 or f.shape != n.shape:
@@ -138,9 +127,13 @@ def fit_decay(lengths, fidelities) -> DecayFit:
     ratio = abs((mid - offset0) / amp0) if amp0 != 0.0 else 0.5
     p0 = min(max(ratio ** (2.0 / span), np.finfo(float).tiny), math.nextafter(1.0, 0.0))
     tau0 = min(max(-1.0 / math.log(p0), _DECAY_TAU_LO), tau_hi)
-    amplitude, offset, tau = _fit_exp_offset(n, f, tau0, _DECAY_TAU_LO, tau_hi)
-    p = math.exp(-1.0 / tau)
+    return n, f, tau0, tau_hi
 
+
+def _decay_fit(n, f, amplitude: float, offset: float, tau: float) -> DecayFit:
+    """The DecayFit of the fitted constants of one curve, with ``sigma_p``
+    by ``curve_fit``'s covariance rule."""
+    p = math.exp(-1.0 / tau)
     m = n.size
     p_n = np.power(p, n)
     jac = np.column_stack([p_n, n * np.power(p, n - 1.0) * amplitude, np.ones(m)])
@@ -156,9 +149,75 @@ def fit_decay(lengths, fidelities) -> DecayFit:
             f"decay amplitude {amplitude:.4g} / offset {offset:.4g} outside [0, 1]; "
             "check preparation and measurement levels",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=5,  # the caller of fit_decay(s), past _on_curve and _fit_decays
         )
     return DecayFit(amplitude=amplitude, p=p, offset=offset, sigma_p=sigma_p)
+
+
+def _on_curve(k: int, build, *args):
+    """``build(*args)``, whose FluxcalError records in ``curve`` the index
+    ``k`` of the curve it failed on."""
+    try:
+        return build(*args)
+    except FluxcalError as exc:
+        exc.curve = k
+        raise
+
+
+def fit_decays(curves) -> list[DecayFit]:
+    """Fit F(n) = A p^n + B to each (lengths, fidelities) pair of
+    ``curves``; returns one DecayFit per curve, in order.
+
+    Requires integer sequence lengths from 0 to MAX_SEQUENCE_LENGTH, at
+    least five of them distinct, and fidelities in [0, 1].  With
+    p = exp(-1 / tau) the model is a exp(-n / tau) + b, linear
+    in A and B, so the fit runs the variable-projection search over log tau
+    with a constant column (``fitting._fit_exp_offset``) from the endpoint
+    guess of p, its time constant clipped to the search range; no scipy
+    optimizer is called.  The curves whose sorted lengths are equal share
+    the points and the bounds of the search, so each such group is fitted
+    in one stacked search, one row per curve; every row follows its own
+    steps, so each result is the one of the curve fitted alone.  The decay
+    rate is bounded to (0, 1]; the amplitude and offset are unconstrained,
+    with a warning if they land outside [0, 1].  ``sigma_p`` is the
+    one-standard-error of p by ``curve_fit``'s rule: the SVD pseudo-inverse
+    of J^T J for the analytic Jacobian J = [p^n, A n p^(n-1), 1], singular
+    values at or below eps max(m, 3) times the largest dropped, scaled by
+    the residual sum of squares over m - 3, for m points.
+
+    Every curve is checked, in order, before any is fitted: a broken rule
+    raises InvalidArgumentError and constant fidelities DegenerateFitError.
+    After the fits, an unbounded ``sigma_p`` raises DegenerateFitError for
+    the first curve in order that has one.  Each error's ``curve``
+    attribute holds the index of its curve.
+    """
+    return _fit_decays(curves)
+
+
+def fit_decay(lengths, fidelities) -> DecayFit:
+    """Fit F(n) = A p^n + B to one curve of sequence fidelities: the one
+    curve of ``fit_decays``, with its rules, errors and results."""
+    return _fit_decays([(lengths, fidelities)])[0]
+
+
+def _fit_decays(curves) -> list[DecayFit]:
+    """``fit_decays``, one frame below both entry points, so that a warning
+    names the line that called either."""
+    starts = [_on_curve(k, _decay_start, *curve) for k, curve in enumerate(curves)]
+    groups: dict[bytes, list[int]] = {}
+    for k, (n, _, _, _) in enumerate(starts):
+        groups.setdefault(n.tobytes(), []).append(k)
+    constants = [None] * len(starts)
+    for ks in groups.values():
+        n, _, _, tau_hi = starts[ks[0]]
+        f = np.stack([starts[k][1] for k in ks])
+        tau0 = np.array([starts[k][2] for k in ks])
+        for k, *fitted in zip(ks, *_fit_exp_offset(n, f, tau0, _DECAY_TAU_LO, tau_hi)):
+            constants[k] = [float(v) for v in fitted]
+    fits = []
+    for k, (n, f, _, _) in enumerate(starts):
+        fits.append(_on_curve(k, _decay_fit, n, f, *constants[k]))
+    return fits
 
 
 def _interleaved_fidelity(

@@ -23,7 +23,7 @@ file that breaks the decay fit's rules, a model, system or drive value
 that breaks its object's own checks, a ``predistort`` output whose .json
 sidecar would overwrite the output or an input), 2
 numerical failure (a well-formed input on which the computation fails,
-including floating-point overflow).
+including floating-point overflow; a decay fit's names its file).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    fit_decay,
+    _decay_start,
+    fit_decays,
     rb_fidelity,
     read_decay_csv,
     xeb_fidelity,
@@ -362,10 +363,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_decay_file(path):
-    """The decay fit of one CSV; a file that breaks the fit's input rules
-    is a usage error naming the file."""
-    return _usage_error(path, fit_decay, *read_decay_csv(path))
+def _decay_curve(path):
+    """The lengths and fidelities of one decay CSV, checked by the decay
+    fit's rules: a broken rule is a usage error naming the file, and
+    constant fidelities a numerical failure naming it."""
+    curve = read_decay_csv(path)
+    try:
+        _usage_error(path, _decay_start, *curve)
+    except FluxcalError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return curve
 
 
 def cmd_analyze(args) -> int:
@@ -376,8 +383,14 @@ def cmd_analyze(args) -> int:
     if args.scheme == "xeb" and len(args.reference) not in (1, 2):
         raise ValueError("xeb takes one combined or two single-qubit reference files")
 
-    gate_fit = _fit_decay_file(args.gate)
-    component_fits = [_fit_decay_file(path) for path in args.reference]
+    # Every file is read and checked, in command-line order, before the
+    # decays are fitted together; a failure of the fit names its file.
+    paths = [args.gate, *args.reference]
+    curves = [_decay_curve(path) for path in paths]
+    try:
+        gate_fit, *component_fits = fit_decays(curves)
+    except FluxcalError as exc:
+        raise type(exc)(f"{paths[exc.curve]}: {exc}") from None
     if len(component_fits) == 2:
         ref_fit = xeb_parallel_combine(component_fits[0], component_fits[1])
     else:

@@ -15,7 +15,11 @@ Covers the three fits the calibration workflow needs:
 One search, ``_search``, fits them all: a stacked Levenberg-Marquardt
 iteration over any model that returns the residuals and Jacobians of a
 stack of points, which holds a coordinate on a bound whose descent points
-out of the box.  No other optimizer is called.
+out of the box.  The search calls the model as ``model(points, rows)``,
+where ``rows`` indexes the starts still searching, so a stack may also hold
+one curve per row: the RB/XEB decays of one ``analyze`` call run as one
+stacked search per set of sequence lengths (``_fit_exp_offset``), each
+curve on its own steps.  No other optimizer is called.
 
 Compensation data convention: a run stores the offset V(t) that maximizes
 the excited-state population at each delay.  The underlying distortion is
@@ -169,6 +173,7 @@ def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray, offset: bool = Fals
     """Variable projection of ``y`` onto the exponential design at each row
     of a stack ``u`` (S, n) of log time constants, as (residual (S, m),
     Jacobian (S, m, n), amplitudes (S, n), or (S, n + 1) with ``offset``).
+    ``y`` is one curve (m,) for every row, or one curve per row (S, m).
 
     The residual is y minus its least-squares projection Q Q^T y onto the
     columns exp(-t / tau_k), plus a column of ones with ``offset``, where Q
@@ -181,17 +186,21 @@ def _projection(t: np.ndarray, y: np.ndarray, u: np.ndarray, offset: bool = Fals
     from one stacked SVD.
     """
     taus = np.exp(u)
-    exps = _exp_design_matrix(t, taus)
-    design = np.concatenate([exps, np.ones_like(exps[..., :1])], axis=-1) if offset else exps
+    n = u.shape[1]
+    design = np.empty((len(u), t.size, n + offset))
+    exps = design[..., :n]
+    np.exp(-t[:, None] / taus[..., None, :], out=exps)
+    if offset:
+        design[..., n] = 1.0
     left, sv, right = np.linalg.svd(design, full_matrices=False)
     keep = sv > sv[:, :1] * t.size * np.finfo(float).eps
     q = left * keep[:, None, :]
     qt = np.swapaxes(q, 1, 2)
-    qty = qt @ y[:, None]
+    qty = qt @ y[..., None]
     inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     p = (np.swapaxes(right, 1, 2) @ (qty * inv_sv[..., None]))[..., 0]
     resid = y - (q @ qty)[..., 0]
-    dp = exps * (t[:, None] * (p[:, : u.shape[1]] / taus)[:, None, :])
+    dp = exps * (t[:, None] * (p[:, :n] / taus)[:, None, :])
     return resid, q @ (qt @ dp) - dp, p
 
 
@@ -211,8 +220,10 @@ _FINAL_TOL = 1e-12
 def _search(model, x0, lo: float = -np.inf, hi: float = np.inf, tol: float = _SEARCH_TOL):
     """Levenberg-Marquardt search of ``model`` from every row of ``x0``
     (S, n) at once, within [lo, hi]; returns the end points (S, n).
-    ``model`` maps a stack of points (S, n) to their residuals (S, m) and
-    Jacobians (S, m, n).
+    ``model(points, rows)`` maps a stack of points (K, n) to their
+    residuals (K, m) and Jacobians (K, m, n); ``rows`` (K,) holds the
+    indices into ``x0`` of the rows still searching, so a model with one
+    curve per row reads its data with them.
 
     Each start takes damped Gauss-Newton steps (J^T J + lambda diag(J^T J))
     d = -J^T r (Levenberg 1944, Marquardt 1963), clipped into the bounds,
@@ -230,56 +241,69 @@ def _search(model, x0, lo: float = -np.inf, hi: float = np.inf, tol: float = _SE
     longer depends on J^T J.  A start whose system is not finite (data near
     the end of the double range) takes a zero step, so it stops where it
     is.  Every row follows its own steps: the stack only shares the calls,
-    and stopped rows leave it.
+    and stopped rows leave it in the iteration they stop.
     """
     u = np.array(x0, dtype=float)
     live = np.arange(len(u))
     x = u.copy()
-    r, jac = model(x)
-    cost = 0.5 * np.sum(r * r, axis=1)
+    r, jac = model(x, live)
+    cost = 0.5 * (r * r).sum(axis=1)
     lam = np.full(len(x), _LAMBDA_START)
     eye = np.eye(u.shape[1])
+    bounded = lo > -np.inf or hi < np.inf
     for _ in range(_SEARCH_MAX_ITER):
-        jt = np.swapaxes(jac, 1, 2)
+        jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
-        d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+        d = np.sqrt(jtj.diagonal(0, 1, 2))
         d = np.where(d > 0.0, d, 1.0)
         scaled = jtj / d[:, :, None] / d[:, None, :] + lam[:, None, None] * eye
         rhs = -(jt @ r[..., None]) / d[..., None]
-        held = ((x <= lo) & (rhs[..., 0] < 0.0)) | ((x >= hi) & (rhs[..., 0] > 0.0))
-        scaled = np.where(held[:, :, None] | held[:, None, :], eye, scaled)
-        rhs[held] = 0.0
-        stuck = ~(np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
-        scaled[stuck], rhs[stuck] = eye, 0.0
+        if bounded:
+            held = ((x <= lo) & (rhs[..., 0] < 0.0)) | ((x >= hi) & (rhs[..., 0] > 0.0))
+            if held.any():
+                scaled = np.where(held[:, :, None] | held[:, None, :], eye, scaled)
+                rhs[held] = 0.0
+        if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
+            stuck = ~(np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
+            scaled[stuck], rhs[stuck] = eye, 0.0
         z = np.linalg.solve(scaled, rhs)
-        trial = np.clip(x + z[..., 0] / d, lo, hi)
-        r_new, jac_new = model(trial)
-        cost_new = 0.5 * np.sum(r_new * r_new, axis=1)
+        trial = x + z[..., 0] / d
+        if bounded:
+            trial = np.minimum(np.maximum(trial, lo), hi)
+        r_new, jac_new = model(trial, live)
+        cost_new = 0.5 * (r_new * r_new).sum(axis=1)
         better = cost_new < cost
-        moved = np.linalg.norm(trial - x, axis=1)
-        done = moved <= tol * (tol + np.linalg.norm(x, axis=1))
+        step = trial - x
+        done = np.sqrt((step * step).sum(axis=1)) <= tol * (tol + np.sqrt((x * x).sum(axis=1)))
         done |= better & (cost - cost_new <= tol * cost)
-        x[better], r[better], jac[better] = trial[better], r_new[better], jac_new[better]
-        cost[better] = cost_new[better]
+        if better.all():
+            x, r, jac, cost = trial, r_new, jac_new, cost_new
+        elif better.any():
+            x[better], r[better], jac[better] = trial[better], r_new[better], jac_new[better]
+            cost[better] = cost_new[better]
         lam = np.where(better, np.maximum(lam / _LAMBDA_STEP, _LAMBDA_MIN), lam * _LAMBDA_STEP)
         done |= lam > _LAMBDA_MAX
-        u[live] = x
-        go = ~done
-        live, x, r, jac, cost, lam = live[go], x[go], r[go], jac[go], cost[go], lam[go]
-        if not live.size:
-            break
+        if done.any():
+            u[live] = x
+            go = ~done
+            live, x, r, jac, cost, lam = live[go], x[go], r[go], jac[go], cost[go], lam[go]
+            if not live.size:
+                return u
+    u[live] = x
     return u
 
 
-def _fit_exp_offset(t, y, tau0: float, tau_lo: float, tau_hi: float):
-    """Least squares of a exp(-t / tau) + b: the variable-projection search
-    over log tau in [tau_lo, tau_hi] from ``tau0``; returns (a, b, tau)."""
+def _fit_exp_offset(t, y, tau0, tau_lo: float, tau_hi: float):
+    """Least squares of a exp(-t / tau) + b for each curve of a stack ``y``
+    (S, m) on the shared points ``t``: one variable-projection search over
+    log tau in [tau_lo, tau_hi] from the starts ``tau0`` (S,), a row per
+    curve; returns (a, b, tau), each (S,)."""
     u = _search(
-        lambda u: _projection(t, y, u, offset=True)[:2],
-        np.log([[tau0]]), np.log(tau_lo), np.log(tau_hi),
+        lambda u, rows: _projection(t, y[rows], u, offset=True)[:2],
+        np.log(tau0)[:, None], np.log(tau_lo), np.log(tau_hi),
     )
     _, _, p = _projection(t, y, u, offset=True)
-    return float(p[0, 0]), float(p[0, 1]), float(np.exp(u[0, 0]))
+    return p[:, 0], p[:, 1], np.exp(u[:, 0])
 
 
 def fit_short_time(
@@ -344,31 +368,30 @@ def fit_short_time(
     grid = np.log(np.geomspace(2.0 * tau_lo, max(span / 2.0, 4.0 * tau_lo), size))
     starts = grid[np.array(list(combinations(range(size), n_terms)))]
 
-    def projection(u):
+    def projection(u, rows):
         return _projection(t, y, u)[:2]
 
     u_lo, u_hi = np.log(tau_lo), np.log(tau_hi)
     u_end = _search(projection, starts, u_lo, u_hi)
     _, _, p_end = _projection(t, y, u_end)
-    best = None
-    n_dropped = 0
-    for p, u in zip(p_end, u_end):
-        if np.max(np.abs(p)) > 0.5:
-            # The projection leaves the amplitudes unbounded: two merging
-            # time constants with large opposite amplitudes mimic a
-            # t exp(-t/tau) term.  Drop this start.
-            n_dropped += 1
-            continue
-        cost = _rms(t, y, p, np.clip(np.exp(u), tau_lo, tau_hi))
-        if best is None or cost < best[0]:
-            best = (cost, u)
-    if best is None:
+    # The projection leaves the amplitudes unbounded: two merging time
+    # constants with large opposite amplitudes mimic a t exp(-t/tau) term.
+    # A start whose amplitudes leave [-0.5, 0.5] (or are not finite) is
+    # dropped.  The kept costs are finite, so argmin's first minimum is the
+    # first start of least RMS.
+    kept = np.max(np.abs(p_end), axis=1) <= 0.5
+    n_dropped = int(np.count_nonzero(~kept))
+    if n_dropped == len(kept):
         raise FitFailedError(
             f"every start ends outside the amplitude bound [-0.5, 0.5]; "
             f"lower n_terms (now {n_terms}) or check v_step"
         )
+    u_kept, p_kept = u_end[kept], p_end[kept]
+    fitted = _exp_design_matrix(t, np.clip(np.exp(u_kept), tau_lo, tau_hi)) @ p_kept[..., None]
+    costs = np.sqrt(np.mean((fitted[..., 0] - y) ** 2, axis=1))
+    best = u_kept[np.argmin(costs)]
 
-    u = _search(projection, best[1][None], u_lo, u_hi, tol=_FINAL_TOL)
+    u = _search(projection, best[None], u_lo, u_hi, tol=_FINAL_TOL)
     _, _, p = _projection(t, y, u)
     p, taus = p[0], np.clip(np.exp(u[0]), tau_lo, tau_hi)
     if np.max(np.abs(p)) > 0.5:
@@ -433,7 +456,8 @@ def fit_long_time(
     tau_lo = max(float(np.min(np.diff(t_us))), 1e-9 * span_us)
     tau_hi = 10.0 * span_us
     tau0 = float(np.clip(span_us / 3.0, tau_lo * 1.01, tau_hi * 0.99))
-    step, settled, tau = _fit_exp_offset(t_us, y, tau0, tau_lo, tau_hi)
+    fit = _fit_exp_offset(t_us, y[None], np.array([tau0]), tau_lo, tau_hi)
+    step, settled, tau = (float(v[0]) for v in fit)
     initial = step + settled
     if not (lo < settled < hi and lo < initial < hi):
         raise FitFailedError(
@@ -511,7 +535,9 @@ def fit_anticrossing(data: AnticrossingData, k_q: float) -> AnticrossingFit:
         raise InvalidArgumentError("k_q must be finite and nonzero")
     z, f = data.zpa, data.freq_ghz
 
-    ends = _search(lambda theta: _branch_products(z, f, theta), np.array(_branch_line_inits(data)))
+    ends = _search(
+        lambda theta, rows: _branch_products(z, f, theta), np.array(_branch_line_inits(data))
+    )
     costs = np.sqrt(np.mean(_branch_products(z, f, ends)[0] ** 2, axis=1))
     best = int(np.argmin(costs))
     theta = ends[best]

@@ -94,6 +94,56 @@ def test_fit_decay_does_not_depend_on_row_order(amplitude, p, offset, noise_seed
     assert fit_decay(n[list(order)], f[list(order)]) == fit_decay(n, f)
 
 
+# Three sets of lengths; the last measures 16 twice.
+LENGTH_SETS = (
+    (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256),
+    tuple(range(0, 400, 20)),
+    (1, 2, 4, 8, 12, 16, 16, 24, 32, 48, 64, 96, 128, 192, 256),
+)
+
+
+@pytest.mark.filterwarnings("ignore:decay amplitude:RuntimeWarning")
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(LENGTH_SETS) - 1), st.floats(0.95, 0.995),
+                  st.floats(0.4, 0.75), st.floats(0.2, 0.5)),
+        min_size=1, max_size=4,
+    ),
+    st.integers(0, 2**31 - 1),
+)
+def test_fit_decays_is_fit_decay_on_each_curve(curves, seed):
+    # The curves that share their sorted lengths are fitted in one stacked
+    # search, each on its own steps, so each result is the one of its curve
+    # fitted alone, bit for bit.  The rows of each curve come in their own
+    # order, so curves of one set of lengths still share it once sorted.
+    rng = np.random.default_rng(seed)
+    data = []
+    for which, p, amplitude, offset in curves:
+        n = rng.permutation(np.array(LENGTH_SETS[which], dtype=float))
+        f = np.clip(amplitude * p**n + offset + rng.normal(0.0, 0.003, n.size), 0.0, 1.0)
+        data.append((n, f))
+    fits = analysis.fit_decays(data)
+    assert [repr(fit) for fit in fits] == [repr(fit_decay(n, f)) for n, f in data]
+
+
+def test_fit_decays_checks_every_curve_before_fitting(monkeypatch):
+    # The first curve in order that fails is the one raised, with its
+    # index; a rule is checked on every curve before any is fitted.
+    n = np.arange(0, 300, 15, dtype=float)
+    good = (n, 0.75 * 0.99**n + 0.25)
+    constant = (n, np.full(n.size, 0.5))
+    above_one = (n, 0.75 * 0.99**n + 0.5)
+    searches = []
+    monkeypatch.setattr(fitting, "_search", lambda *args, **kwargs: searches.append(args))
+    with pytest.raises(DegenerateFitError, match="constant fidelities") as info:
+        analysis.fit_decays([good, constant, above_one])
+    assert info.value.curve == 1
+    with pytest.raises(InvalidArgumentError, match="must lie in") as info:
+        analysis.fit_decays([good, above_one, constant])
+    assert info.value.curve == 1 and not searches
+
+
 def test_fit_decay_sigma_follows_the_covariance_rule():
     # sigma_p is sqrt of the (p, p) entry of SSR / (m - 3) (J^T J)^-1 for
     # the analytic Jacobian [p^n, A n p^(n-1), 1] at the fitted values.
@@ -129,13 +179,17 @@ def test_fit_decay_input_validation():
 
 
 def test_fit_decay_warns_on_levels_outside_unit_interval():
+    # Both entry points warn at their caller's line.
     n = np.arange(0, 29, 2)
     f = 1.05 * 0.9**n - 0.05
     assert np.all((0.0 <= f) & (f <= 1.0))
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         fit = fit_decay(n, f)
     assert fit.amplitude == pytest.approx(1.05, abs=1e-6)
     assert fit.offset == pytest.approx(-0.05, abs=1e-6)
+    with pytest.warns(RuntimeWarning) as stacked:
+        assert analysis.fit_decays([(n, f)]) == [fit]
+    assert [w.filename for w in (*record, *stacked)] == [__file__] * 2
 
 
 def test_fit_decay_sigma_calibration_monte_carlo():

@@ -16,10 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxcal
-from fluxcal import cli, pipeline, presets, simulator
+from fluxcal import analysis, cli, fitting, pipeline, presets, simulator
 from fluxcal.analysis import write_decay_csv
 from fluxcal.cli import build_parser, main
-from fluxcal.errors import SweepRangeError
+from fluxcal.errors import DegenerateFitError, SweepRangeError
 from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
@@ -730,7 +730,7 @@ LENGTH_RULE = "{path}: sequence lengths must be integers from 0 to 1000000000"
     ([0, 20, 40, 40, 80], [0.9, 0.8, 0.7, 0.7, 0.6], 1,
      "{path}: need at least 5 distinct sequence lengths"),
     # well-formed, but the decay rate cannot be fitted: a numerical failure
-    ([0, 20, 40, 60, 80], [0.7] * 5, 2, "constant fidelities: decay rate is unidentifiable"),
+    ([0, 20, 40, 60, 80], [0.7] * 5, 2, "{path}: constant fidelities: decay rate is unidentifiable"),
 ], ids=["negative-n", "fractional-n", "huge-n", "fidelity-above-1", "four-lengths", "constant"])
 def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, message):
     good, bad = tmp_path / "gate.csv", tmp_path / "ref.csv"
@@ -741,6 +741,101 @@ def test_analyze_decay_rule_names_the_file(tmp_path, capsys, n, fidelity, code, 
     argv = ["analyze", "--scheme", "rb", "--gate", str(good), "--reference", str(bad), "-o", str(out)]
     assert main(argv) == code
     assert capsys.readouterr().err == f"fluxcal analyze: {message.format(path=bad)}\n"
+    assert not out.exists()
+
+
+def _write_decays(tmp_path, names, n=np.arange(0, 400, 20)):
+    """Noisy decay files of the given names on the lengths ``n``, the gate's
+    decaying faster than the references'; returns their paths."""
+    rng = np.random.default_rng(5)
+    paths = []
+    for name in names:
+        p = 0.97 if name.startswith("gate") else 0.995
+        f = 0.7 * p**n + 0.25 + rng.normal(0.0, 0.003, n.size)
+        write_decay_csv(tmp_path / name, n, np.clip(f, 0.0, 1.0))
+        paths.append(tmp_path / name)
+    return paths
+
+
+def _analyze(scheme, gate, references, out):
+    return main(["analyze", "--scheme", scheme, "--gate", str(gate),
+                 "--reference", *map(str, references), "-o", str(out)])
+
+
+def test_analyze_constant_gate_names_the_file(tmp_path, capsys):
+    # A numerical failure of the gate's decay names the gate, exit 2.
+    (ref,) = _write_decays(tmp_path, ["ref.csv"])
+    gate = tmp_path / "gate.csv"
+    write_decay_csv(gate, [0, 20, 40, 60, 80], [0.7] * 5)
+    out = tmp_path / "out.json"
+    assert _analyze("rb", gate, [ref], out) == 2
+    assert capsys.readouterr().err == (
+        f"fluxcal analyze: {gate}: constant fidelities: decay rate is unidentifiable\n"
+    )
+    assert not out.exists()
+
+
+def test_analyze_unbounded_sigma_names_the_file(tmp_path, capsys, monkeypatch):
+    # After the stacked fit, the failure of one curve names its file: here
+    # the first of three xeb files whose sigma_p is unbounded.
+    gate, q1, q2 = _write_decays(tmp_path, ["gate.csv", "q1.csv", "q2.csv"])
+    decay_fit = analysis._decay_fit
+
+    def unbounded_after_the_gate(n, f, *constants):
+        if len(calls) == 1:
+            raise DegenerateFitError("decay rate uncertainty is unbounded")
+        calls.append(n)
+        return decay_fit(n, f, *constants)
+
+    calls = []
+    monkeypatch.setattr(analysis, "_decay_fit", unbounded_after_the_gate)
+    out = tmp_path / "out.json"
+    assert _analyze("xeb", gate, [q1, q2], out) == 2
+    assert capsys.readouterr().err == (
+        f"fluxcal analyze: {q1}: decay rate uncertainty is unbounded\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, lengths, searches", [
+    ("rb", [np.arange(0, 400, 20)] * 2, 1),
+    ("xeb", [np.arange(0, 400, 20)] * 3, 1),
+    ("xeb", [np.arange(0, 400, 20), np.arange(0, 300, 15), np.arange(0, 400, 20)], 2),
+], ids=["rb", "xeb-one-length-set", "xeb-two-length-sets"])
+def test_analyze_fits_each_length_set_in_one_search(tmp_path, monkeypatch, scheme, lengths, searches):
+    # The decay files of one call that share their lengths are fitted in
+    # one stacked search: one search per set of lengths.
+    names = ["gate.csv", "ref_1.csv", "ref_2.csv"][: len(lengths)]
+    paths = [_write_decays(tmp_path, [name], n)[0] for name, n in zip(names, lengths)]
+    search = fitting._search
+    calls = []
+
+    def counting(model, x0, *args, **kwargs):
+        calls.append(len(x0))
+        return search(model, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_search", counting)
+    assert _analyze(scheme, paths[0], paths[1:], tmp_path / "out.json") == 0
+    assert len(calls) == searches and sum(calls) == len(paths)
+
+
+@pytest.mark.parametrize("broken", [["gate.csv", "ref.csv"], ["q2.csv"]],
+                         ids=["gate-and-reference", "second-reference"])
+def test_analyze_names_the_first_file_that_breaks_a_rule(tmp_path, capsys, broken):
+    # Every file is read and checked in command-line order before the
+    # stacked fit, so the first broken file is named: the gate when the
+    # gate and the rb reference both break a rule, the second xeb
+    # reference when only it does.
+    names = ["gate.csv", "ref.csv"] if "ref.csv" in broken else ["gate.csv", "q1.csv", "q2.csv"]
+    paths = _write_decays(tmp_path, names)
+    for name in broken:
+        write_csv_table(tmp_path / name, ("n", "fidelity"),
+                        (np.array([0.0, 20, 40, 60, 80]), np.array([0.9, 0.8, 1.2, 0.65, 0.6])))
+    out = tmp_path / "out.json"
+    assert _analyze("rb" if len(names) == 2 else "xeb", paths[0], paths[1:], out) == 1
+    assert capsys.readouterr().err == (
+        f"fluxcal analyze: {tmp_path / broken[0]}: fidelities must lie in [0, 1]\n"
+    )
     assert not out.exists()
 
 

@@ -506,31 +506,82 @@ def test_short_fit_holds_a_time_constant_on_its_bound():
 
 
 @settings(deadline=None, max_examples=40)
+@given(short_models(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_short_fit_continues_the_start_the_loop_picks(model, n_terms, seed):
+    # The kept starts are scored in one stacked RMS call.  Their amplitudes
+    # lie in [-0.5, 0.5] and their time constants are clipped, so every
+    # cost is finite and argmin's first minimum is the start that a loop
+    # keeping the first strictly lower cost picks: the one the continued
+    # search starts from.  More terms than the data hold drop some starts.
+    amplitudes, taus = model
+    rng = np.random.default_rng(seed)
+    t = np.geomspace(2.0, 4 * taus[-1], 40)
+    resp = short_channel(amplitudes, taus, v_step=0.3)
+    run = synthesize_calibration_run(resp, t, "short", noise_sigma=1e-4, rng=rng)
+    searches = []
+    search = fitting._search
+
+    def recording(model, x0, *args, **kwargs):
+        searches.append((np.array(x0), search(model, x0, *args, **kwargs)))
+        return searches[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_search", recording)
+        try:
+            fit_short_time(run, n_terms=n_terms)
+        except FitFailedError:
+            pass  # only the start of the continued search is checked
+    y = -run.compensation / run.v_step
+    tau_lo, tau_hi = np.min(np.diff(t)), 10.0 * run.span_ns
+    u_end = searches[0][1]
+    best = None
+    for p, u in zip(fitting._projection(t, y, u_end)[2], u_end):
+        if np.max(np.abs(p)) > 0.5:
+            continue
+        cost = fitting._rms(t, y, p, np.clip(np.exp(u), tau_lo, tau_hi))
+        assert np.isfinite(cost)
+        if best is None or cost < best[0]:
+            best = (cost, u)
+    if best is None:
+        assert len(searches) == 1
+    else:
+        np.testing.assert_array_equal(searches[1][0], best[1][None])
+
+
+@settings(deadline=None, max_examples=40)
 @given(
     short_models(), st.integers(1, 4), st.integers(2, 6), st.integers(13, 61),
-    st.integers(0, 2**31 - 1),
+    st.integers(0, 2**31 - 1), st.booleans(),
 )
-def test_search_starts_do_not_couple(model, n_terms, n_starts, n_points, seed):
+def test_search_starts_do_not_couple(model, n_terms, n_starts, n_points, seed, curve_per_row):
     # Each start of a stack ends exactly where it ends when searched alone,
     # and no start ends above its initial cost.  Starts are drawn over the
     # whole box, some on its edges, so some hold equal constants; an odd
-    # point count puts the rows of the stack at odd memory offsets.
+    # point count puts the rows of the stack at odd memory offsets.  With
+    # one curve per row (its own noise) the model reads each row's curve
+    # through the rows the search passes it.
     amplitudes, taus = model
     rng = np.random.default_rng(seed)
     t = np.geomspace(2.0, 4 * taus[-1], n_points)
-    y = np.exp(-t[:, None] / np.asarray(taus)) @ amplitudes + 1e-4 * rng.normal(size=t.size)
+    noise = 1e-4 * rng.normal(size=(n_starts if curve_per_row else 1, t.size))
+    y = np.exp(-t[:, None] / np.asarray(taus)) @ amplitudes + noise
     lo, hi = np.log(np.min(np.diff(t))), np.log(10 * (t[-1] - t[0]))
     u0 = np.sort(np.clip(rng.uniform(lo - 1.0, hi + 1.0, (n_starts, n_terms)), lo, hi), axis=1)
 
-    def projection(u):
-        return fitting._projection(t, y, u)[:2]
+    def curves(rows):
+        return y[rows] if curve_per_row else y[0]
 
-    u = fitting._search(projection, u0, lo, hi)
+    def searched(u0, rows):
+        return fitting._search(lambda u, live: fitting._projection(t, curves(rows[live]), u)[:2],
+                               u0, lo, hi)
+
+    rows = np.arange(n_starts)
+    u = searched(u0, rows)
     for k in range(n_starts):
-        np.testing.assert_array_equal(u[k], fitting._search(projection, u0[k : k + 1], lo, hi)[0])
+        np.testing.assert_array_equal(u[k], searched(u0[k : k + 1], rows[k : k + 1])[0])
     assert np.all((u >= lo) & (u <= hi))
-    cost0 = np.sum(fitting._projection(t, y, u0)[0] ** 2, axis=1)
-    assert np.all(np.sum(fitting._projection(t, y, u)[0] ** 2, axis=1) <= cost0)
+    cost0 = np.sum(fitting._projection(t, curves(rows), u0)[0] ** 2, axis=1)
+    assert np.all(np.sum(fitting._projection(t, curves(rows), u)[0] ** 2, axis=1) <= cost0)
 
 
 @settings(deadline=None, max_examples=400)
@@ -588,9 +639,9 @@ def test_long_fit_fails_outside_the_level_band(
     run = CalibrationRun(delays_ns=t_ns, compensation=0.3 * (1.0 - y), v_step=0.3, regime="long")
     t_us, y_run = t_ns / 1000.0, 1.0 - run.compensation / run.v_step
     span_us = run.span_ns / 1000.0
-    step, b, _ = fitting._fit_exp_offset(
-        t_us, y_run, span_us / 3.0, np.min(np.diff(t_us)), 10.0 * span_us
-    )
+    step, b, _ = (float(v[0]) for v in fitting._fit_exp_offset(
+        t_us, y_run[None], np.array([span_us / 3.0]), np.min(np.diff(t_us)), 10.0 * span_us
+    ))
     lo, hi = LONG_LEVEL_BAND
     assert not (lo < b < hi and lo < step + b < hi)
     with pytest.raises(FitFailedError, match="plausibility band") as info:
