@@ -1,12 +1,13 @@
 """Fit-layer bench: the four fits of a calibration set, timed and counted.
 
-    python bench/fit_layer.py --output BENCH.json [--src SRC] [--seed N] [--quick]
+    python bench/fit_layer.py --output BENCH.json [--src SRC] [--quick]
 
-Builds seeded fit sets from known channels (``synthesize_calibration_run``
-for the short and long sweeps, ``write_decay_csv`` and ``read_decay_csv``
-for the RB and XEB decays, branch lines for the anti-crossing) and fits
-each set as ``fluxcal fit`` and ``fluxcal analyze`` do, from the fluxcal
-source in ``--src`` (default: this checkout's ``src``).
+Builds fit sets seeded with ``SEED`` from known channels
+(``synthesize_calibration_run`` for the short and long sweeps,
+``write_decay_csv`` and ``read_decay_csv`` for the RB and XEB decays,
+branch lines for the anti-crossing) and fits each set as ``fluxcal fit``
+and ``fluxcal analyze`` do, from the fluxcal source in ``--src``
+(default: this checkout's ``src``).
 
 Written to ``--output``, one JSON object:
 
@@ -39,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+SEED = 1
 RB_LENGTHS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
 
@@ -145,7 +147,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", "-o", required=True, help="JSON file to write")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="fluxcal source directory to import")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--quick", action="store_true", help="4 sets, 3 repeats (a smoke run)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
 
     n_sets, repeats = (4, 3) if args.quick else (32, 15)
     with tempfile.TemporaryDirectory() as tmp:
-        sets = fit_sets(args.seed, n_sets, Path(tmp))
+        sets = fit_sets(SEED, n_sets, Path(tmp))
     fits = layers()
 
     digest = hashlib.sha256()
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         "bench": "fit_layer",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
-        "config": {"seed": args.seed, "sets": n_sets, "repeats": repeats,
+        "config": {"seed": SEED, "sets": n_sets, "repeats": repeats,
                    "fluxcal": fluxcal.__version__,
                    "decay_fit": "fit_decays" if hasattr(analysis, "fit_decays") else "fit_decay per curve"},
         "layers": {name: {"ms_per_call": spread(values)} for name, values in times.items()},

@@ -149,19 +149,9 @@ def _decay_fit(n, f, amplitude: float, offset: float, tau: float) -> DecayFit:
             f"decay amplitude {amplitude:.4g} / offset {offset:.4g} outside [0, 1]; "
             "check preparation and measurement levels",
             RuntimeWarning,
-            stacklevel=5,  # the caller of fit_decay(s), past _on_curve and _fit_decays
+            stacklevel=4,  # the caller of fit_decay(s), past _fit_decays
         )
     return DecayFit(amplitude=amplitude, p=p, offset=offset, sigma_p=sigma_p)
-
-
-def _on_curve(k: int, build, *args):
-    """``build(*args)``, whose FluxcalError records in ``curve`` the index
-    ``k`` of the curve it failed on."""
-    try:
-        return build(*args)
-    except FluxcalError as exc:
-        exc.curve = k
-        raise
 
 
 def fit_decays(curves) -> list[DecayFit]:
@@ -191,19 +181,29 @@ def fit_decays(curves) -> list[DecayFit]:
     the first curve in order that has one.  Each error's ``curve``
     attribute holds the index of its curve.
     """
+    # Called here and in fit_decay at the same depth: the level warning's
+    # fixed stacklevel names the line that called either.
     return _fit_decays(curves)
 
 
 def fit_decay(lengths, fidelities) -> DecayFit:
     """Fit F(n) = A p^n + B to one curve of sequence fidelities: the one
     curve of ``fit_decays``, with its rules, errors and results."""
+    # At the depth of fit_decays' call, for the warning's fixed stacklevel.
     return _fit_decays([(lengths, fidelities)])[0]
 
 
 def _fit_decays(curves) -> list[DecayFit]:
-    """``fit_decays``, one frame below both entry points, so that a warning
-    names the line that called either."""
-    starts = [_on_curve(k, _decay_start, *curve) for k, curve in enumerate(curves)]
+    """The body of ``fit_decays`` and ``fit_decay``.  Each calls it
+    directly, so the level warning of ``_decay_fit`` (called here), at
+    stacklevel 4, names the line that called either."""
+    starts = []
+    for k, curve in enumerate(curves):
+        try:
+            starts.append(_decay_start(*curve))
+        except FluxcalError as exc:
+            exc.curve = k
+            raise
     groups: dict[bytes, list[int]] = {}
     for k, (n, _, _, _) in enumerate(starts):
         groups.setdefault(n.tobytes(), []).append(k)
@@ -216,7 +216,11 @@ def _fit_decays(curves) -> list[DecayFit]:
             constants[k] = [float(v) for v in fitted]
     fits = []
     for k, (n, f, _, _) in enumerate(starts):
-        fits.append(_on_curve(k, _decay_fit, n, f, *constants[k]))
+        try:
+            fits.append(_decay_fit(n, f, *constants[k]))
+        except FluxcalError as exc:
+            exc.curve = k
+            raise
     return fits
 
 

@@ -39,14 +39,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _decay_start,
     fit_decays,
     rb_fidelity,
     read_decay_csv,
     xeb_fidelity,
     xeb_parallel_combine,
 )
-from .errors import FluxcalError
+from .errors import FluxcalError, InvalidArgumentError
 from .fitting import (
     REGIMES,
     fit_long_time,
@@ -363,18 +362,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _decay_curve(path):
-    """The lengths and fidelities of one decay CSV, checked by the decay
-    fit's rules: a broken rule is a usage error naming the file, and
-    constant fidelities a numerical failure naming it."""
-    curve = read_decay_csv(path)
-    try:
-        _usage_error(path, _decay_start, *curve)
-    except FluxcalError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    return curve
-
-
 def cmd_analyze(args) -> int:
     if args.dimension < 2:
         raise ValueError(f"--dimension: expected an integer >= 2, got {args.dimension}")
@@ -383,12 +370,15 @@ def cmd_analyze(args) -> int:
     if args.scheme == "xeb" and len(args.reference) not in (1, 2):
         raise ValueError("xeb takes one combined or two single-qubit reference files")
 
-    # Every file is read and checked, in command-line order, before the
-    # decays are fitted together; a failure of the fit names its file.
+    # Every file is read, in command-line order, then the decays are checked
+    # in that order and fitted together; a failure names its file, a broken
+    # rule as a usage error.
     paths = [args.gate, *args.reference]
-    curves = [_decay_curve(path) for path in paths]
+    curves = [read_decay_csv(path) for path in paths]
     try:
         gate_fit, *component_fits = fit_decays(curves)
+    except InvalidArgumentError as exc:
+        raise ValueError(f"{paths[exc.curve]}: {exc}") from None
     except FluxcalError as exc:
         raise type(exc)(f"{paths[exc.curve]}: {exc}") from None
     if len(component_fits) == 2:

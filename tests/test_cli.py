@@ -822,7 +822,7 @@ def test_analyze_fits_each_length_set_in_one_search(tmp_path, monkeypatch, schem
 @pytest.mark.parametrize("broken", [["gate.csv", "ref.csv"], ["q2.csv"]],
                          ids=["gate-and-reference", "second-reference"])
 def test_analyze_names_the_first_file_that_breaks_a_rule(tmp_path, capsys, broken):
-    # Every file is read and checked in command-line order before the
+    # Every file is read, then checked in command-line order before the
     # stacked fit, so the first broken file is named: the gate when the
     # gate and the rb reference both break a rule, the second xeb
     # reference when only it does.
@@ -836,6 +836,18 @@ def test_analyze_names_the_first_file_that_breaks_a_rule(tmp_path, capsys, broke
     assert capsys.readouterr().err == (
         f"fluxcal analyze: {tmp_path / broken[0]}: fidelities must lie in [0, 1]\n"
     )
+    assert not out.exists()
+
+
+def test_analyze_reads_every_file_before_checking_any(tmp_path, capsys):
+    # A reference that cannot be read is named before a gate whose
+    # fidelities are constant: every file is read before the first check.
+    gate, missing = tmp_path / "gate.csv", tmp_path / "missing.csv"
+    write_decay_csv(gate, [0, 20, 40, 60, 80], [0.7] * 5)
+    out = tmp_path / "out.json"
+    assert _analyze("rb", gate, [missing], out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fluxcal analyze: ") and str(missing) in err and err.count("\n") == 1
     assert not out.exists()
 
 
