@@ -16,8 +16,7 @@ Written to ``--output``, one JSON object:
   ``analyze`` group (``decays_rb``: gate and reference; ``decays_xeb``:
   gate and two single-qubit references), as the median and quartiles of
   the interleaved repeats (each repeat times every layer once over all
-  sets, in turn).  A checkout without ``analysis.fit_decays`` fits each
-  decay with ``fit_decay``, as its ``analyze`` does.
+  sets, in turn).
 * ``counters``: per set and per layer, the calls of ``fitting._search``,
   the calls of the models it searches and the rows those calls evaluate,
   counted by wrapping each model in this script.
@@ -98,17 +97,12 @@ def layers():
     """Each layer as a function of one set, returning its fitted values."""
     from fluxcal import analysis, fitting
 
-    def decays(curves):
-        if hasattr(analysis, "fit_decays"):
-            return analysis.fit_decays(curves)
-        return [analysis.fit_decay(*curve) for curve in curves]
-
     return {
         "fit_short_time": lambda s: fitting.fit_short_time(s["short"], s["n_exp"]),
         "fit_long_time": lambda s: fitting.fit_long_time(s["long"]),
         "fit_anticrossing": lambda s: fitting.fit_anticrossing(s["anticrossing"], k_q=4.0),
-        "decays_rb": lambda s: decays(s["rb"]),
-        "decays_xeb": lambda s: decays(s["xeb"]),
+        "decays_rb": lambda s: analysis.fit_decays(s["rb"]),
+        "decays_xeb": lambda s: analysis.fit_decays(s["xeb"]),
     }
 
 
@@ -151,7 +145,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import fluxcal
-    from fluxcal import analysis
 
     n_sets, repeats = (4, 3) if args.quick else (32, 15)
     with tempfile.TemporaryDirectory() as tmp:
@@ -180,8 +173,7 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "config": {"seed": SEED, "sets": n_sets, "repeats": repeats,
-                   "fluxcal": fluxcal.__version__,
-                   "decay_fit": "fit_decays" if hasattr(analysis, "fit_decays") else "fit_decay per curve"},
+                   "fluxcal": fluxcal.__version__},
         "layers": {name: {"ms_per_call": spread(values)} for name, values in times.items()},
         "counters": counters,
         "searches_per_set": sum(c["searches"] for c in counters.values()),

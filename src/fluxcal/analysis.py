@@ -7,7 +7,8 @@ interleaved depolarization parameters combine into a gate fidelity
     F_gate = 1 - (1 - p_gate / p_ref) * (D - 1) / D
 
 with D the Hilbert space dimension (4 for a two-qubit gate).  The decay
-fit is linear in A and B, so it searches the decay constant alone by the
+fit is ``fit_decays``; one curve is ``fit_decays([(n, f)])[0]``.  It is
+linear in A and B, so it searches the decay constant alone by the
 variable projection of ``fitting``, with no scipy optimizer, and the
 decays that share their sequence lengths run as one stacked search; the
 standard error of p follows ``scipy.optimize.curve_fit``'s covariance rule
@@ -81,7 +82,7 @@ _DECAY_TAU_LO = 1.0 / math.log(1e9)
 
 def _valid_lengths(n: np.ndarray) -> np.ndarray:
     """Where float sequence lengths ``n`` are integers from 0 to
-    MAX_SEQUENCE_LENGTH: the rule of ``fit_decay`` and ``write_decay_csv``
+    MAX_SEQUENCE_LENGTH: the rule of ``fit_decays`` and ``write_decay_csv``
     (nan and inf fail it)."""
     return (n >= 0) & (n <= MAX_SEQUENCE_LENGTH) & (n == np.round(n))
 
@@ -124,7 +125,7 @@ def _decay_start(lengths, fidelities):
     # p0 is kept inside (0, 1) and its time constant inside the search range
     span = float(n[-1] - n[0]) if n[-1] > n[0] else 1.0
     mid = float(np.interp(0.5 * (n[0] + n[-1]), n, f))
-    ratio = abs((mid - offset0) / amp0) if amp0 != 0.0 else 0.5
+    ratio = abs((mid - offset0) / amp0)
     p0 = min(max(ratio ** (2.0 / span), np.finfo(float).tiny), math.nextafter(1.0, 0.0))
     tau0 = min(max(-1.0 / math.log(p0), _DECAY_TAU_LO), tau_hi)
     return n, f, tau0, tau_hi
@@ -144,13 +145,6 @@ def _decay_fit(n, f, amplitude: float, offset: float, tau: float) -> DecayFit:
     sigma_p = math.sqrt(var_p)
     if not math.isfinite(sigma_p):
         raise DegenerateFitError("decay rate uncertainty is unbounded")
-    if not (0.0 <= amplitude <= 1.0 and 0.0 <= offset <= 1.0):
-        warnings.warn(
-            f"decay amplitude {amplitude:.4g} / offset {offset:.4g} outside [0, 1]; "
-            "check preparation and measurement levels",
-            RuntimeWarning,
-            stacklevel=4,  # the caller of fit_decay(s), past _fit_decays
-        )
     return DecayFit(amplitude=amplitude, p=p, offset=offset, sigma_p=sigma_p)
 
 
@@ -181,22 +175,6 @@ def fit_decays(curves) -> list[DecayFit]:
     the first curve in order that has one.  Each error's ``curve``
     attribute holds the index of its curve.
     """
-    # Called here and in fit_decay at the same depth: the level warning's
-    # fixed stacklevel names the line that called either.
-    return _fit_decays(curves)
-
-
-def fit_decay(lengths, fidelities) -> DecayFit:
-    """Fit F(n) = A p^n + B to one curve of sequence fidelities: the one
-    curve of ``fit_decays``, with its rules, errors and results."""
-    # At the depth of fit_decays' call, for the warning's fixed stacklevel.
-    return _fit_decays([(lengths, fidelities)])[0]
-
-
-def _fit_decays(curves) -> list[DecayFit]:
-    """The body of ``fit_decays`` and ``fit_decay``.  Each calls it
-    directly, so the level warning of ``_decay_fit`` (called here), at
-    stacklevel 4, names the line that called either."""
     starts = []
     for k, curve in enumerate(curves):
         try:
@@ -217,10 +195,18 @@ def _fit_decays(curves) -> list[DecayFit]:
     fits = []
     for k, (n, f, _, _) in enumerate(starts):
         try:
-            fits.append(_decay_fit(n, f, *constants[k]))
+            fit = _decay_fit(n, f, *constants[k])
         except FluxcalError as exc:
             exc.curve = k
             raise
+        if not (0.0 <= fit.amplitude <= 1.0 and 0.0 <= fit.offset <= 1.0):
+            warnings.warn(
+                f"decay amplitude {fit.amplitude:.4g} / offset {fit.offset:.4g} outside "
+                "[0, 1]; check preparation and measurement levels",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        fits.append(fit)
     return fits
 
 
@@ -229,8 +215,6 @@ def _interleaved_fidelity(
 ) -> FidelityEstimate:
     if dimension < 2:
         raise InvalidArgumentError("dimension must be >= 2")
-    if reference.p <= 0.0:
-        raise InvalidArgumentError("reference decay rate must be positive")
     frac = (dimension - 1) / dimension
     ratio = gate.p / reference.p
     fidelity = 1.0 - (1.0 - ratio) * frac
@@ -262,7 +246,7 @@ def xeb_fidelity(gate: DecayFit, reference: DecayFit, dimension: int = 4) -> Fid
 
 def write_decay_csv(path, lengths, fidelities) -> None:
     """Write sequence ``lengths`` and ``fidelities`` under the header
-    ``n,fidelity``.  A length of any dtype that breaks ``fit_decay``'s rule,
+    ``n,fidelity``.  A length of any dtype that breaks ``fit_decays``' rule,
     integers from 0 to MAX_SEQUENCE_LENGTH, raises InvalidArgumentError
     before any file is opened.  The lengths go through the float writer,
     which prints a whole number below 1e17 as its integer digits; -0.0 is

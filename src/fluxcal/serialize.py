@@ -221,8 +221,10 @@ def _float_slots(values, separator: bytes, slots: np.ndarray) -> None:
     [1e16, 1e17) with 0 <= k <= 22, where 10**k is exact and so is Dekker's
     two-product v = p + err.  p is then an even integer and ``rint(err)``
     rounds half to even, so N = p + rint(err) holds the 17 digits that
-    ``%`` writes and 16 - k is their decimal exponent.  Zeros take N = 0;
-    every other value (outside that band, nan or inf) goes through ``%``.
+    ``%`` writes and 16 - k is their decimal exponent.  N < 1e17: in each
+    decade only the largest double below its top could have v >= 1e17 - 0.5,
+    and none has (each is 8 or more short).  Zeros take N = 0; every other
+    value (outside that band, nan or inf) goes through ``%``.
     """
     x = np.asarray(values, dtype=np.float64)
     ax = np.abs(x)
@@ -246,12 +248,6 @@ def _float_slots(values, separator: bytes, slots: np.ndarray) -> None:
         k = kc + step
     ok = band & (step == 0)
     n = np.where(ok, p.astype(np.int64) + np.rint(err).astype(np.int64), 0)
-    exponent = 16 - kc
-    carry = n == 10**17
-    if carry.any():
-        n[carry] = 10**16
-        exponent += carry
-
     high = n // 10**8
     low = n - high * 10**8
     lead = high // 10**8
@@ -266,7 +262,7 @@ def _float_slots(values, separator: bytes, slots: np.ndarray) -> None:
     )
     templates = _slot_templates().copy()
     templates[:, -1] |= np.frombuffer((b"\0" * 4 + separator).ljust(8, b"\0"), dtype=np.uint64)[0]
-    np.take(templates, exponent * 17 - trailing + (16 - 17 * _E_MIN), axis=0, out=slots)
+    np.take(templates, (16 - kc) * 17 - trailing + (16 - 17 * _E_MIN), axis=0, out=slots)
     slots[:, 0] &= lead_words[lead + 10 * np.signbit(x)]
     for j, g in enumerate((g1, g2, g3, g4), start=1):
         slots[:, j] &= digit_words[g]

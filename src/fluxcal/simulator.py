@@ -673,7 +673,10 @@ def simulate_calibration(
     ``dt_integration_ns`` is the largest integration step, in
     (0, ``MAX_STEP_NS``]; each window is cut into equal CF4 steps no
     longer than it (see ``_propagate``).  The delays run in order, and
-    the first one that fails raises its error.
+    the first one that fails raises its error.  Before any is propagated,
+    every delay is checked, in order, to hold its probe pulse after the
+    edge (else SweepRangeError) and, with ``input_waveform``, to end its
+    probe window within the waveform (else InvalidArgumentError).
 
     Each delay propagates only the offsets its peak search needs (see the
     module docstring): the first delay starts from every
@@ -720,20 +723,9 @@ def simulate_calibration(
         base_trace = apply_channel(input_waveform, channel)
         base_times = base_trace.times_ns
 
-    def base_zpa(t_ns: np.ndarray) -> np.ndarray:
-        if base_trace is None:
-            return v_step * eval_step_response(channel, t_ns)
-        if t_ns[-1] > base_trace.duration_ns + 1e-9:
-            raise InvalidArgumentError(
-                "input waveform does not cover the last drive window"
-            )
-        return np.interp(t_ns, base_times, base_trace.samples)
-
-    rows = np.arange(offs.size)
-    coarse = (rows % _SEARCH_STRIDE == 0) | (rows == offs.size - 1)
-    t_pis, v_oft, p1_rows = [], [], []
-    k = None
-    calls = substeps = 0
+    # Every delay's probe window, checked in order before any is propagated;
+    # its nodes are built again when it runs, so one window's are held at a time.
+    t_pis, drives = [], []
     for t_delay in delays:
         t_pi = schedule.t_pi_ns(float(t_delay))
         t_pis.append(t_pi)
@@ -748,8 +740,26 @@ def simulate_calibration(
             t_center_ns=float(t_delay),
             sigma_fraction=schedule.sigma_fraction,
         )
+        if base_trace is not None:
+            end = drive.step_nodes(dt_integration_ns)[0][-1]
+            if end > base_trace.duration_ns + 1e-9:
+                raise InvalidArgumentError(
+                    f"input waveform ends at {base_trace.duration_ns} ns, before the probe "
+                    f"window of delay {t_delay} ns, which ends at {end} ns"
+                )
+        drives.append(drive)
+
+    rows = np.arange(offs.size)
+    coarse = (rows % _SEARCH_STRIDE == 0) | (rows == offs.size - 1)
+    v_oft, p1_rows = [], []
+    k = None
+    calls = substeps = 0
+    for drive in drives:
         t_nodes, h = drive.step_nodes(dt_integration_ns)
-        zpa = base_zpa(t_nodes)
+        if base_trace is None:
+            zpa = v_step * eval_step_response(channel, t_nodes)
+        else:
+            zpa = np.interp(t_nodes, base_times, base_trace.samples)
         # Every row for the full grid; the coarse rows for the first delay;
         # the rows around the previous delay's peak k for the others.  Rows
         # not propagated count as -inf.  While the argmax has an unpropagated

@@ -13,7 +13,7 @@ from fluxcal.analysis import (
     MAX_SEQUENCE_LENGTH,
     DecayFit,
     FidelityEstimate,
-    fit_decay,
+    fit_decays,
     rb_fidelity,
     read_decay_csv,
     write_decay_csv,
@@ -43,7 +43,7 @@ def test_fidelity_estimate_invariants():
 
 def test_fit_decay_noiseless_recovery():
     n = np.arange(0, 300, 15)
-    fit = fit_decay(n, 0.75 * 0.99**n + 0.25)
+    fit = fit_decays([(n, 0.75 * 0.99**n + 0.25)])[0]
     assert fit.p == pytest.approx(0.99, abs=1e-6)
     assert fit.amplitude == pytest.approx(0.75, abs=1e-6)
     assert fit.offset == pytest.approx(0.25, abs=1e-6)
@@ -56,7 +56,7 @@ def test_fit_decay_recovers_decays_on_long_length_scales(scale):
     # past n = 0 and p is not stuck at a clipped start.
     n = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0]) * scale / 4.0
     p = np.exp(-1.0 / scale)
-    fit = fit_decay(n, 0.7 * p**n + 0.25)
+    fit = fit_decays([(n, 0.7 * p**n + 0.25)])[0]
     assert (1.0 - fit.p) == pytest.approx(1.0 - p, rel=1e-6)
     assert fit.amplitude == pytest.approx(0.7, abs=1e-9)
     assert fit.offset == pytest.approx(0.25, abs=1e-9)
@@ -74,7 +74,7 @@ def test_fit_decay_recovers_random_noiseless_decays(p, start, end, n_lengths):
     n = np.concatenate([[0.0], n])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        fit = fit_decay(n, amplitude * p**n + offset)
+        fit = fit_decays([(n, amplitude * p**n + offset)])[0]
     np.testing.assert_allclose([fit.amplitude, fit.p, fit.offset], [amplitude, p, offset],
                                rtol=0, atol=1e-6)
 
@@ -91,7 +91,7 @@ def test_fit_decay_does_not_depend_on_row_order(amplitude, p, offset, noise_seed
     n = np.array([1, 2, 4, 8, 12, 16, 16, 24, 32, 48, 64, 96, 128, 192, 256], dtype=float)
     rng = np.random.default_rng(noise_seed)
     f = np.clip(amplitude * p**n + offset + rng.normal(0.0, 0.003, n.size), 0.0, 1.0)
-    assert fit_decay(n[list(order)], f[list(order)]) == fit_decay(n, f)
+    assert fit_decays([(n[list(order)], f[list(order)])])[0] == fit_decays([(n, f)])[0]
 
 
 # Three sets of lengths; the last measures 16 twice.
@@ -112,7 +112,7 @@ LENGTH_SETS = (
     ),
     st.integers(0, 2**31 - 1),
 )
-def test_fit_decays_is_fit_decay_on_each_curve(curves, seed):
+def test_fit_decays_stacked_is_each_curve_fitted_alone(curves, seed):
     # The curves that share their sorted lengths are fitted in one stacked
     # search, each on its own steps, so each result is the one of its curve
     # fitted alone, bit for bit.  The rows of each curve come in their own
@@ -124,7 +124,7 @@ def test_fit_decays_is_fit_decay_on_each_curve(curves, seed):
         f = np.clip(amplitude * p**n + offset + rng.normal(0.0, 0.003, n.size), 0.0, 1.0)
         data.append((n, f))
     fits = analysis.fit_decays(data)
-    assert [repr(fit) for fit in fits] == [repr(fit_decay(n, f)) for n, f in data]
+    assert [repr(fit) for fit in fits] == [repr(fit_decays([curve])[0]) for curve in data]
 
 
 def test_fit_decays_checks_every_curve_before_fitting(monkeypatch):
@@ -150,7 +150,7 @@ def test_fit_decay_sigma_follows_the_covariance_rule():
     n = np.arange(0, 400, 20, dtype=float)
     rng = np.random.default_rng(3)
     f = np.clip(0.72 * 0.991**n + 0.26 + rng.normal(0.0, 0.01, n.size), 0.0, 1.0)
-    fit = fit_decay(n, f)
+    fit = fit_decays([(n, f)])[0]
     jac = np.column_stack([fit.p**n, fit.amplitude * n * fit.p ** (n - 1), np.ones_like(n)])
     resid = fit.amplitude * fit.p**n + fit.offset - f
     cov = np.linalg.inv(jac.T @ jac) * (resid @ resid) / (n.size - 3)
@@ -162,34 +162,32 @@ def test_fit_decay_calls_no_optimizer():
     # optimizer (the CLI import-set test checks that none is loaded).
     assert not hasattr(analysis, "curve_fit") and not hasattr(fitting, "least_squares")
     n = np.arange(0, 300, 15)
-    assert fit_decay(n, 0.75 * 0.99**n + 0.25).p == pytest.approx(0.99, abs=1e-9)
+    assert fit_decays([(n, 0.75 * 0.99**n + 0.25)])[0].p == pytest.approx(0.99, abs=1e-9)
 
 
 def test_fit_decay_input_validation():
     n = np.arange(0, 300, 15)
     f = 0.75 * 0.99**n + 0.25
     with pytest.raises(InvalidArgumentError):
-        fit_decay(n[:4], f[:4])  # fewer than 5 distinct lengths
+        fit_decays([(n[:4], f[:4])])  # fewer than 5 distinct lengths
     with pytest.raises(InvalidArgumentError):
-        fit_decay(n, f + 0.5)  # fidelities above 1
+        fit_decays([(n, f + 0.5)])  # fidelities above 1
     with pytest.raises(InvalidArgumentError):
-        fit_decay(n, np.full(n.size, np.nan))
+        fit_decays([(n, np.full(n.size, np.nan))])
     with pytest.raises(DegenerateFitError):
-        fit_decay(n, np.full(n.size, 0.5))
+        fit_decays([(n, np.full(n.size, 0.5))])
 
 
 def test_fit_decay_warns_on_levels_outside_unit_interval():
-    # Both entry points warn at their caller's line.
+    # The warning names the caller's line.
     n = np.arange(0, 29, 2)
     f = 1.05 * 0.9**n - 0.05
     assert np.all((0.0 <= f) & (f <= 1.0))
     with pytest.warns(RuntimeWarning) as record:
-        fit = fit_decay(n, f)
+        fit = fit_decays([(n, f)])[0]
     assert fit.amplitude == pytest.approx(1.05, abs=1e-6)
     assert fit.offset == pytest.approx(-0.05, abs=1e-6)
-    with pytest.warns(RuntimeWarning) as stacked:
-        assert analysis.fit_decays([(n, f)]) == [fit]
-    assert [w.filename for w in (*record, *stacked)] == [__file__] * 2
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_fit_decay_sigma_calibration_monte_carlo():
@@ -202,7 +200,7 @@ def test_fit_decay_sigma_calibration_monte_carlo():
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         noisy = np.clip(truth + rng.normal(0.0, 0.01, n.size), 0.0, 1.0)
-        fit = fit_decay(n, noisy)
+        fit = fit_decays([(n, noisy)])[0]
         if abs(fit.p - 0.991) <= 3.0 * fit.sigma_p:
             hits += 1
     assert hits >= int(0.95 * n_seeds)
@@ -363,7 +361,7 @@ def test_write_decay_csv_writes_lengths_as_csv_writer_writes_integers(lengths, k
 
 
 def bad_lengths(dtype):
-    """Values of ``dtype`` outside fit_decay's rule, integers from 0 to
+    """Values of ``dtype`` outside fit_decays' rule, integers from 0 to
     MAX_SEQUENCE_LENGTH: negative or too long, and for a float dtype also
     fractional, nan or inf."""
     if np.issubdtype(dtype, np.integer):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from fluxcal.cli import build_parser, main
 from fluxcal.errors import DegenerateFitError, SweepRangeError
 from fluxcal.fitting import CalibrationRun, synthesize_calibration_run, write_calibration_csv
 from fluxcal.models import CombinedResponse, model_to_dict
+from fluxcal.predistort import full_pipeline
 from fluxcal.serialize import dumps_json, write_csv_table, write_json
 from fluxcal.signal import heaviside_step, read_waveform_csv, write_waveform_csv
 from fluxcal.simulator import MAX_STEP_NS, DriveSchedule, simulate_calibration
@@ -381,6 +383,55 @@ def test_simulate_scenario_ideal_channel(tmp_path):
     assert report["provenance"]["inputs"]["scenario"]["sha256"] == digest
 
 
+def _waveform_scenario(tmp_path, waveform):
+    """A flip-chip ``simulate`` scenario whose probe input is ``waveform``,
+    written next to it as ``input.csv``."""
+    write_waveform_csv(tmp_path / "input.csv", waveform)
+    scenario = tmp_path / "scenario.json"
+    write_json(scenario, {
+        "system": "flipchip",
+        "channel": model_to_dict(presets.flipchip_channel(v_step=0.42)),
+        "drive": {"regime": "short"},
+        "delays_ns": [60.0, 150.0, 400.0],
+        "offsets_rel": {"start": -0.02, "stop": 0.05, "count": 36},
+        "input_waveform_csv": "input.csv",
+    })
+    return scenario
+
+
+def test_simulate_predistorted_input_waveform_needs_no_compensation(tmp_path):
+    # The plain step through this channel needs 1-2.3% compensation at these
+    # delays; predistorted, the channel's output is a flat step, and every
+    # delay's compensation is within one offset step (0.2%) of zero.
+    channel = presets.flipchip_channel(v_step=0.42)
+    step = heaviside_step(0.42, 600.0, 1.0)
+    scenario = _waveform_scenario(tmp_path, full_pipeline(step, channel))
+    outdir = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "-o", str(outdir)]) == 0
+    rows = np.loadtxt(outdir / "run.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(rows[:, 1])) < 0.002 * 0.42
+    report = json.loads((outdir / "report.json").read_text())
+    digest = hashlib.sha256((tmp_path / "input.csv").read_bytes()).hexdigest()
+    assert report["provenance"]["inputs"]["input_waveform"]["sha256"] == digest
+
+
+def test_simulate_short_input_waveform_fails_before_any_propagation(tmp_path, capsys, monkeypatch):
+    # The waveform ends before the last delay's probe window: every delay
+    # is checked before the first is propagated, so the sweep fails in one
+    # line naming that delay, with nothing propagated and nothing written.
+    calls = []
+    monkeypatch.setattr(simulator, "_propagate", lambda *args: calls.append(args))
+    scenario = _waveform_scenario(tmp_path, heaviside_step(0.42, 300.0, 1.0))
+    outdir = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "-o", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"fluxcal simulate: input waveform ends at 300\.0 ns, before the probe window of "
+        r"delay 400\.0 ns, which ends at 4\d\d\.\d+ ns\n", err
+    ), err
+    assert not calls and not outdir.exists()
+
+
 def test_simulate_reads_only_the_peaks_and_writes_the_full_grids_run(tmp_path, monkeypatch):
     # README's scenario on fewer delays: the command propagates only the
     # offsets that each delay's peak search needs, and its run.csv is the
@@ -504,6 +555,8 @@ EXPLICIT_FLIPCHIP = {
      "delays_ns: a log grid needs a nonzero start and stop of one sign, got start -100.0 and stop 500.0"),
     ("simulate", {"delays_ns": {"start": 0, "stop": 500, "count": 5, "spacing": "log"}},
      "delays_ns: a log grid needs a nonzero start and stop of one sign, got start 0.0 and stop 500.0"),
+    ("simulate", {"delays_ns": {"start": 60.0, "stop": 150.0}},
+     "delays_ns: grid object needs start/stop/count ('count')"),
 ])
 def test_scenario_usage_error_is_one_line_exit_1(tmp_path, capsys, command, extra, message):
     scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
@@ -706,17 +759,24 @@ def test_analyze_xeb_combines_two_references(tmp_path):
     assert report["scheme"] == "xeb"
 
 
-def test_analyze_rb_rejects_two_references(tmp_path, capsys):
+@pytest.mark.parametrize("scheme, references, message", [
+    ("rb", 2, "rb takes exactly one reference decay file"),
+    ("xeb", 3, "xeb takes one combined or two single-qubit reference files"),
+], ids=["rb-two", "xeb-three"])
+def test_analyze_rb_rejects_two_references(tmp_path, capsys, scheme, references, message):
+    # A usage error: one line, exit 1, and no report.
     n = np.arange(0, 400, 20)
-    for name in ("gate.csv", "a.csv", "b.csv"):
+    names = ["gate.csv"] + [f"ref{j}.csv" for j in range(references)]
+    for name in names:
         write_decay_csv(tmp_path / name, n, 0.75 * 0.99**n + 0.25)
+    out = tmp_path / "out.json"
     code = main([
-        "analyze", "--scheme", "rb", "--gate", str(tmp_path / "gate.csv"),
-        "--reference", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
-        "-o", str(tmp_path / "out.json"),
+        "analyze", "--scheme", scheme, "--gate", str(tmp_path / names[0]),
+        "--reference", *(str(tmp_path / name) for name in names[1:]), "-o", str(out),
     ])
     assert code == 1
-    assert "exactly one" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"fluxcal analyze: {message}\n"
+    assert not out.exists()
 
 
 LENGTH_RULE = "{path}: sequence lengths must be integers from 0 to 1000000000"

@@ -15,7 +15,7 @@ def test_fit_layer_bench_quick_run_writes_its_schema(tmp_path):
                    check=True, capture_output=True)
     record = json.loads(out.read_text())
     assert record["bench"] == "fit_layer"
-    assert record["config"]["decay_fit"] == "fit_decays" and record["config"]["sets"] == 4
+    assert record["config"]["sets"] == 4
     assert set(record["layers"]) == set(LAYERS) == set(record["counters"])
     for timing in record["layers"].values():
         q = timing["ms_per_call"]

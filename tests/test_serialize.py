@@ -281,6 +281,26 @@ def test_writer_matches_csv_writer_next_to_powers_of_ten(tmp_path):
     assert_writes_like_csv_writer(tmp_path, ("x",), (values,))
 
 
+def test_writer_formats_the_largest_double_below_each_decade(tmp_path):
+    # A value of the exact band is scaled to v = |x| 10**k in [1e16, 1e17)
+    # and written from N = rint(v), which would need a carry only for v in
+    # [1e17 - 0.5, 1e17).  Of each decade 1e-6 to 1e17 only the largest
+    # double below its top could land there: none does, and each is written
+    # as '%.17g' writes it, either sign.
+    below = []
+    for e in range(-5, 18):
+        top = Fraction(10) ** e
+        x = float(top)
+        if Fraction(x) >= top:
+            x = math.nextafter(x, 0.0)
+        assert Fraction(x) * 10 ** (17 - e) < 10**17 - Fraction(1, 2)
+        below.append(x)
+    values = np.array(below + [-x for x in below])
+    path = tmp_path / "table.csv"
+    write_csv_table(path, ("x",), (values,))
+    assert path.read_bytes() == b"x\r\n" + b"".join(b"%.17g\r\n" % x for x in values.tolist())
+
+
 def test_writer_rounds_exact_ties_half_to_even(tmp_path):
     # x = q / 2**(k + 1) with q odd and q 5**k in [2e16, 2e17): x 10**k is
     # half an odd integer of 17 digits, so the 17th digit is a tie, for each
