@@ -33,6 +33,7 @@ import functools
 import hashlib
 import sys
 import warnings
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ from .analysis import (
 )
 from .errors import FluxcalError, InvalidArgumentError
 from .fitting import (
-    REGIMES,
     fit_long_time,
     fit_short_time,
     read_calibration_csv,
@@ -149,10 +149,26 @@ def _parse_grid(spec, name: str) -> np.ndarray:
     raise ValueError(f"{name}: expected a list or a start/stop/count object")
 
 
-_SYSTEM_KEYS = ("omega_q_ghz", "g_qc_ghz", "coupler", "coeff_zxtalk", "qubit_zpa_slope_ghz")
-_COUPLER_KEYS = (
-    "f_max_ghz", "curvature_ghz", "asymmetry", "zpa_to_flux", "flux_offset", "zpa_range",
-)
+def _from_fields(cls, spec, name: str, skip=(), **readers):
+    """The dataclass ``cls`` built from the JSON object ``spec``, whose keys
+    must be fields of ``cls`` other than ``skip``.  Each field that is
+    present, or that has no default, is read in field order by
+    ``readers[field](value, where)``, by default as a finite number; an
+    absent field keeps its default."""
+    accepted = [f for f in fields(cls) if f.name not in skip]
+    _check_object(spec, [f.name for f in accepted], name)
+    kwargs = {
+        f.name: readers.get(f.name, _finite_float)(spec[f.name], f"{name}.{f.name}")
+        for f in accepted
+        if f.name in spec or (f.default is MISSING and f.default_factory is MISSING)
+    }
+    return _usage_error(name, cls, **kwargs)
+
+
+def _zpa_range(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of two numbers, got {value!r}")
+    return tuple(_finite_float(bound, where) for bound in value)
 
 
 def _system_from_spec(spec) -> SystemParams:
@@ -161,35 +177,13 @@ def _system_from_spec(spec) -> SystemParams:
     if spec == "flipchip":
         return presets.flipchip_system()
     if isinstance(spec, dict):
-        _check_object(spec, _SYSTEM_KEYS, "system")
-        cm = _check_object(spec["coupler"], _COUPLER_KEYS, "system.coupler")
-        where = "system.coupler."
-        zpa_range = cm.get("zpa_range", [0.0, 0.5])
-        if not isinstance(zpa_range, list):
-            raise ValueError(f"{where}zpa_range: expected a list of two numbers, got {zpa_range!r}")
-        coupler = _usage_error(
-            "system.coupler",
-            CouplerMap,
-            f_max_ghz=_number(cm, "f_max_ghz", where=where),
-            curvature_ghz=_number(cm, "curvature_ghz", where=where),
-            asymmetry=_number(cm, "asymmetry", 0.0, where),
-            zpa_to_flux=_number(cm, "zpa_to_flux", 1.0, where),
-            flux_offset=_number(cm, "flux_offset", 0.0, where),
-            zpa_range=tuple(_finite_float(value, f"{where}zpa_range") for value in zpa_range),
-        )
-        return _usage_error(
-            "system",
-            SystemParams,
-            omega_q_ghz=_number(spec, "omega_q_ghz", where="system."),
-            g_qc_ghz=_number(spec, "g_qc_ghz", where="system."),
-            coupler=coupler,
-            coeff_zxtalk=_number(spec, "coeff_zxtalk", 0.0, "system."),
-            qubit_zpa_slope_ghz=_number(spec, "qubit_zpa_slope_ghz", 0.0, "system."),
+        return _from_fields(
+            SystemParams, spec, "system",
+            coupler=lambda cm, where: _from_fields(CouplerMap, cm, where, zpa_range=_zpa_range),
         )
     raise ValueError(f"system must be 'planar', 'flipchip', or an object, got {spec!r}")
 
 
-_SCHEDULE_KEYS = ("t_pi_min_ns", "t_pi_max_ns", "ramp_end_ns", "sigma_fraction")
 _SIMULATE_KEYS = (
     "system", "channel", "drive", "delays_ns", "offsets_rel", "dt_integration_ns",
     "input_waveform_csv",
@@ -212,22 +206,20 @@ def _sweep_grid_spec(spec: dict, key: str, where: str = "") -> np.ndarray:
     return _usage_error(name, _sweep_grid, _parse_grid(spec[key], name), _GRID_KINDS[key])
 
 
+def _scenario(path, keys) -> tuple[dict, SystemParams, CombinedResponse]:
+    """The scenario object at ``path``, whose keys must be among ``keys``,
+    with its device (``system``, the planar preset by default) and its
+    true ``channel``."""
+    scenario = _check_object(load_json(path), keys, "scenario")
+    params = _system_from_spec(scenario.get("system", "planar"))
+    return scenario, params, model_from_dict(scenario["channel"], "channel")
+
+
 def _integration_step(scenario: dict) -> float:
     dt = _number(scenario, "dt_integration_ns", MAX_STEP_NS)
     if not 0.0 < dt <= MAX_STEP_NS:
         raise ValueError(f"dt_integration_ns must be in (0, {MAX_STEP_NS}] ns, got {dt}")
     return dt
-
-
-def _schedule_from_spec(spec, keys=("regime", *_SCHEDULE_KEYS)) -> DriveSchedule:
-    """The ``drive`` object as a schedule; ``keys`` are the keys it takes
-    (a roundtrip's takes no ``regime``: its short stage needs "short")."""
-    _check_object(spec, keys, "drive")
-    regime = spec.get("regime", "short")
-    if regime not in REGIMES:
-        raise ValueError(f"drive: regime must be one of {REGIMES}, got {regime!r}")
-    kwargs = {k: _number(spec, k, where="drive.") for k in _SCHEDULE_KEYS if k in spec}
-    return _usage_error("drive", DriveSchedule, regime=regime, **kwargs)
 
 
 def cmd_fit(args) -> int:
@@ -247,11 +239,7 @@ def cmd_fit(args) -> int:
     payload = model_to_dict(resp)
     payload["meta"] = {
         "regime": args.regime,
-        "residual_rms": diag.residual_rms,
-        "n_starts": diag.n_starts,
-        "n_dropped_starts": diag.n_dropped_starts,
-        "degenerate": diag.degenerate,
-        "messages": list(diag.messages),
+        **asdict(diag),
         "provenance": _provenance(
             {"run": args.input},
             {
@@ -302,15 +290,16 @@ def cmd_predistort(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _check_object(load_json(args.scenario), _SIMULATE_KEYS, "scenario")
-    params = _system_from_spec(scenario.get("system", "planar"))
-    channel = model_from_dict(scenario["channel"], "channel")
+    scenario, params, channel = _scenario(args.scenario, _SIMULATE_KEYS)
     if channel.v_step < 0:
         raise ValueError(
             f"channel.v_step: the sweep needs v_step > 0 (offsets_rel are fractions of it), "
             f"got {channel.v_step}"
         )
-    schedule = _schedule_from_spec(scenario.get("drive", {}))
+    # The regime is a name, which the schedule checks.
+    schedule = _from_fields(
+        DriveSchedule, scenario.get("drive", {}), "drive", regime=lambda value, where: value
+    )
     delays = _sweep_grid_spec(scenario, "delays_ns")
     offsets = _sweep_grid_spec(scenario, "offsets_rel") * channel.v_step
     dt_int = _integration_step(scenario)
@@ -342,11 +331,7 @@ def cmd_simulate(args) -> int:
         "v_step": run.v_step,
         "reference_zpa": run.v_step,
         "drive_frequency_ghz": report.omega_drive_ghz,
-        "rwa": {
-            "passed": report.rwa.passed,
-            "ratio": report.rwa.ratio,
-            "margin_factor": report.rwa.margin_factor,
-        },
+        "rwa": asdict(report.rwa),
         "t_pi_ns": list(report.t_pi_ns),
         "grid": {
             "n_delays": int(delays.size),
@@ -391,28 +376,20 @@ def cmd_analyze(args) -> int:
     else:
         estimate = xeb_fidelity(gate_fit, ref_fit, dimension=args.dimension)
 
-    def fit_block(fit):
-        return {
-            "amplitude": fit.amplitude,
-            "p": fit.p,
-            "offset": fit.offset,
-            "sigma_p": fit.sigma_p,
-        }
-
     inputs = {"gate": args.gate}
     for i, path in enumerate(args.reference):
         inputs[f"reference_{i}"] = path
     payload = {
         "scheme": estimate.scheme,
         "dimension": estimate.dimension,
-        "gate": fit_block(gate_fit),
-        "reference": fit_block(ref_fit),
+        "gate": asdict(gate_fit),
+        "reference": asdict(ref_fit),
         "fidelity": estimate.fidelity,
         "sigma": estimate.sigma,
         "provenance": _provenance(inputs, {"scheme": args.scheme, "dimension": args.dimension}),
     }
     if len(component_fits) == 2:
-        payload["reference_components"] = [fit_block(f) for f in component_fits]
+        payload["reference_components"] = [asdict(f) for f in component_fits]
     write_json(args.output, payload)
     print(f"{estimate.scheme} fidelity {estimate.fidelity:.6f} +- {estimate.sigma:.2g}")
     return 0
@@ -426,13 +403,12 @@ def _stage_grids(scenario: dict, stage: str) -> dict:
 def cmd_roundtrip(args) -> int:
     # Every scenario value is read and checked before the loop starts, and
     # the artifacts are written only after it has finished.
-    scenario = _check_object(load_json(args.scenario), _ROUNDTRIP_KEYS, "scenario")
-    params = _system_from_spec(scenario.get("system", "planar"))
-    channel = model_from_dict(scenario["channel"], "channel")
+    scenario, params, channel = _scenario(args.scenario, _ROUNDTRIP_KEYS)
     repulsion_ghz = _number(scenario, "repulsion_mhz", 50.0) / 1000.0
     n_exp = _integer(scenario, "n_exp", MAX_SHORT_TERMS, default=3)
     threshold = _number(scenario, "threshold", 0.01)
-    drive = _schedule_from_spec(scenario.get("drive", {}), _SCHEDULE_KEYS)
+    # The short stage needs a short-regime drive, so this one takes no regime.
+    drive = _from_fields(DriveSchedule, scenario.get("drive", {}), "drive", skip=("regime",))
     dt_int = _integration_step(scenario)
     stages = {key: _stage_grids(scenario, key) for key in ("long_stage", "short_stage", "validate")}
 

@@ -152,11 +152,11 @@ class FitDiagnostics:
 
     residual_rms: float
     n_starts: int
-    degenerate: bool = False
-    messages: tuple[str, ...] = field(default_factory=tuple)
     # Short-time fit only: starts dropped because their search ended with
     # amplitudes outside [-0.5, 0.5].
     n_dropped_starts: int = 0
+    degenerate: bool = False
+    messages: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _exp_design_matrix(t: np.ndarray, taus: np.ndarray) -> np.ndarray:

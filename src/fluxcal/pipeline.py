@@ -38,13 +38,25 @@ class RoundtripResult:
     passed: bool
 
 
-def _grids(override, delays_ns: np.ndarray, offsets_rel: np.ndarray, v_step: float):
-    """A stage's checked delays and absolute offsets; ``override`` (a mapping
-    with ``delays_ns`` and/or ``offsets_rel``) replaces either default."""
+def _grids(stage: str, override, delays_ns: np.ndarray, offsets_rel: np.ndarray, z_work: float):
+    """A stage's checked delays and absolute offsets, both increasing;
+    ``override`` (a mapping with ``delays_ns`` and/or ``offsets_rel``)
+    replaces either default, and an error names ``stage`` and the key."""
     override = override or {}
-    offsets = np.asarray(override.get("offsets_rel", offsets_rel), dtype=float) * v_step
-    delays = _sweep_grid(override.get("delays_ns", delays_ns), "delays")
-    return delays, _sweep_grid(offsets, "offsets")
+    unknown = set(override) - {"delays_ns", "offsets_rel"}
+    if unknown:
+        raise InvalidArgumentError(f"{stage}: unknown keys {sorted(unknown)}")
+
+    def checked(key, default, kind):
+        try:
+            return _sweep_grid(override.get(key, default), kind)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{stage}.{key}: {exc}") from None
+
+    delays = checked("delays_ns", delays_ns, "delays")
+    offsets = checked("offsets_rel", offsets_rel, "offsets") * z_work
+    # At a negative working point the scaled offsets run downward.
+    return delays, offsets[::-1] if z_work < 0 else offsets
 
 
 def roundtrip(
@@ -60,10 +72,11 @@ def roundtrip(
     ``drive`` is the short stage's probe schedule, of the short regime.  A
     stage override (``long_stage``, ``short_stage``, ``validate``) maps
     ``delays_ns`` and/or ``offsets_rel`` (fractions of the working point)
-    to arrays; a non-empty ``long_stage`` needs a channel with a long-time
-    part.  The default long span, 4-70 us, exceeds 3 settling constants of
-    the planar preset, as ``fit_long_time`` requires.  No stage draws random
-    numbers, so the same arguments give the same result.
+    to arrays, and takes no other key; a non-empty ``long_stage`` needs a
+    channel with a long-time part.  The default long span, 4-70 us, exceeds
+    3 settling constants of the planar preset, as ``fit_long_time``
+    requires.  No stage draws random numbers, so the same arguments give the
+    same result.
     """
     if not 1 <= n_exp <= MAX_SHORT_TERMS:
         raise InvalidArgumentError(f"n_exp must be 1..{MAX_SHORT_TERMS}, got {n_exp}")
@@ -77,14 +90,16 @@ def roundtrip(
     z_work = find_working_point(params, repulsion_ghz)
     channel = replace(channel, v_step=z_work)
     long_grids = _grids(
-        long_stage, np.linspace(4000.0, 70000.0, 25), np.linspace(-0.022, 0.022, 41), z_work
+        "long_stage", long_stage, np.linspace(4000.0, 70000.0, 25),
+        np.linspace(-0.022, 0.022, 41), z_work,
     )
     short_delays, short_offsets = _grids(
-        short_stage, np.geomspace(20.0, 5000.0, 30), np.linspace(-0.012, 0.052, 41), z_work
+        "short_stage", short_stage, np.geomspace(20.0, 5000.0, 30),
+        np.linspace(-0.012, 0.052, 41), z_work,
     )
     val_span = 38000.0 if has_long else 5000.0
     val_delays, val_offsets = _grids(
-        validate, np.geomspace(30.0, val_span, 16), np.linspace(-0.02, 0.02, 41), z_work
+        "validate", validate, np.geomspace(30.0, val_span, 16), np.linspace(-0.02, 0.02, 41), z_work
     )
     sweep = dict(dt_integration_ns=dt_integration_ns)
 

@@ -131,13 +131,15 @@ class CouplerMap:
     frequency(zpa) = (f_max + ec) * (d^2 + (1 - d^2) cos^2(pi x))^(1/4) - ec
     where x = zpa_to_flux * zpa + flux_offset is the flux in flux quanta,
     d the junction asymmetry and ec the curvature offset.  The map must be
-    strictly monotonic over ``zpa_range``.
+    strictly monotonic over ``zpa_range``.  By default the SQUID is
+    symmetric (asymmetry 0), one zpa unit is one flux quantum (zpa_to_flux
+    1) with no offset (flux_offset 0), and zpa_range is (0, 0.5).
     """
 
     f_max_ghz: float
     curvature_ghz: float
-    asymmetry: float
-    zpa_to_flux: float
+    asymmetry: float = 0.0
+    zpa_to_flux: float = 1.0
     flux_offset: float = 0.0
     zpa_range: tuple[float, float] = (0.0, 0.5)
 
@@ -332,15 +334,15 @@ class DriveSchedule:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise InvalidArgumentError(f"regime must be one of {REGIMES}")
+            raise InvalidArgumentError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if not 30.0 <= self.t_pi_min_ns <= self.t_pi_max_ns <= 200.0:
             raise InvalidArgumentError("need 30 <= t_pi_min <= t_pi_max <= 200 ns")
         if self.ramp_end_ns <= 0:
             raise InvalidArgumentError("ramp_end_ns must be > 0")
+        if self.sigma_fraction <= 0:
+            raise InvalidArgumentError("sigma_fraction must be > 0")
 
     def t_pi_ns(self, delay_ns: float) -> float:
-        if self.t_pi_min_ns == self.t_pi_max_ns:
-            return self.t_pi_max_ns
         frac = min(max(delay_ns / self.ramp_end_ns, 0.0), 1.0)
         return self.t_pi_min_ns + (self.t_pi_max_ns - self.t_pi_min_ns) * frac
 
@@ -642,8 +644,10 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray, k: int) -> float:
 def _sweep_grid(values, kind: str) -> np.ndarray:
     """A sweep's delays (``kind`` "delays") or offsets ("offsets") as a
     float array, checked: an increasing 1-D array of >= 2 delays or >= 3
-    offsets."""
+    offsets, all finite."""
     grid = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise InvalidArgumentError(f"{kind} must be finite")
     least = 2 if kind == "delays" else 3
     if grid.ndim != 1 or grid.size < least or np.any(np.diff(grid) <= 0):
         raise InvalidArgumentError(f"{kind} must be an increasing 1-D array with >= {least} points")

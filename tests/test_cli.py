@@ -9,6 +9,7 @@ import sys
 import tempfile
 from unittest import mock
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,71 @@ def test_roundtrip_bad_drive_fails_before_any_sweep(tmp_path, capsys, monkeypatc
     assert main(["roundtrip", str(path), "-o", str(outdir)]) == 1
     assert capsys.readouterr().err == f"fluxcal roundtrip: {message}\n"
     assert not outdir.exists()
+
+
+FLIPCHIP = presets.flipchip_system()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", {"system": {**asdict(FLIPCHIP), "bogus": 1.0}}, "system: unknown keys ['bogus']"),
+    ("roundtrip", {"system": {**asdict(FLIPCHIP), "coupler": {**asdict(FLIPCHIP.coupler), "bogus": 1.0}}},
+     "system.coupler: unknown keys ['bogus']"),
+    ("simulate", {"drive": {**asdict(DriveSchedule()), "bogus": 1.0}}, "drive: unknown keys ['bogus']"),
+    # A roundtrip's drive takes every field of the schedule but its regime.
+    ("roundtrip", {"drive": {**asdict(DriveSchedule()), "bogus": 1.0}},
+     "drive: unknown keys ['bogus', 'regime']"),
+])
+def test_scenario_objects_take_exactly_their_dataclass_fields(
+    tmp_path, capsys, monkeypatch, command, extra, message
+):
+    # Each object holds every field of its dataclass and one key more, and
+    # only that key is named.
+    monkeypatch.setattr(cli, "simulate_calibration", _no_sweep)
+    monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)
+    scenario = {"system": "flipchip", "channel": {"v_step": 0.42}}
+    if command == "simulate":
+        scenario.update(delays_ns=[60.0, 150.0], offsets_rel=[-0.01, 0.0, 0.01])
+    path = tmp_path / "scenario.json"
+    write_json(path, {**scenario, **extra})
+    assert main([command, str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"fluxcal {command}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_drive_sigma_fraction_zero_is_usage_error_before_any_sweep(tmp_path, capsys, monkeypatch, command):
+    # A zero-width envelope would divide by zero in the pi-area rule.
+    monkeypatch.setattr(cli, "simulate_calibration", _no_sweep)
+    monkeypatch.setattr(pipeline, "simulate_calibration", _no_sweep)
+    scenario = {"system": "flipchip", "channel": {"v_step": 0.42}, "drive": {"sigma_fraction": 0}}
+    if command == "simulate":
+        scenario.update(delays_ns=[60.0, 150.0], offsets_rel=[-0.01, 0.0, 0.01])
+    path = tmp_path / "scenario.json"
+    write_json(path, scenario)
+    assert main([command, str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"fluxcal {command}: drive: sigma_fraction must be > 0\n"
+
+
+def test_simulate_written_out_preset_writes_the_preset_bytes(tmp_path):
+    # The flip-chip preset as an explicit object, less the coupler fields
+    # that it holds at their defaults.
+    system = asdict(FLIPCHIP)
+    del system["coupler"]["zpa_to_flux"], system["coupler"]["flux_offset"]
+    path = tmp_path / "scenario.json"
+    outputs = []
+    for name, spec in (("preset", "flipchip"), ("written_out", system)):
+        write_json(path, {
+            "system": spec,
+            "channel": {"v_step": 0.42, "short": [{"p": -0.019, "tau_ns": 47.83},
+                                                   {"p": -0.021, "tau_ns": 528.10}]},
+            "delays_ns": [20.0, 300.0, 4600.0],
+            "offsets_rel": {"start": -0.01, "stop": 0.05, "count": 41},
+        })
+        assert main(["simulate", str(path), "-o", str(tmp_path / name)]) == 0
+        # Only the scenario's digest in the report may differ.
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        outputs.append({f.name: f.read_bytes().replace(digest, b"")
+                        for f in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command, extra, message", [

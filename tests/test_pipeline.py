@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,9 @@ def test_roundtrip_in_process_matches_the_cli(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"validate": {"delays_ns": [30.0]}}, "delays must be an increasing 1-D array with >= 2 points"),
+    ({"validate": {"delays_ns": [30.0]}},
+     r"^validate\.delays_ns: delays must be an increasing 1-D array with >= 2 points$"),
+    ({"short_stage": {"delay_ns": [20.0, 40.0, 80.0]}}, r"^short_stage: unknown keys \['delay_ns'\]$"),
     ({"short_stage": {"offsets_rel": [0.01, 0.0, 0.02]}}, "offsets must be an increasing"),
     ({"n_exp": 7}, "n_exp must be 1..6, got 7"),
     ({"drive": DriveSchedule(regime="long")}, "drive must be a short-regime schedule, got 'long'"),
@@ -62,6 +67,25 @@ def test_roundtrip_checks_its_arguments_before_any_sweep(monkeypatch, kwargs, me
     with pytest.raises(InvalidArgumentError, match=message):
         roundtrip(**{"params": presets.planar_system(), "channel": presets.planar_channel(),
                      **kwargs})
+
+
+def test_roundtrip_at_a_negative_working_point():
+    # The planar device with its coupler's flux shifted by half a quantum
+    # and its zpa range mirrored: the working point is below 0, so
+    # offsets_rel times the working point runs downward before it is reversed.
+    planar = presets.planar_system()
+    coupler = replace(planar.coupler, flux_offset=0.5, zpa_range=(-0.45, -0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        result = roundtrip(
+            replace(planar, coupler=coupler),
+            presets.flipchip_channel(),
+            n_exp=2,
+            short_stage={"delays_ns": SHORT_DELAYS},
+            validate={"delays_ns": VALIDATE_DELAYS},
+        )
+    assert result.working_point == pytest.approx(-0.1877, abs=1e-4)
+    assert result.passed and result.max_residual < 0.01
 
 
 def test_importing_fluxcal_leaves_the_pipeline_out():

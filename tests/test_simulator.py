@@ -681,6 +681,26 @@ def test_simulate_rejects_delay_grid_before_simulating(monkeypatch, delays):
         )
 
 
+@pytest.mark.parametrize("delays, offsets, kind", [
+    ([60.0, np.inf], np.linspace(-0.01, 0.01, 11), "delays"),
+    ([60.0, 150.0], [-0.01, np.nan, 0.0, 0.01], "offsets"),
+])
+def test_simulate_rejects_a_non_finite_grid_before_simulating(monkeypatch, delays, offsets, kind):
+    # nan <= 0 is false, so the increasing-grid check alone lets nan and inf through.
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the sweep ran before the grids were checked")
+
+    monkeypatch.setattr(simulator, "_propagate", no_propagation)
+    params = presets.flipchip_system()
+    z = find_working_point(params, 0.050)
+    channel = CombinedResponse(short=None, long=None, v_step=z)
+    with pytest.raises(InvalidArgumentError, match=f"^{kind} must be finite$"):
+        simulate_calibration(
+            params, DriveSchedule(regime="short"), channel,
+            delays_ns=delays, offsets=np.asarray(offsets) * z,
+        )
+
+
 def test_simulate_rejects_offset_grid_missing_the_peak():
     params = presets.flipchip_system()
     z = find_working_point(params, 0.050)
