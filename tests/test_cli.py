@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -1153,7 +1154,9 @@ def tiny_simulate_scenarios(draw):
         target = scenario[where] if where else scenario
         if isinstance(target, dict):  # not replaced by junk already
             key = draw(st.sampled_from(sorted(target) + ["offsets", "fit_long", "shrot"]))
-            target[key] = draw(st.sampled_from(_JUNK))
+            # A copy: a later draw may set keys in a junk object, and the
+            # shared one would then hold itself or carry into the next example.
+            target[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
     return scenario
 
 
@@ -1244,7 +1247,7 @@ def malformed_roundtrip_scenarios(draw):
         elif how == "remove" and path[-1] in _REQUIRED_KEYS:
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(_MALFORMED[kind])
+            parent[path[-1]] = copy.deepcopy(draw(_MALFORMED[kind]))
     assume(scenario != _ROUNDTRIP_BASE)
     return scenario
 

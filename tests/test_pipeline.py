@@ -50,14 +50,14 @@ def test_roundtrip_in_process_matches_the_cli(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"validate": {"delays_ns": [30.0]}}, "delays must be an increasing 1-D array with >= 2 points"),
-    ({"validate": {"delays_ns": [30.0]}},
-     r"^validate\.delays_ns: delays must be an increasing 1-D array with >= 2 points$"),
-    ({"short_stage": {"delay_ns": [20.0, 40.0, 80.0]}}, r"^short_stage: unknown keys \['delay_ns'\]$"),
     ({"short_stage": {"offsets_rel": [0.01, 0.0, 0.02]}}, "offsets must be an increasing"),
     ({"n_exp": 7}, "n_exp must be 1..6, got 7"),
     ({"drive": DriveSchedule(regime="long")}, "drive must be a short-regime schedule, got 'long'"),
     ({"channel": presets.flipchip_channel(), "long_stage": {"delays_ns": [4000.0, 8000.0]}},
      "long_stage: the channel has no long-time part"),
+    ({"validate": {"delays_ns": [30.0]}},
+     r"^validate\.delays_ns: delays must be an increasing 1-D array with >= 2 points$"),
+    ({"short_stage": {"delay_ns": [20.0, 40.0, 80.0]}}, r"^short_stage: unknown keys \['delay_ns'\]$"),
 ])
 def test_roundtrip_checks_its_arguments_before_any_sweep(monkeypatch, kwargs, message):
     def no_sweep(*_, **__):
